@@ -4,8 +4,10 @@ Each range owns the distances in [τ, 2τ).  Insertions are processed in
 phases of at most B; the b-th insertion of a phase batches every vertex
 touched since step (k−1)·2^j (where b = k·2^j with j maximal) into one
 propagation call, which limits error build-up on surviving path segments
-to O(εδ·lg B) per phase.  A full distance-bounded rebuild restores exact
-estimates between phases.
+to O(εδ·lg B) per phase.  A distance-bounded rebuild restores exact
+estimates between phases.  All ranges of one engine share a phase
+boundary, so the engine runs one bounded Dijkstra to the largest cap and
+every range assigns the distances below its own cap from it.
 
 A baseline mode replaces the batch with just the head of the inserted edge
 (when its relaxation fired), reproducing the per-edge propagation scheme
@@ -53,7 +55,10 @@ def bounded_dijkstra(graph, source: int, cap: int) -> tuple[list, list]:
     """Exact distances from ``source``, abandoning keys ≥ cap.
 
     Returns (dist, parent) with out-of-range vertices at CAP.  Ties broken
-    by vertex id for reproducible parents.
+    by vertex id for reproducible parents.  Vertices are settled in
+    nondecreasing (distance, id) order, so the entries below any lower cap
+    equal those of a run capped there: one run to the largest cap serves
+    every structure.
     """
     n = graph.n
     dist = [CAP] * n
@@ -61,14 +66,14 @@ def bounded_dijkstra(graph, source: int, cap: int) -> tuple[list, list]:
     dist[source] = 0
     adj = graph._adj
     heap = [(0, source)]
-    done = [False] * n
     push = heapq.heappush
     pop = heapq.heappop
     while heap:
         d, u = pop(heap)
-        if done[u] or d > dist[u]:
+        # a vertex's entries carry strictly decreasing keys, and only the
+        # last one matches dist[u]: each vertex is settled exactly once
+        if d > dist[u]:
             continue
-        done[u] = True
         for v, w in adj[u]:
             nd = d + w
             if nd < cap and nd < dist[v]:
@@ -83,7 +88,8 @@ class DeterministicRange:
 
     Estimates are kept up to ``cap`` and reported as unreachable beyond it.
     The owner must call :meth:`rebuild` once the phase is full; an insertion
-    into a full phase raises :class:`PhaseFull`.
+    into a full phase raises :class:`PhaseFull`.  An owner holding several
+    ranges passes each one the same :func:`bounded_dijkstra` result.
     """
 
     def __init__(self, graph, source: int, tau: int, eps_delta: Fraction,
@@ -112,11 +118,18 @@ class DeterministicRange:
     def phase_full(self) -> bool:
         return self.b >= self.B
 
-    def rebuild(self) -> None:
-        """Restore exact estimates (clamped at cap) and reset the phase."""
-        dist, parent = bounded_dijkstra(self.graph, self.source, self.cap)
+    def rebuild(self, tree: tuple[list, list] | None = None) -> None:
+        """Restore exact estimates (clamped at cap) and reset the phase.
+
+        ``tree`` is a shared ``(dist, parent)`` from :func:`bounded_dijkstra`
+        on the current graph, run to at least this range's cap; without it
+        the range runs its own.  The rebuild is charged ``edge_count + n``
+        work either way.
+        """
+        if tree is None:
+            tree = bounded_dijkstra(self.graph, self.source, self.cap)
         self.table.work += self.graph.edge_count + self.graph.n
-        self.table.assign_exact(dist, parent)
+        self.table.assign_exact(*tree)
         self.b = 0
         self.table.reset_phase()
         self.rebuilds += 1

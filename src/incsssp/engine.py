@@ -5,14 +5,21 @@ plus one lazy range per power of two, fans every insertion out to them, and
 answers queries in O(1) from a per-vertex minimum table maintained through
 decrease notifications.  Approximate shortest paths are reported by walking
 parent pointers inside whichever structure owns the minimum.
+
+Exact (re)initialization runs one bounded Dijkstra to the largest cap
+involved, shared by every structure it serves: at ``preprocess`` the short
+tree and all ranges, at a deterministic phase boundary every range whose
+phase is full (all of them, since they share the phase length).
 """
 
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from math import inf, isqrt
 
 import numpy as np
 
+from . import det
 from .det import DeterministicRange
 from .errors import AlreadyPreprocessed, BudgetExceeded, InvalidConfig, \
     Unreachable, VertexOutOfRange
@@ -58,6 +65,9 @@ class Config:
             raise InvalidConfig("m_budget must be >= 1")
         if self.max_weight < 1:
             raise InvalidConfig("max weight must be >= 1")
+        for name in ("eps", "iter_mult"):
+            if not isinstance(getattr(self, name), (int, Fraction)):
+                raise InvalidConfig(f"{name} must be an int or a Fraction")
         eps = Fraction(self.eps)
         if not (0 < eps < 1):
             raise InvalidConfig("eps must lie in (0, 1)")
@@ -72,19 +82,28 @@ class Config:
 
 
 class _MinCallback:
-    """Decrease listener that keeps one vertex's global minimum current."""
+    """Decrease listener that keeps one vertex's global minimum current.
 
-    __slots__ = ("engine", "owner")
+    The structure's tables hold the listener, so it holds the engine's two
+    minimum lists and only a weak reference to the structure: strong
+    references back would make every engine a reference cycle, which is
+    freed only when the cyclic garbage collector next runs.
+    """
+
+    __slots__ = ("min_value", "min_owner", "owner")
 
     def __init__(self, engine):
-        self.engine = engine
-        self.owner = None   # bound right after the structure is constructed
+        self.min_value = engine.min_value
+        self.min_owner = engine._min_owner
+        self.owner = None   # set by bind(); the graph is empty until then
+
+    def bind(self, owner) -> None:
+        self.owner = weakref.ref(owner)
 
     def __call__(self, v, old, new):
-        eng = self.engine
-        if new < eng.min_value[v]:
-            eng.min_value[v] = new
-            eng._min_owner[v] = self.owner
+        if new < self.min_value[v]:
+            self.min_value[v] = new
+            self.min_owner[v] = self.owner()
 
 
 class IncrementalSSSP:
@@ -143,7 +162,7 @@ class IncrementalSSSP:
 
         cb = self._new_callback()
         self.short = ShortDistanceTree(self.graph, self.source, 2 * sq, cb)
-        cb.owner = self.short
+        cb.bind(self.short)
 
         floor_exp = (ceil_log2(m) + 1) // 2   # smallest e with 2^e ≥ √m
         self.ranges = []
@@ -154,7 +173,7 @@ class IncrementalSSSP:
             cb = self._new_callback()
             r = DeterministicRange(self.graph, self.source, tau, eps_delta,
                                    B, cap, sync=sync, on_decrease=cb)
-            cb.owner = r
+            cb.bind(r)
             self.ranges.append(r)
         self.guarantee_epsilon = self.eps
 
@@ -170,7 +189,7 @@ class IncrementalSSSP:
         cb = self._new_callback()
         self.short = ShortDistanceTree(self.graph, self.source,
                                        2 * ceil_cbrt(m), cb)
-        cb.owner = self.short
+        cb.bind(self.short)
 
         floor_exp = (ceil_log2(m) + 2) // 3   # smallest e with 2^e ≥ m^{1/3}
         self.ranges = []
@@ -182,7 +201,7 @@ class IncrementalSSSP:
                 self.graph, self.source, tau, self.eps_internal, m, self.lg_n,
                 rng, iter_mult=Fraction(cfg.iter_mult),
                 on_visible_decrease=cb, record_samples=cfg.record_samples)
-            cb.owner = r
+            cb.bind(r)
             self.ranges.append(r)
         self.phase_length = self.ranges[0].B if self.ranges else 1
 
@@ -196,30 +215,42 @@ class IncrementalSSSP:
         if len(edges) > self.config.m_budget:
             raise BudgetExceeded("initial edges exceed the declared budget")
         self.graph.load_initial(edges)
-        self.short.rebuild()
+        cap = max([self.short.cap] + [r.cap for r in self.ranges])
+        # through the module, so a wrapper on det.bounded_dijkstra sees it
+        tree = det.bounded_dijkstra(self.graph, self.source, cap)
+        self.short.rebuild(tree)
         for r in self.ranges:
             if isinstance(r, DeterministicRange):
-                r.rebuild()
+                r.rebuild(tree)
             else:
-                r._init_exact()
+                r._init_exact(tree)
         self._preprocessed = True
 
     def insert(self, u: int, v: int, w: int) -> None:
         """Insert one edge and bring every structure up to date.
 
         The graph validates before mutating, so a rejected insertion leaves
-        every structure untouched.
+        every structure untouched.  A deterministic range whose phase is
+        full is rebuilt first, from one bounded Dijkstra shared by all.
         """
         self.graph.insert_edge(u, v, w)
         self.insertions_used += 1
         self.short.insert(u, v, w)
+        if self.mode == "rand":
+            for r in self.ranges:
+                r.insert(u, v, w)
+            return
+        tree = None
         for r in self.ranges:
-            if isinstance(r, DeterministicRange):
-                if r.phase_full():
-                    r.rebuild()
-                r.insert(u, v, w)
-            else:
-                r.insert(u, v, w)
+            if r.phase_full():
+                if tree is None:
+                    # the ranges share B and b, so they fill together and
+                    # the largest cap is needed anyway; a run to a higher
+                    # cap is exact for every lower one
+                    tree = det.bounded_dijkstra(
+                        self.graph, self.source, max(q.cap for q in self.ranges))
+                r.rebuild(tree)
+            r.insert(u, v, w)
 
     # -- queries --------------------------------------------------------------
 
@@ -283,16 +314,3 @@ class IncrementalSSSP:
                 fixing += r.fixing_phases
         return {"relaxations": work, "decreases": decreases,
                 "rebuilds": rebuilds, "fixing_phases": fixing}
-
-    def min_table_scan(self) -> list:
-        """Recompute the minimum table by full scan (coherence checks)."""
-        out = []
-        for v in range(self.graph.n):
-            best = self.short.estimate(v)
-            for r in self.ranges:
-                e = r.estimate(v) if isinstance(r, DeterministicRange) \
-                    else r.visible_estimate(v)
-                if e < best:
-                    best = e
-            out.append(best)
-        return out

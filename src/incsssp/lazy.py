@@ -119,16 +119,23 @@ class EstimateTable:
         """Overwrite with exact distances (clamped at cap) and tree parents.
 
         Exact distances never exceed current estimates, so this is a pure
-        sequence of decreases plus parent refreshes.
+        sequence of decreases plus parent refreshes.  ``dist`` may come from
+        a run to a higher cap; entries at or above this table's cap (CAP
+        included) are skipped.
         """
+        cap = self.cap
+        visit = [v for v, d in enumerate(dist) if d < cap]
         dhat = self.dhat
-        for v, d in enumerate(dist):
-            if d >= self.cap or d == inf:
-                continue
-            if d < dhat[v]:
-                self._set(v, d, parents[v])
-            elif d == dhat[v] and v != self.source:
-                self.parent[v] = parents[v]
+        parent = self.parent
+        source = self.source
+        set_ = self._set
+        for v in visit:
+            d = dist[v]
+            old = dhat[v]
+            if d < old:
+                set_(v, d, parents[v])
+            elif d == old and v != source:
+                parent[v] = parents[v]
 
     # -- propagation ---------------------------------------------------
 

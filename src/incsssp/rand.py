@@ -56,6 +56,14 @@ class RandomizedRange:
         self.max_window_index = max(
             0, ceil_frac(2 * m_cbrt + 200 * eps * m_cbrt * lg_n - 8))
         self.iterations = max(1, ceil_frac(Fraction(2000 * lg_n) / eps * iter_mult))
+        # Window keys d̂·M stay below cap·M and window bounds are at most
+        # (max_window_index + 8)·τ; the key of a CAP vertex is the larger of
+        # the two, so no window holds it.  int64 holds them at every
+        # practical size; past 2^62 the keys are exact Python ints.
+        self._window_sentinel = max(self.cap * m_cbrt,
+                                    (self.max_window_index + 8) * tau)
+        self._window_dtype = (np.int64 if self._window_sentinel < 1 << 62
+                              else object)
         self.rng = rng
         self.record_samples = record_samples
         self.sample_history: list[FixingSample] = []
@@ -86,11 +94,16 @@ class RandomizedRange:
 
     # -- lifecycle -------------------------------------------------------
 
-    def _init_exact(self) -> None:
-        """Exact initialization; counts as a fixing phase with no sampling."""
-        dist, parent = bounded_dijkstra(self.graph, self.source, self.cap)
-        self.ds.assign_exact(dist, parent)
-        self._hidden.assign_exact(dist, parent)
+    def _init_exact(self, tree: tuple[list, list] | None = None) -> None:
+        """Exact initialization; counts as a fixing phase with no sampling.
+
+        ``tree`` is a shared :func:`bounded_dijkstra` result run to at least
+        this cap; without it the range runs its own.
+        """
+        if tree is None:
+            tree = bounded_dijkstra(self.graph, self.source, self.cap)
+        self.ds.assign_exact(*tree)
+        self._hidden.assign_exact(*tree)
         self.phi = self.potential_scan()
         self.phi_snapshot = self.phi
         self.b = 0
@@ -145,13 +158,14 @@ class RandomizedRange:
         d̂ ∈ [iδ, (i+8)δ)  ⟺  iτ ≤ d̂·M < (i+8)τ.
         """
         m_cbrt = self.m_cbrt
-        sentinel = 1 << 62
+        sentinel = self._window_sentinel
+        dtype = self._window_dtype
         vals = np.fromiter(
             (d * m_cbrt if d != inf else sentinel for d in self._hidden.dhat),
-            dtype=np.int64, count=self.graph.n)
+            dtype=dtype, count=self.graph.n)
         order = np.argsort(vals, kind="stable")
         svals = vals[order]
-        idx = np.unique(np.asarray(draws, dtype=np.int64))
+        idx = np.unique(np.asarray(draws, dtype=np.int64)).astype(dtype)
         los = np.searchsorted(svals, idx * self.tau, side="left")
         his = np.searchsorted(svals, (idx + 8) * self.tau, side="left")
         out: set[int] = set()

@@ -28,10 +28,14 @@ class ShortDistanceTree:
         self.relaxations = 0
         self.rebuild()
 
-    def rebuild(self) -> None:
-        dist, parent = bounded_dijkstra(self.graph, self.source, self.cap)
+    def rebuild(self, tree: tuple[list, list] | None = None) -> None:
+        """Exact distances below the cap, from ``tree`` (a shared
+        :func:`bounded_dijkstra` result run to at least this cap) or a run
+        of its own."""
+        if tree is None:
+            tree = bounded_dijkstra(self.graph, self.source, self.cap)
         self.table.work += self.graph.edge_count + self.graph.n
-        self.table.assign_exact(dist, parent)
+        self.table.assign_exact(*tree)
 
     def insert(self, u: int, v: int, w: int) -> None:
         """Process one edge insertion, keeping sub-cap distances exact."""

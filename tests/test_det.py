@@ -3,9 +3,12 @@ from fractions import Fraction
 from math import inf
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from incsssp import (DeterministicRange, Graph, PhaseFull, batch_index,
-                     bounded_dijkstra, dijkstra)
+from incsssp import (Config, DeterministicRange, Graph, IncrementalSSSP,
+                     InsertionStream, PhaseFull, QuadraticErrorParams,
+                     batch_index, bounded_dijkstra, dijkstra,
+                     quadratic_error_stream, random_stream)
 from incsssp.intmath import ceil_log2
 from tests.conftest import random_graph
 
@@ -205,3 +208,108 @@ def test_bounded_dijkstra_abandons_at_cap():
     dist, parent = bounded_dijkstra(g, 0, cap=7)
     assert dist == [0, 3, 6, inf]
     assert parent[2] == 1 and parent[3] is None
+
+
+# -- one shared Dijkstra per phase boundary ----------------------------------
+
+def reference_assign(table, dist, parents):
+    """Full-scan exact assignment: every vertex below the cap, in id order."""
+    for v, d in enumerate(dist):
+        if d >= table.cap or d == inf:
+            continue
+        if d < table.dhat[v]:
+            table._set(v, d, parents[v])
+        elif d == table.dhat[v] and v != table.source:
+            table.parent[v] = parents[v]
+
+
+def reference_exact(graph, source, table):
+    dist, parent = bounded_dijkstra(graph, source, table.cap)
+    table.work += graph.edge_count + graph.n
+    reference_assign(table, dist, parent)
+
+
+def reference_rebuild(r):
+    """One range rebuilt from a Dijkstra of its own, capped at its own cap."""
+    reference_exact(r.graph, r.source, r.table)
+    r.b = 0
+    r.table.reset_phase()
+    r.rebuilds += 1
+
+
+def reference_preprocess(eng, edges):
+    eng.graph.load_initial(edges)
+    reference_exact(eng.graph, eng.source, eng.short.table)
+    for r in eng.ranges:
+        reference_rebuild(r)
+
+
+def reference_insert(eng, u, v, w):
+    eng.graph.insert_edge(u, v, w)
+    eng.short.insert(u, v, w)
+    for r in eng.ranges:
+        if r.phase_full():
+            reference_rebuild(r)
+        r.insert(u, v, w)
+
+
+def chain_shortcut_stream(n):
+    """Weight-32 path 0→…→n−1, weight-63 shortcuts i→i+2 inserted back to
+    front: each shortcut lowers every later distance by one."""
+    initial = [(i, i + 1, 32) for i in range(n - 1)]
+    events = [("a", i, i + 2, 63) for i in range(n - 3, -1, -1)]
+    return InsertionStream(n=n, max_weight=63, budget=len(initial) + len(events),
+                           initial_edges=initial, events=events)
+
+
+@st.composite
+def streams(draw):
+    family = draw(st.sampled_from(["random", "quadratic", "chain"]))
+    if family == "random":
+        n = draw(st.integers(4, 24))
+        m = draw(st.integers(n, min(4 * n, n * (n - 1))))
+        return random_stream(n, m, draw(st.integers(1, 16)),
+                             seed=draw(st.integers(0, 2 ** 16)))
+    if family == "quadratic":
+        return quadratic_error_stream(QuadraticErrorParams(
+            draw(st.sampled_from([4, 6, 8, 12]))))
+    return chain_shortcut_stream(draw(st.integers(3, 48)))
+
+
+def owner_index(eng):
+    index = {id(eng.short): "short"}
+    index.update((id(r), i) for i, r in enumerate(eng.ranges))
+    return [index.get(id(o)) for o in eng._min_owner]
+
+
+def assert_same_state(eng, ref):
+    for r, q in zip(eng.ranges, ref.ranges):
+        assert r.table.dhat == q.table.dhat
+        assert r.table.parent == q.table.parent
+        assert (r.table.work, r.table.decreases, r.rebuilds) == \
+            (q.table.work, q.table.decreases, q.rebuilds)
+    assert eng.short.table.dhat == ref.short.table.dhat
+    assert eng.short.table.parent == ref.short.table.parent
+    assert eng.min_value == ref.min_value
+    assert owner_index(eng) == owner_index(ref)
+
+
+@settings(max_examples=60, deadline=None)
+@given(stream=streams(), mode=st.sampled_from(["det", "nosync"]),
+       c_b=st.sampled_from([1, None]))
+def test_shared_rebuild_matches_per_range_dijkstra(stream, mode, c_b):
+    """One Dijkstra to the largest cap, shared by every range, leaves each
+    range exactly as a Dijkstra capped at the range's own cap followed by
+    the original full-scan assignment would."""
+    def build():
+        return IncrementalSSSP(Config(
+            n=stream.n, m_budget=stream.budget, max_weight=stream.max_weight,
+            mode=mode, c_b=c_b))
+    eng, ref = build(), build()
+    eng.preprocess(stream.initial_edges)
+    reference_preprocess(ref, stream.initial_edges)
+    assert_same_state(eng, ref)
+    for _, u, v, w in stream.insertions:
+        eng.insert(u, v, w)
+        reference_insert(ref, u, v, w)
+        assert_same_state(eng, ref)

@@ -1,3 +1,5 @@
+import gc
+import weakref
 from fractions import Fraction
 from math import inf
 
@@ -13,6 +15,20 @@ from incsssp.workloads import random_stream
 def make(n=16, m=64, w=4, mode="det", eps=Fraction(1, 4), **kw):
     return IncrementalSSSP(Config(n=n, m_budget=m, max_weight=w, eps=eps,
                                   mode=mode, **kw))
+
+
+def min_table_scan(eng) -> list:
+    """Recompute the engine's minimum table by full scan."""
+    out = []
+    for v in range(eng.graph.n):
+        best = eng.short.estimate(v)
+        for r in eng.ranges:
+            e = r.visible_estimate(v) if eng.mode == "rand" \
+                else r.estimate(v)
+            if e < best:
+                best = e
+        out.append(best)
+    return out
 
 
 def test_deterministic_parameter_derivation():
@@ -33,6 +49,13 @@ def test_eps_zero_rejected():
         make(eps=Fraction(0))
     with pytest.raises(InvalidConfig):
         make(eps=Fraction(1))
+
+
+@pytest.mark.parametrize("field", ["eps", "iter_mult"])
+def test_float_parameters_rejected(field):
+    # a float such as 0.1 would silently become a 2^55-denominator rational
+    with pytest.raises(InvalidConfig):
+        make(**{field: 0.1})
 
 
 def test_randomized_eps_scaling():
@@ -132,7 +155,7 @@ def test_sandwich_and_min_table_on_random_run(mode, seed):
         truth = dijkstra(eng.graph, 0)
         report = verify(eng, truth, eng.guarantee_epsilon, insertion_index=i)
         assert report.clean, report
-    assert eng.min_table_scan() == eng.min_value
+    assert min_table_scan(eng) == eng.min_value
 
 
 def test_range_coverage():
@@ -190,3 +213,21 @@ def test_report_path_exact_after_rebuild():
         weight = sum(eng.graph.weight_of(a, b)
                      for a, b in zip(path, path[1:]))
         assert weight == truth.d[v]
+
+
+@pytest.mark.parametrize("mode", ["det", "nosync"])
+def test_discarded_engine_freed_without_cycle_collector(mode):
+    # the decrease listeners must not tie an engine into a reference cycle,
+    # or every discarded engine stays in memory until the collector runs
+    gc.disable()
+    try:
+        eng = make(w=32, mode=mode)
+        eng.preprocess([(0, 1, 2), (1, 2, 30)])
+        eng.insert(2, 3, 1)
+        assert eng._min_owner[1] is eng.short
+        assert eng._min_owner[3] in eng.ranges
+        ref = weakref.ref(eng)
+        del eng
+        assert ref() is None
+    finally:
+        gc.enable()

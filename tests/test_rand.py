@@ -183,3 +183,30 @@ def test_phi_nonincreasing():
     for _ in drive(r, g, 45, seed=13):
         assert r.phi <= prev
         prev = r.phi
+
+
+def window_union_reference(r, draws):
+    """Window membership iτ ≤ d̂·M < (i+8)τ by brute force over Python ints."""
+    out = set()
+    for v, d in enumerate(r._hidden.dhat):
+        if d != inf and any(i * r.tau <= d * r.m_cbrt < (i + 8) * r.tau
+                            for i in set(draws)):
+            out.add(v)
+    return out
+
+
+@pytest.mark.parametrize("max_weight,tau", [(6, 8), (2 ** 62, 2 ** 62)],
+                         ids=["int64", "past_int64"])
+def test_window_union_exact_at_any_weight(max_weight, tau):
+    g = Graph(12, max_weight)
+    r = make_range(g, tau=tau, m_budget=64)
+    if max_weight > 2 ** 32:
+        # the keys d̂·M reach past int64, where numpy would overflow
+        assert r.cap * r.m_cbrt >= 2 ** 63
+    for _ in drive(r, g, 40, seed=3):
+        draws = list(range(r.max_window_index + 1))
+        want = window_union_reference(r, draws)
+        assert r._window_union(draws) == want
+        assert r._window_union(draws[::3]) == window_union_reference(
+            r, draws[::3])
+    assert r.fixing_phases > 0 and len(want) > 1
