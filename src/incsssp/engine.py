@@ -84,17 +84,19 @@ class Config:
 class _MinCallback:
     """Decrease listener that keeps one vertex's global minimum current.
 
-    The structure's tables hold the listener, so it holds the engine's two
-    minimum lists and only a weak reference to the structure: strong
-    references back would make every engine a reference cycle, which is
-    freed only when the cyclic garbage collector next runs.
+    The structure's tables hold the listener, and the engine's owner list
+    holds the structures, so the listener holds the minimum values (plain
+    numbers) and only weak references to the engine and the structure:
+    strong references back would make every engine and every structure
+    owning a minimum a reference cycle, which is freed only when the
+    cyclic garbage collector next runs.
     """
 
-    __slots__ = ("min_value", "min_owner", "owner")
+    __slots__ = ("min_value", "engine", "owner")
 
     def __init__(self, engine):
         self.min_value = engine.min_value
-        self.min_owner = engine._min_owner
+        self.engine = weakref.ref(engine)
         self.owner = None   # set by bind(); the graph is empty until then
 
     def bind(self, owner) -> None:
@@ -103,7 +105,9 @@ class _MinCallback:
     def __call__(self, v, old, new):
         if new < self.min_value[v]:
             self.min_value[v] = new
-            self.min_owner[v] = self.owner()
+            engine = self.engine()
+            if engine is not None:   # else no one can read the minimum
+                engine._min_owner[v] = self.owner()
 
 
 class IncrementalSSSP:

@@ -31,6 +31,38 @@ class FixingSample:
     iteration_count: int
 
 
+class _HiddenListener:
+    """Decrease listener of the hidden table: keeps the potential Σ d̂ and
+    each vertex's window slot.
+
+    Hidden vertex v lies in window i iff iτ ≤ d̂·M < (i+8)τ, that is iff
+    its slot ⌊d̂·M/τ⌋ is in [i, i+8).  Slots past the last window (CAP
+    included) collapse to ``top``, which no window covers, so the slots fit
+    int64 at any τ while d̂·M is formed as an exact Python int.
+
+    The table holds the listener, so the listener holds no reference to the
+    range: one back would make every range a reference cycle, freed only
+    when the cyclic garbage collector next runs.
+    """
+
+    __slots__ = ("phi", "slots", "cap", "m_cbrt", "tau", "top")
+
+    def __init__(self, r: "RandomizedRange", n: int, source: int):
+        self.phi = 0
+        self.cap = r.cap
+        self.m_cbrt = r.m_cbrt
+        self.tau = r.tau
+        self.top = r.max_window_index + 8
+        self.slots = np.full(n, self.top, dtype=np.int64)
+        self.slots[source] = 0   # a new table holds d̂(s) = 0, all else CAP
+
+    def __call__(self, v, old, new):
+        # estimates only decrease, so ``new`` is finite
+        self.phi -= (self.cap if old == inf else old) - new
+        slot = new * self.m_cbrt // self.tau
+        self.slots[v] = slot if slot < self.top else self.top
+
+
 class RandomizedRange:
     """Twin-table structure for one distance range [τ, 2τ).
 
@@ -56,14 +88,6 @@ class RandomizedRange:
         self.max_window_index = max(
             0, ceil_frac(2 * m_cbrt + 200 * eps * m_cbrt * lg_n - 8))
         self.iterations = max(1, ceil_frac(Fraction(2000 * lg_n) / eps * iter_mult))
-        # Window keys d̂·M stay below cap·M and window bounds are at most
-        # (max_window_index + 8)·τ; the key of a CAP vertex is the larger of
-        # the two, so no window holds it.  int64 holds them at every
-        # practical size; past 2^62 the keys are exact Python ints.
-        self._window_sentinel = max(self.cap * m_cbrt,
-                                    (self.max_window_index + 8) * tau)
-        self._window_dtype = (np.int64 if self._window_sentinel < 1 << 62
-                              else object)
         self.rng = rng
         self.record_samples = record_samples
         self.sample_history: list[FixingSample] = []
@@ -74,18 +98,21 @@ class RandomizedRange:
 
         self.ds = EstimateTable(graph, source, self.cap, eps_delta,
                                 on_decrease=on_visible_decrease)
+        self._listener = _HiddenListener(self, graph.n, source)
         self._hidden = EstimateTable(graph, source, self.cap, eps_delta,
-                                     on_decrease=self._on_hidden_decrease)
-        self.phi = 0
+                                     on_decrease=self._listener)
         self._init_exact()
 
     # -- potential tracking ---------------------------------------------
 
-    def _hidden_value(self, d) -> int:
-        return self.cap if d == inf else d
+    @property
+    def phi(self) -> int:
+        """Hidden potential Σ d̂, CAP counted as the cap."""
+        return self._listener.phi
 
-    def _on_hidden_decrease(self, v, old, new):
-        self.phi -= self._hidden_value(old) - self._hidden_value(new)
+    @phi.setter
+    def phi(self, value: int) -> None:
+        self._listener.phi = value
 
     def potential_scan(self) -> int:
         """Full-scan Σ d̂ over the hidden table (CAP counted as the cap)."""
@@ -155,24 +182,18 @@ class RandomizedRange:
         """Vertices of the hidden table with d̂ in [iδ, (i+8)δ) for any drawn i.
 
         Membership is decided in exact integer arithmetic: with δ = τ/M,
-        d̂ ∈ [iδ, (i+8)δ)  ⟺  iτ ≤ d̂·M < (i+8)τ.
+        d̂ ∈ [iδ, (i+8)δ)  ⟺  iτ ≤ d̂·M < (i+8)τ  ⟺  i ≤ ⌊d̂·M/τ⌋ < i+8,
+        so a vertex is in the union iff a drawn window covers its slot.
         """
-        m_cbrt = self.m_cbrt
-        sentinel = self._window_sentinel
-        dtype = self._window_dtype
-        vals = np.fromiter(
-            (d * m_cbrt if d != inf else sentinel for d in self._hidden.dhat),
-            dtype=dtype, count=self.graph.n)
-        order = np.argsort(vals, kind="stable")
-        svals = vals[order]
-        idx = np.unique(np.asarray(draws, dtype=np.int64)).astype(dtype)
-        los = np.searchsorted(svals, idx * self.tau, side="left")
-        his = np.searchsorted(svals, (idx + 8) * self.tau, side="left")
-        out: set[int] = set()
-        for lo, hi in zip(los, his):
-            if hi > lo:
-                out.update(int(x) for x in order[lo:hi])
-        return out
+        top = self._listener.top
+        drawn = np.zeros(top + 1, dtype=bool)
+        drawn[draws] = True
+        # +1 where a drawn window starts, −1 eight slots on; the prefix sum
+        # counts the drawn windows covering each slot (none cover ``top``)
+        edges = drawn.astype(np.int64)
+        edges[8:] -= edges[:top - 7]
+        covered = np.cumsum(edges) > 0
+        return set(np.flatnonzero(covered[self._listener.slots]).tolist())
 
     # -- queries ----------------------------------------------------------
 

@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import strategies as st
 
-from incsssp import Graph
+from incsssp import (Graph, InsertionStream, QuadraticErrorParams,
+                     quadratic_error_stream, random_stream)
 
 
 def random_graph(n, m, max_weight, seed):
@@ -22,6 +24,31 @@ def random_graph(n, m, max_weight, seed):
         g.insert_edge(u, v, rng.randint(1, max_weight))
         added += 1
     return g
+
+
+def chain_shortcut_stream(n):
+    """Weight-32 path 0→…→n−1, weight-63 shortcuts i→i+2 inserted back to
+    front: each shortcut lowers every later distance by one."""
+    initial = [(i, i + 1, 32) for i in range(n - 1)]
+    events = [("a", i, i + 2, 63) for i in range(n - 3, -1, -1)]
+    return InsertionStream(n=n, max_weight=63, budget=len(initial) + len(events),
+                           initial_edges=initial, events=events)
+
+
+@st.composite
+def streams(draw, families=("random", "quadratic", "chain")):
+    """Small insertion streams: uniform random, the quadratic-error
+    construction, or a chain with shortcuts."""
+    family = draw(st.sampled_from(families))
+    if family == "random":
+        n = draw(st.integers(4, 24))
+        m = draw(st.integers(n, min(4 * n, n * (n - 1))))
+        return random_stream(n, m, draw(st.integers(1, 16)),
+                             seed=draw(st.integers(0, 2 ** 16)))
+    if family == "quadratic":
+        return quadratic_error_stream(QuadraticErrorParams(
+            draw(st.sampled_from([4, 6, 8, 12]))))
+    return chain_shortcut_stream(draw(st.integers(3, 48)))
 
 
 @pytest.fixture

@@ -6,11 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from incsssp import (Config, DeterministicRange, Graph, IncrementalSSSP,
-                     InsertionStream, PhaseFull, QuadraticErrorParams,
-                     batch_index, bounded_dijkstra, dijkstra,
-                     quadratic_error_stream, random_stream)
+                     PhaseFull, batch_index, bounded_dijkstra, dijkstra)
 from incsssp.intmath import ceil_log2
-from tests.conftest import random_graph
+from tests.conftest import random_graph, streams
 
 
 def test_batch_index_values():
@@ -251,29 +249,6 @@ def reference_insert(eng, u, v, w):
         if r.phase_full():
             reference_rebuild(r)
         r.insert(u, v, w)
-
-
-def chain_shortcut_stream(n):
-    """Weight-32 path 0→…→n−1, weight-63 shortcuts i→i+2 inserted back to
-    front: each shortcut lowers every later distance by one."""
-    initial = [(i, i + 1, 32) for i in range(n - 1)]
-    events = [("a", i, i + 2, 63) for i in range(n - 3, -1, -1)]
-    return InsertionStream(n=n, max_weight=63, budget=len(initial) + len(events),
-                           initial_edges=initial, events=events)
-
-
-@st.composite
-def streams(draw):
-    family = draw(st.sampled_from(["random", "quadratic", "chain"]))
-    if family == "random":
-        n = draw(st.integers(4, 24))
-        m = draw(st.integers(n, min(4 * n, n * (n - 1))))
-        return random_stream(n, m, draw(st.integers(1, 16)),
-                             seed=draw(st.integers(0, 2 ** 16)))
-    if family == "quadratic":
-        return quadratic_error_stream(QuadraticErrorParams(
-            draw(st.sampled_from([4, 6, 8, 12]))))
-    return chain_shortcut_stream(draw(st.integers(3, 48)))
 
 
 def owner_index(eng):

@@ -215,7 +215,7 @@ def test_report_path_exact_after_rebuild():
         assert weight == truth.d[v]
 
 
-@pytest.mark.parametrize("mode", ["det", "nosync"])
+@pytest.mark.parametrize("mode", ["det", "nosync", "rand"])
 def test_discarded_engine_freed_without_cycle_collector(mode):
     # the decrease listeners must not tie an engine into a reference cycle,
     # or every discarded engine stays in memory until the collector runs
@@ -226,8 +226,8 @@ def test_discarded_engine_freed_without_cycle_collector(mode):
         eng.insert(2, 3, 1)
         assert eng._min_owner[1] is eng.short
         assert eng._min_owner[3] in eng.ranges
-        ref = weakref.ref(eng)
+        refs = [weakref.ref(x) for x in (eng, eng.short, *eng.ranges)]
         del eng
-        assert ref() is None
+        assert [ref() for ref in refs] == [None] * len(refs)
     finally:
         gc.enable()

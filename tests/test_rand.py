@@ -4,10 +4,11 @@ from math import inf
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from incsssp import Graph, RandomizedRange, dijkstra
+from incsssp import Config, Graph, IncrementalSSSP, RandomizedRange, dijkstra
 from incsssp.intmath import ceil_cbrt, ceil_frac, ceil_log2
-from tests.conftest import random_graph
+from tests.conftest import random_graph, streams
 
 
 def make_range(graph, tau=8, eps=Fraction(1, 4), m_budget=64, seed=1,
@@ -210,3 +211,76 @@ def test_window_union_exact_at_any_weight(max_weight, tau):
         assert r._window_union(draws[::3]) == window_union_reference(
             r, draws[::3])
     assert r.fixing_phases > 0 and len(want) > 1
+
+
+def window_draws(top_index):
+    """Draw multisets as ``rng.integers`` could give them: repeats, one
+    index, the last index, every index."""
+    index = st.integers(0, top_index)
+    return st.one_of(
+        st.lists(index, min_size=1, max_size=2 * top_index + 2),
+        st.lists(index, min_size=1, max_size=4).map(lambda xs: xs * 3),
+        index.map(lambda i: [i]),
+        st.just([top_index]),
+        st.just(list(range(top_index + 1))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(stream=streams(families=("random", "chain")),
+       width=st.sampled_from(["int64", "past_int64"]), data=st.data())
+def test_window_union_matches_reference(stream, width, data):
+    """The slot mask gives the brute-force window union after every
+    insertion, also where the keys d̂·M pass int64."""
+    scale = 1 if width == "int64" else 2 ** 59   # τ = 8·scale = 2^62
+    g = Graph(stream.n, stream.max_weight * scale,
+              initial_edges=[(u, v, w * scale)
+                             for u, v, w in stream.initial_edges])
+    r = make_range(g, tau=8 * scale, m_budget=stream.budget)
+    if width == "past_int64":
+        assert r.cap * r.m_cbrt >= 2 ** 63
+    for _, u, v, w in stream.insertions:
+        g.insert_edge(u, v, w * scale)
+        r.insert(u, v, w * scale)
+        draws = data.draw(window_draws(r.max_window_index))
+        assert r._window_union(np.asarray(draws, dtype=np.int64)) == \
+            window_union_reference(r, draws)
+
+
+def assert_mirror_current(r):
+    top = r.max_window_index + 8
+    want = [top if d == inf else min(d * r.m_cbrt // r.tau, top)
+            for d in r._hidden.dhat]
+    assert r._listener.slots.tolist() == want
+    assert r.phi == r.potential_scan()
+
+
+@settings(max_examples=40, deadline=None)
+@given(stream=streams(), seed=st.integers(0, 3), raw_epsilon=st.booleans())
+def test_hidden_mirror_tracks_table(stream, seed, raw_epsilon):
+    """The window-slot mirror and the potential follow every hidden
+    decrease: after preprocess, each insertion and each fixing phase.
+    With the raw ε the buckets are coarse enough that decrease-keys inside
+    a bucket and visible-to-hidden synchronization both occur."""
+    eng = IncrementalSSSP(Config(
+        n=stream.n, m_budget=stream.budget, max_weight=stream.max_weight,
+        mode="rand", seed=seed, raw_epsilon=raw_epsilon,
+        iter_mult=Fraction(1, 2000)))
+
+    def checked(r):
+        run = r.run_fixing_phase
+
+        def run_and_check():
+            run()
+            assert_mirror_current(r)
+        return run_and_check
+
+    for r in eng.ranges:
+        r.run_fixing_phase = checked(r)
+    eng.preprocess(stream.initial_edges)
+    for r in eng.ranges:
+        assert_mirror_current(r)
+    for _, u, v, w in stream.insertions:
+        eng.insert(u, v, w)
+        for r in eng.ranges:
+            assert_mirror_current(r)
+    assert sum(r.fixing_phases for r in eng.ranges) > 0
