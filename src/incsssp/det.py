@@ -16,7 +16,6 @@ this design improves on; it exists for contrast experiments only.
 
 import heapq
 from fractions import Fraction
-from math import inf
 
 from .errors import PhaseFull
 from .lazy import CAP, EstimateTable
@@ -93,8 +92,7 @@ class DeterministicRange:
     """
 
     def __init__(self, graph, source: int, tau: int, eps_delta: Fraction,
-                 phase_length: int, cap: int, sync: bool = True,
-                 on_decrease=None):
+                 phase_length: int, cap: int, sync: bool = True):
         if phase_length < 1:
             raise ValueError("phase length must be >= 1")
         self.graph = graph
@@ -106,7 +104,7 @@ class DeterministicRange:
         self.sync = sync
         self.b = 0
         self.rebuilds = 0
-        self.table = EstimateTable(graph, source, cap, eps_delta, on_decrease)
+        self.table = EstimateTable(graph, source, cap, eps_delta)
         self.rebuild()
 
     def insert(self, u: int, v: int, w: int) -> set[int]:
@@ -135,6 +133,13 @@ class DeterministicRange:
         self.rebuilds += 1
 
     def estimate(self, v: int):
-        """Current estimate; CAP (reported as math.inf) means out of range."""
-        d = self.table.dhat[v]
-        return inf if d == inf else d
+        """Current estimate; CAP (``math.inf``) means out of range."""
+        return self.table.dhat[v]
+
+    def audit_tables(self):
+        return ((f"det[{self.tau}]", self.table),)
+
+    def counters(self) -> dict:
+        t = self.table
+        return {"relaxations": t.work, "decreases": t.decreases,
+                "rebuilds": self.rebuilds}

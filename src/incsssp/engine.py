@@ -6,10 +6,13 @@ answers queries in O(1) from a per-vertex minimum table maintained through
 decrease notifications.  Approximate shortest paths are reported by walking
 parent pointers inside whichever structure owns the minimum.
 
-Exact (re)initialization runs one bounded Dijkstra to the largest cap
-involved, shared by every structure it serves: at ``preprocess`` the short
-tree and all ranges, at a deterministic phase boundary every range whose
-phase is full (all of them, since they share the phase length).
+The short tree and every range, deterministic or randomized, give one
+protocol (``table``, ``cap``, ``estimate``, ``insert``, ``phase_full``,
+``rebuild(tree)``, ``counters``; ranges also ``audit_tables``), so the
+engine never asks which kind a structure is.  Exact (re)initialization
+runs one bounded Dijkstra to the largest cap, shared by every structure
+it serves: at ``preprocess`` all of them, before an insertion every
+structure whose phase is full (only deterministic ranges fill, together).
 """
 
 import weakref
@@ -42,7 +45,8 @@ class Config:
     functions of it, so it cannot grow later.  ``c_b`` overrides the
     phase-length constant (default 6·⌈lg n⌉); ``iter_mult`` scales the
     fixing-phase sampling iteration count; ``raw_epsilon`` skips the
-    internal ε rescaling in both modes.
+    internal ε rescaling in both modes; ``seed`` seeds the randomized
+    ranges' window draws.
     """
     n: int
     m_budget: int
@@ -54,7 +58,6 @@ class Config:
     c_b: int | None = None
     iter_mult: Fraction = Fraction(1)
     raw_epsilon: bool = False
-    record_samples: bool = False
 
     def validate(self) -> None:
         if self.n < 1:
@@ -94,12 +97,9 @@ class _MinCallback:
 
     __slots__ = ("min_value", "engine", "owner")
 
-    def __init__(self, engine):
+    def __init__(self, engine, owner):
         self.min_value = engine.min_value
         self.engine = weakref.ref(engine)
-        self.owner = None   # set by bind(); the graph is empty until then
-
-    def bind(self, owner) -> None:
         self.owner = weakref.ref(owner)
 
     def __call__(self, v, old, new):
@@ -122,7 +122,6 @@ class IncrementalSSSP:
         config.validate()
         self.config = config
         self.eps = Fraction(config.eps)
-        self.mode = config.mode
         n, m, W = config.n, config.m_budget, config.max_weight
         self.graph = Graph(n, W, budget=m)
         self.source = config.source
@@ -138,12 +137,14 @@ class IncrementalSSSP:
             self._setup_deterministic()
         else:
             self._setup_randomized()
+        self._structures = (self.short, *self.ranges)
+        # the graph is still empty, so no estimate has decreased yet
+        for s in self._structures:
+            s.table.on_decrease = _MinCallback(self, s)
         self._min_owner[self.source] = self.short
+        self._tree_cap = max(s.cap for s in self._structures)
 
     # -- construction -----------------------------------------------------
-
-    def _new_callback(self) -> _MinCallback:
-        return _MinCallback(self)
 
     def _range_taus(self, floor_exp: int) -> list[int]:
         top = floor_log2(self.config.n * self.config.max_weight)
@@ -155,7 +156,6 @@ class IncrementalSSSP:
         sq = ceil_sqrt(m)
         c_b = cfg.c_b if cfg.c_b is not None else 6 * self.lg_n
         B = max(1, isqrt(m) // c_b)   # ⌊√m / c_B⌋
-        self.phase_length = B
         lg_B = ceil_log2(B) if B > 1 else 0
         # keep the per-phase error bound B·εδ·(2·lg B + 1) below ε·τ
         blow_up = Fraction(B * (2 * lg_B + 1), sq)
@@ -164,9 +164,7 @@ class IncrementalSSSP:
         else:
             self.eps_internal = self.eps / blow_up
 
-        cb = self._new_callback()
-        self.short = ShortDistanceTree(self.graph, self.source, 2 * sq, cb)
-        cb.bind(self.short)
+        self.short = ShortDistanceTree(self.graph, self.source, 2 * sq)
 
         floor_exp = (ceil_log2(m) + 1) // 2   # smallest e with 2^e ≥ √m
         self.ranges = []
@@ -174,11 +172,8 @@ class IncrementalSSSP:
         for tau in self._range_taus(floor_exp):
             eps_delta = self.eps_internal * Fraction(tau, sq)
             cap = ceil_frac((1 + self.eps_internal) * 2 * tau)
-            cb = self._new_callback()
-            r = DeterministicRange(self.graph, self.source, tau, eps_delta,
-                                   B, cap, sync=sync, on_decrease=cb)
-            cb.bind(r)
-            self.ranges.append(r)
+            self.ranges.append(DeterministicRange(
+                self.graph, self.source, tau, eps_delta, B, cap, sync=sync))
         self.guarantee_epsilon = self.eps
 
     def _setup_randomized(self) -> None:
@@ -190,24 +185,17 @@ class IncrementalSSSP:
             self.eps_internal = self.eps / (100 * self.lg_n)
         self.guarantee_epsilon = 100 * self.eps_internal * self.lg_n
 
-        cb = self._new_callback()
         self.short = ShortDistanceTree(self.graph, self.source,
-                                       2 * ceil_cbrt(m), cb)
-        cb.bind(self.short)
+                                       2 * ceil_cbrt(m))
 
         floor_exp = (ceil_log2(m) + 2) // 3   # smallest e with 2^e ≥ m^{1/3}
         self.ranges = []
         for i, tau in enumerate(self._range_taus(floor_exp)):
             rng = np.random.Generator(np.random.PCG64(
                 np.random.SeedSequence(cfg.seed, spawn_key=(i,))))
-            cb = self._new_callback()
-            r = RandomizedRange(
+            self.ranges.append(RandomizedRange(
                 self.graph, self.source, tau, self.eps_internal, m, self.lg_n,
-                rng, iter_mult=Fraction(cfg.iter_mult),
-                on_visible_decrease=cb, record_samples=cfg.record_samples)
-            cb.bind(r)
-            self.ranges.append(r)
-        self.phase_length = self.ranges[0].B if self.ranges else 1
+                rng, iter_mult=Fraction(cfg.iter_mult)))
 
     # -- updates ------------------------------------------------------------
 
@@ -219,42 +207,32 @@ class IncrementalSSSP:
         if len(edges) > self.config.m_budget:
             raise BudgetExceeded("initial edges exceed the declared budget")
         self.graph.load_initial(edges)
-        cap = max([self.short.cap] + [r.cap for r in self.ranges])
-        # through the module, so a wrapper on det.bounded_dijkstra sees it
-        tree = det.bounded_dijkstra(self.graph, self.source, cap)
-        self.short.rebuild(tree)
-        for r in self.ranges:
-            if isinstance(r, DeterministicRange):
-                r.rebuild(tree)
-            else:
-                r._init_exact(tree)
+        # through the module, so a wrapper on det.bounded_dijkstra sees it;
+        # a run to a higher cap is exact for every lower one
+        tree = det.bounded_dijkstra(self.graph, self.source, self._tree_cap)
+        for s in self._structures:
+            s.rebuild(tree)
         self._preprocessed = True
 
     def insert(self, u: int, v: int, w: int) -> None:
         """Insert one edge and bring every structure up to date.
 
         The graph validates before mutating, so a rejected insertion leaves
-        every structure untouched.  A deterministic range whose phase is
-        full is rebuilt first, from one bounded Dijkstra shared by all.
+        every structure untouched.  A structure whose phase is full is
+        rebuilt first, from one bounded Dijkstra shared by all of them.
         """
         self.graph.insert_edge(u, v, w)
         self.insertions_used += 1
-        self.short.insert(u, v, w)
-        if self.mode == "rand":
-            for r in self.ranges:
-                r.insert(u, v, w)
-            return
         tree = None
-        for r in self.ranges:
-            if r.phase_full():
+        for s in self._structures:
+            if s.phase_full():
                 if tree is None:
-                    # the ranges share B and b, so they fill together and
-                    # the largest cap is needed anyway; a run to a higher
-                    # cap is exact for every lower one
-                    tree = det.bounded_dijkstra(
-                        self.graph, self.source, max(q.cap for q in self.ranges))
-                r.rebuild(tree)
-            r.insert(u, v, w)
+                    # deterministic ranges share B and b, so they fill
+                    # together and the largest cap is needed anyway
+                    tree = det.bounded_dijkstra(self.graph, self.source,
+                                                self._tree_cap)
+                s.rebuild(tree)
+            s.insert(u, v, w)
 
     # -- queries --------------------------------------------------------------
 
@@ -275,8 +253,7 @@ class IncrementalSSSP:
             raise Unreachable(f"vertex {v} currently unreachable")
         if v == self.source:
             return [self.source]
-        owner = self._min_owner[v]
-        table = owner.table if hasattr(owner, "table") else owner.ds
+        table = self._min_owner[v].table
         path = [v]
         x = v
         while x != self.source:
@@ -288,33 +265,17 @@ class IncrementalSSSP:
     # -- introspection -----------------------------------------------------
 
     def audit_tables(self):
-        """(label, table) pairs across all structures, hidden twins included.
+        """(label, table) pairs across all ranges, hidden twins included.
 
         Harness-side visibility for invariant audits; never feeds answers.
         """
-        out = []
-        for r in self.ranges:
-            if isinstance(r, DeterministicRange):
-                out.append((f"det[{r.tau}]", r.table))
-            else:
-                for label, t in r.audit_tables():
-                    out.append((f"rand[{r.tau}].{label}", t))
-        return out
+        return [pair for r in self.ranges for pair in r.audit_tables()]
 
     def counters(self) -> dict:
         """Cumulative instrumentation totals across all structures."""
-        work = self.short.table.work
-        decreases = self.short.table.decreases
-        rebuilds = 0
-        fixing = 0
-        for r in self.ranges:
-            if isinstance(r, DeterministicRange):
-                work += r.table.work
-                decreases += r.table.decreases
-                rebuilds += r.rebuilds
-            else:
-                work += r.ds.work + r._hidden.work
-                decreases += r.ds.decreases + r._hidden.decreases
-                fixing += r.fixing_phases
-        return {"relaxations": work, "decreases": decreases,
-                "rebuilds": rebuilds, "fixing_phases": fixing}
+        totals = dict.fromkeys(
+            ("relaxations", "decreases", "rebuilds", "fixing_phases"), 0)
+        for s in self._structures:
+            for key, value in s.counters().items():
+                totals[key] += value
+        return totals

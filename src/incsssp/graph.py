@@ -2,8 +2,8 @@
 
 Vertices are plain integer ids in [0, n).  Edges carry integer weights in
 [1, W], the graph stays simple (no parallel edges), and nothing is ever
-removed.  Every insertion is appended to an immutable log so runs can be
-replayed bit-for-bit.
+removed.  Edges are kept in arrival order, initial edges first, so runs
+can be replayed bit-for-bit.
 """
 
 from dataclasses import dataclass
@@ -40,15 +40,13 @@ class Graph:
         self.budget = budget
         self._adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         self._weights: dict[tuple[int, int], int] = {}
-        self.insertion_log: list[Edge] = []
-        self.initial_edges: list[Edge] = []
-        # flat edge arrays in arrival order, for vectorized audits
+        # flat edge arrays in arrival order, for vectorized audits; the
+        # first ``_initial_count`` entries are the initial edges
         self.edge_tails: list[int] = []
         self.edge_heads: list[int] = []
         self.edge_weights: list[int] = []
-        for (u, v, w) in initial_edges:
-            self._add(u, v, w)
-            self.initial_edges.append(Edge(u, v, w))
+        self._initial_count = 0
+        self.load_initial(initial_edges)
 
     def _check(self, u: int, v: int, w: int) -> None:
         if not (0 <= u < self.n) or not (0 <= v < self.n):
@@ -72,19 +70,32 @@ class Graph:
     def edge_count(self) -> int:
         return len(self.edge_tails)
 
+    def _edges(self, lo: int, hi: int) -> list[Edge]:
+        return list(map(Edge, self.edge_tails[lo:hi], self.edge_heads[lo:hi],
+                        self.edge_weights[lo:hi]))
+
+    @property
+    def initial_edges(self) -> list[Edge]:
+        """The edges installed before any insertion (a fresh list)."""
+        return self._edges(0, self._initial_count)
+
+    @property
+    def insertion_log(self) -> list[Edge]:
+        """The inserted edges, in insertion order (a fresh list)."""
+        return self._edges(self._initial_count, self.edge_count)
+
     def load_initial(self, edges) -> None:
         """Install pre-existing edges; only valid before any logged insertion."""
-        if self.insertion_log:
+        if self.edge_count > self._initial_count:
             raise BudgetExceeded("initial edges must precede all insertions")
         for (u, v, w) in edges:
             self._add(u, v, w)
-            self.initial_edges.append(Edge(u, v, w))
+            self._initial_count += 1
 
     def insert_edge(self, u: int, v: int, w: int) -> int:
         """Insert edge (u, v, w); returns its 1-based insertion index."""
         self._add(u, v, w)
-        self.insertion_log.append(Edge(u, v, w))
-        return len(self.insertion_log)
+        return self.edge_count - self._initial_count
 
     def out_edges(self, u: int) -> list[tuple[int, int]]:
         """Out-neighborhood of u as (head, weight) pairs, in insertion order."""

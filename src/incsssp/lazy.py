@@ -57,22 +57,17 @@ class EstimateTable:
         self.last_touched = [0] * n
         self._touch_log: dict[int, list[int]] = {}
         self.on_decrease = on_decrease
-        self.changed: set[int] = set()   # decreased since last consumer reset
         # instrumentation
         self.work = 0          # edges examined + queue extractions
         self.decreases = 0     # successful estimate decreases
 
     # -- state updates ------------------------------------------------
 
-    def bucket_of(self, d):
-        return bucket(d, self.gran_num, self.gran_den)
-
     def _set(self, v: int, value: int, parent) -> None:
         old = self.dhat[v]
         self.dhat[v] = value
         self.parent[v] = parent
         self.decreases += 1
-        self.changed.add(v)
         if self.on_decrease is not None:
             self.on_decrease(v, old, value)
 

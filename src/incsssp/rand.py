@@ -31,6 +31,19 @@ class FixingSample:
     iteration_count: int
 
 
+class _TrackedTable(EstimateTable):
+    """Estimate table that also records which vertices decreased since the
+    last synchronization, so the sync step visits only those."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.changed: set[int] = set()
+
+    def _set(self, v: int, value: int, parent) -> None:
+        self.changed.add(v)
+        EstimateTable._set(self, v, value, parent)
+
+
 class _HiddenListener:
     """Decrease listener of the hidden table: keeps the potential Σ d̂ and
     each vertex's window slot.
@@ -68,12 +81,12 @@ class RandomizedRange:
 
     ``rng`` must be a numpy Generator seeded from the frontend; its draws
     are the only randomness used.  The hidden table has no public accessor:
-    all answers come from :meth:`visible_estimate`.
+    all answers come from the visible ``table``, through :meth:`estimate`.
     """
 
     def __init__(self, graph, source: int, tau: int, eps: Fraction,
                  m_budget: int, lg_n: int, rng, iter_mult: Fraction = Fraction(1),
-                 on_visible_decrease=None, record_samples: bool = False):
+                 record_samples: bool = False):
         self.graph = graph
         self.source = source
         self.tau = tau
@@ -84,7 +97,8 @@ class RandomizedRange:
         self.delta = Fraction(tau, m_cbrt)
         eps_delta = eps * self.delta
         self.cap = ceil_frac((2 + 200 * lg_n * eps) * tau) + 1   # maximum estimate
-        self.threshold = Fraction(eps * m_cbrt * tau, 4)
+        # potential drops are integers, so ⌈ε·M·τ/4⌉ decides as ε·M·τ/4 does
+        self.threshold = ceil_frac(Fraction(eps * m_cbrt * tau, 4))
         self.max_window_index = max(
             0, ceil_frac(2 * m_cbrt + 200 * eps * m_cbrt * lg_n - 8))
         self.iterations = max(1, ceil_frac(Fraction(2000 * lg_n) / eps * iter_mult))
@@ -96,12 +110,11 @@ class RandomizedRange:
         self.b = 0
         self.insertions_seen = 0
 
-        self.ds = EstimateTable(graph, source, self.cap, eps_delta,
-                                on_decrease=on_visible_decrease)
+        self.table = _TrackedTable(graph, source, self.cap, eps_delta)
         self._listener = _HiddenListener(self, graph.n, source)
-        self._hidden = EstimateTable(graph, source, self.cap, eps_delta,
+        self._hidden = _TrackedTable(graph, source, self.cap, eps_delta,
                                      on_decrease=self._listener)
-        self._init_exact()
+        self.rebuild()
 
     # -- potential tracking ---------------------------------------------
 
@@ -121,7 +134,7 @@ class RandomizedRange:
 
     # -- lifecycle -------------------------------------------------------
 
-    def _init_exact(self, tree: tuple[list, list] | None = None) -> None:
+    def rebuild(self, tree: tuple[list, list] | None = None) -> None:
         """Exact initialization; counts as a fixing phase with no sampling.
 
         ``tree`` is a shared :func:`bounded_dijkstra` result run to at least
@@ -129,29 +142,33 @@ class RandomizedRange:
         """
         if tree is None:
             tree = bounded_dijkstra(self.graph, self.source, self.cap)
-        self.ds.assign_exact(*tree)
+        self.table.assign_exact(*tree)
         self._hidden.assign_exact(*tree)
         self.phi = self.potential_scan()
         self.phi_snapshot = self.phi
         self.b = 0
-        self.ds.reset_phase()
+        self.table.reset_phase()
         self._hidden.reset_phase()
-        self.ds.changed.clear()
+        self.table.changed.clear()
         self._hidden.changed.clear()
 
     def insert(self, u: int, v: int, w: int) -> None:
         self.b += 1
         self.insertions_seen += 1
-        insert_step(self.ds, u, v, w, self.b, sync=True)
+        insert_step(self.table, u, v, w, self.b, sync=True)
         insert_step(self._hidden, u, v, w, self.b, sync=True)
         while self.needs_fixing():
             self.run_fixing_phase()
+
+    def phase_full(self) -> bool:
+        """Never: fixing phases run inside :meth:`insert`."""
+        return False
 
     def needs_fixing(self) -> bool:
         return self.b >= self.B or (self.phi_snapshot - self.phi) >= self.threshold
 
     def run_fixing_phase(self) -> None:
-        ds, hid = self.ds, self._hidden
+        ds, hid = self.table, self._hidden
         # synchronize to the pointwise minimum, parents following the winner
         for v in ds.changed | hid.changed:
             a, h = ds.dhat[v], hid.dhat[v]
@@ -197,12 +214,18 @@ class RandomizedRange:
 
     # -- queries ----------------------------------------------------------
 
-    def visible_estimate(self, v: int):
-        """Estimate from the visible table only; CAP reported as math.inf."""
-        d = self.ds.dhat[v]
-        return inf if d == inf else d
+    def estimate(self, v: int):
+        """Estimate from the visible table only; CAP is ``math.inf``."""
+        return self.table.dhat[v]
 
     def audit_tables(self):
         """(label, table) pairs for invariant audits.  Harness use only;
         query answers never flow through this."""
-        return (("visible", self.ds), ("hidden", self._hidden))
+        return ((f"rand[{self.tau}].visible", self.table),
+                (f"rand[{self.tau}].hidden", self._hidden))
+
+    def counters(self) -> dict:
+        a, h = self.table, self._hidden
+        return {"relaxations": a.work + h.work,
+                "decreases": a.decreases + h.decreases,
+                "fixing_phases": self.fixing_phases}

@@ -18,14 +18,13 @@ from .lazy import EstimateTable
 class ShortDistanceTree:
     """Exact distance estimates for every vertex with d(s, v) < cap."""
 
-    def __init__(self, graph, source: int, cap: int, on_decrease=None):
+    def __init__(self, graph, source: int, cap: int):
         self.graph = graph
         self.source = source
         self.cap = cap
         # granularity 1 is unused by exact relaxation; the table is reused
         # for its storage, parents, and decrease notifications.
-        self.table = EstimateTable(graph, source, cap, Fraction(1), on_decrease)
-        self.relaxations = 0
+        self.table = EstimateTable(graph, source, cap, Fraction(1))
         self.rebuild()
 
     def rebuild(self, tree: tuple[list, list] | None = None) -> None:
@@ -48,7 +47,6 @@ class ShortDistanceTree:
         if cand >= self.cap or cand >= t.dhat[v]:
             return
         t._set(v, cand, u)
-        self.relaxations += 1
         self._propagate(v)
 
     def _propagate(self, start: int) -> None:
@@ -69,9 +67,15 @@ class ShortDistanceTree:
                 nd = d + w
                 if nd < cap and nd < dhat[v]:
                     t._set(v, nd, u)
-                    self.relaxations += 1
                     push(heap, (nd, v))
 
+    def phase_full(self) -> bool:
+        """Never: every insertion is propagated exactly."""
+        return False
+
     def estimate(self, v: int):
-        d = self.table.dhat[v]
-        return inf if d == inf else d
+        return self.table.dhat[v]
+
+    def counters(self) -> dict:
+        t = self.table
+        return {"relaxations": t.work, "decreases": t.decreases}

@@ -1,10 +1,22 @@
+import os
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
 
+import incsssp
 from incsssp import (Graph, InsertionStream, QuadraticErrorParams,
                      quadratic_error_stream, random_stream)
+
+
+def cli_env() -> dict:
+    """Environment for a ``python -m incsssp`` child process: the package
+    under test comes first on its path, whether or not it is installed."""
+    src = str(Path(incsssp.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ,
+            "PYTHONPATH": src + (os.pathsep + path if path else "")}
 
 
 def random_graph(n, m, max_weight, seed):

@@ -20,7 +20,7 @@ from incsssp import (Config, EstimateTable, QuadraticErrorParams, IncrementalSSS
                      serialize_stream, verify)
 from incsssp.oracle import ExactDistances
 from incsssp.workloads import quadratic_error_replay
-from tests.conftest import random_graph
+from tests.conftest import cli_env, random_graph
 
 
 def _passline(name, ok, detail=""):
@@ -350,7 +350,7 @@ def test_c11_cli_replay_determinism(tmp_path):
                 [sys.executable, "-m", "incsssp", str(spath),
                  "--mode", mode, "--seed", str(k), "--raw-epsilon",
                  "--iter-mult", "1/10", "--metrics", str(mpath), "--json"],
-                capture_output=True, text=True)
+                capture_output=True, text=True, env=cli_env())
             assert res.returncode == 0, res.stderr
             outs.append((mpath.read_bytes(), res.stdout))
         checks.append(outs[0] == outs[1])

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from incsssp import ParseError, parse_stream, random_stream, run, \
     serialize_stream
 from incsssp.workloads import InsertionStream
+from tests.conftest import cli_env
 
 
 def test_parse_minimal():
@@ -102,7 +103,7 @@ def test_run_corruption_detected():
 def cli(*args, stdin=None):
     return subprocess.run(
         [sys.executable, "-m", "incsssp", *args],
-        capture_output=True, text=True, input=stdin)
+        capture_output=True, text=True, input=stdin, env=cli_env())
 
 
 @pytest.fixture

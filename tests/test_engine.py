@@ -23,8 +23,7 @@ def min_table_scan(eng) -> list:
     for v in range(eng.graph.n):
         best = eng.short.estimate(v)
         for r in eng.ranges:
-            e = r.visible_estimate(v) if eng.mode == "rand" \
-                else r.estimate(v)
+            e = r.estimate(v)
             if e < best:
                 best = e
         out.append(best)
@@ -42,6 +41,22 @@ def test_randomized_parameter_derivation():
     assert eng.short.cap == 8                       # 2·⌈64^{1/3}⌉
     assert [r.tau for r in eng.ranges][0] == 4      # 2^⌈lg 64^{1/3}⌉
     assert eng.ranges[-1].tau == 64
+
+
+@pytest.mark.parametrize("mode", ["det", "nosync", "rand"])
+def test_audit_table_labels(mode):
+    # the CLI's breach messages and the bench tracer's ".hidden" test read these
+    eng = make(n=16, m=64, w=4, mode=mode)
+    if mode == "rand":
+        expected = [f"rand[{t}].{k}" for t in (4, 8, 16, 32, 64)
+                    for k in ("visible", "hidden")]
+        visible = [t for label, t in eng.audit_tables()
+                   if label.endswith(".visible")]
+    else:
+        expected = [f"det[{t}]" for t in (8, 16, 32, 64)]
+        visible = [t for _, t in eng.audit_tables()]
+    assert [label for label, _ in eng.audit_tables()] == expected
+    assert visible == [r.table for r in eng.ranges]
 
 
 def test_eps_zero_rejected():

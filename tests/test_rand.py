@@ -58,6 +58,13 @@ def test_trigger_boundaries():
     r.phi_snapshot = r.phi
     r.b = r.B
     assert r.needs_fixing()
+    # ε·M·τ/4 = (1/3)·4·8/4 = 8/3: a drop of 2 must not fire, 3 must
+    r = make_range(Graph(8, 4), eps=Fraction(1, 3), m_budget=64)
+    assert r.threshold == 3
+    r.phi_snapshot = r.phi + 2
+    assert not r.needs_fixing()
+    r.phi_snapshot = r.phi + 3
+    assert r.needs_fixing()
 
 
 def test_counter_trigger_forces_phase():
@@ -106,7 +113,7 @@ def test_sync_takes_pointwise_minimum_and_drops_phi():
     assert r.phi == r.potential_scan()
     phi_before = r.phi
     r.run_fixing_phase()
-    assert r.ds.dhat[1] == 10
+    assert r.table.dhat[1] == 10
     assert r._hidden.dhat[1] == 10
     assert r.phi <= phi_before - 2
 
@@ -140,9 +147,9 @@ def test_visible_estimate_ignores_hidden_mutations():
     r = make_range(g, tau=8, m_budget=30)
     # hidden improves privately (as a fixing-phase propagation would)
     r._hidden._set(1, 3, 0)
-    assert r.visible_estimate(1) == 6
+    assert r.estimate(1) == 6
     r.run_fixing_phase()
-    assert r.visible_estimate(1) == 3
+    assert r.estimate(1) == 3
 
 
 def edge_invariant_holds(g, table, cap):
@@ -162,7 +169,7 @@ def test_invariant_in_both_tables_after_each_op(seed):
     g = Graph(14, 5)
     r = make_range(g, m_budget=60, seed=seed)
     for _ in drive(r, g, 45, seed=seed + 100):
-        assert edge_invariant_holds(g, r.ds, r.cap)
+        assert edge_invariant_holds(g, r.table, r.cap)
         assert edge_invariant_holds(g, r._hidden, r.cap)
 
 
@@ -173,7 +180,7 @@ def test_estimates_never_below_truth(seed):
     for _ in drive(r, g, 45, seed=seed + 7):
         truth = dijkstra(g, 0)
         for v in range(g.n):
-            assert r.ds.dhat[v] >= truth.d[v]
+            assert r.table.dhat[v] >= truth.d[v]
             assert r._hidden.dhat[v] >= truth.d[v]
 
 

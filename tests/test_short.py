@@ -73,4 +73,4 @@ def test_relaxation_work_bound():
     for g, tree in run_insertions(n, m, 4, cap, seed):
         last_tree = tree
     # each vertex's integer estimate decreases at most cap times
-    assert last_tree.relaxations <= n * cap + m
+    assert last_tree.table.decreases <= n * cap + m
