@@ -25,12 +25,25 @@ from math import inf
 
 from .engine import Config, IncrementalSSSP
 from .errors import IncSSSPError, InvalidConfig, ParseError, Unreachable
-from .oracle import ExactDistances, exact_distances_fast, verify
+from .oracle import exact_distances_fast, verify
 from .workloads import InsertionStream
 
 CSV_COLUMNS = ("index", "relaxation_count", "touched_count",
                "fixing_phases_run", "rebuilds_run", "max_additive_error",
                "wall_time_ns")
+
+
+# argparse types: a ValueError exits 64 as "invalid <name> value"
+def rational(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError as exc:
+        raise ValueError(text) from exc
+
+
+def insertion_vertex(text: str) -> tuple:
+    t, v = text.split(":")
+    return int(t), int(v)
 
 
 def _parse_fraction(text: str, line: int) -> Fraction:
@@ -147,22 +160,17 @@ def run(stream: InsertionStream, mode: str = "det", *,
             cur = engine.counters()
             max_err = ""
             if verify_each or inject_corrupt:
-                truth = ExactDistances(exact_distances_fast(engine.graph,
-                                                            engine.source),
-                                       [None] * engine.graph.n)
+                dist = exact_distances_fast(engine.graph, engine.source)
                 if inject_corrupt and inject_corrupt[0] == index:
                     cv = inject_corrupt[1]
-                    bad = truth.d[cv] - 1 if truth.d[cv] != inf else 0
+                    bad = dist[cv] - 1 if dist[cv] != inf else 0
                     if bad >= 0:
                         engine.short.table.dhat[cv] = bad
                         engine.min_value[cv] = min(engine.min_value[cv], bad)
                 if verify_each:
-                    report = verify(engine, truth, engine.guarantee_epsilon,
+                    report = verify(engine, dist, engine.guarantee_epsilon,
                                     insertion_index=index)
-                    errs = [engine.min_value[x] - truth.d[x]
-                            for x in range(engine.graph.n)
-                            if truth.d[x] != inf and engine.min_value[x] != inf]
-                    max_err = max(errs, default=0)
+                    max_err = report.max_additive_error
                     if not report.clean and failure is None:
                         failure = report
             rows.append((index, cur["relaxations"] - prev["relaxations"],
@@ -243,17 +251,19 @@ def main(argv=None) -> int:
     parser.add_argument("--metrics", metavar="PATH",
                         help="write per-insertion metrics CSV")
     parser.add_argument("--seed", type=int, default=0, help="PRNG seed")
-    parser.add_argument("--eps", metavar="P/Q",
+    parser.add_argument("--eps", type=rational, metavar="P/Q",
                         help="approximation slack (overrides stream header)")
     parser.add_argument("--cb-mult", type=int, metavar="C",
                         help="override the phase-length constant c_B")
-    parser.add_argument("--iter-mult", metavar="P/Q", default="1",
+    parser.add_argument("--iter-mult", type=rational, metavar="P/Q",
+                        default=Fraction(1),
                         help="fixing-phase iteration multiplier")
     parser.add_argument("--raw-epsilon", action="store_true",
                         help="skip internal epsilon rescaling")
     parser.add_argument("--json", action="store_true",
                         help="emit a JSON summary on stdout")
-    parser.add_argument("--inject-corrupt", metavar="T:V",
+    parser.add_argument("--inject-corrupt", type=insertion_vertex,
+                        metavar="T:V",
                         help="debug: corrupt vertex V after insertion T")
     args = parser.parse_args(argv)
 
@@ -269,17 +279,14 @@ def main(argv=None) -> int:
         print(f"parse error: {exc}", file=sys.stderr)
         return 3
 
-    eps = Fraction(args.eps) if args.eps else None
-    corrupt = None
-    if args.inject_corrupt:
-        t, _, v = args.inject_corrupt.partition(":")
-        corrupt = (int(t), int(v))
+    if args.inject_corrupt and not 0 <= args.inject_corrupt[1] < stream.n:
+        parser.error(f"--inject-corrupt vertex outside [0,{stream.n})")
     try:
         code, rows, summary = run(
-            stream, args.mode, eps=eps, seed=args.seed,
+            stream, args.mode, eps=args.eps, seed=args.seed,
             verify_each=args.verify, c_b=args.cb_mult,
-            iter_mult=Fraction(args.iter_mult), raw_epsilon=args.raw_epsilon,
-            inject_corrupt=corrupt)
+            iter_mult=args.iter_mult, raw_epsilon=args.raw_epsilon,
+            inject_corrupt=args.inject_corrupt)
     except (IncSSSPError, InvalidConfig) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -60,6 +60,10 @@ class Config:
     raw_epsilon: bool = False
 
     def validate(self) -> None:
+        ints = ("n", "m_budget", "max_weight", "source", "seed")
+        for name in ints if self.c_b is None else ints + ("c_b",):
+            if not isinstance(getattr(self, name), int):
+                raise InvalidConfig(f"{name} must be an int")
         if self.n < 1:
             raise InvalidConfig("n must be >= 1")
         if not (0 <= self.source < self.n):

@@ -49,9 +49,10 @@ class Graph:
         self.load_initial(initial_edges)
 
     def _check(self, u: int, v: int, w: int) -> None:
-        if not (0 <= u < self.n) or not (0 <= v < self.n):
+        if not (isinstance(u, int) and 0 <= u < self.n
+                and isinstance(v, int) and 0 <= v < self.n):
             raise VertexOutOfRange(f"edge ({u},{v}) outside [0,{self.n})")
-        if not (1 <= w <= self.max_weight):
+        if not (isinstance(w, int) and 1 <= w <= self.max_weight):
             raise WeightOutOfRange(f"weight {w} outside [1,{self.max_weight}]")
         if (u, v) in self._weights:
             raise DuplicateEdge(f"edge ({u},{v}) already present")

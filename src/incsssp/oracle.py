@@ -4,8 +4,8 @@ The reference Dijkstra here is hand-written and independent of every
 incremental structure; a scipy-backed fast path computes the same distances
 at C speed for bulk replays and is cross-checked against the reference (and
 against exhaustive path enumeration on tiny graphs) in the test suite.
-All pass/fail comparisons are exact: integer distances against rational
-bounds via cross-multiplication, never floats.
+All pass/fail comparisons are exact: Python or numpy integers, and
+rational bounds by cross-multiplication, never floats.
 """
 
 import heapq
@@ -16,7 +16,6 @@ from math import inf, log2
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as _scipy_dijkstra
-
 
 
 @dataclass
@@ -32,7 +31,8 @@ class VerifyReport:
     lower_violations: list = field(default_factory=list)   # (v, estimate, truth)
     upper_violations: list = field(default_factory=list)   # (v, estimate, truth, ratio)
     invariant_breaches: list = field(default_factory=list) # (structure, (u, v), amount)
-    max_ratio: Fraction = Fraction(1)
+    max_ratio: Fraction = Fraction(1)       # largest query/d over finite d > 0
+    max_additive_error: int = 0             # largest query − d over finite both
 
     @property
     def clean(self) -> bool:
@@ -78,8 +78,12 @@ def dijkstra(graph, source: int, bound=None, check: bool = False) -> ExactDistan
 
 
 def exact_distances_fast(graph, source: int) -> list:
-    """Distances via scipy's compiled Dijkstra; same values as :func:`dijkstra`."""
+    """Distances via scipy's compiled Dijkstra; same values as :func:`dijkstra`,
+    which answers instead when a shortest path, at most (n−1)·W, could
+    reach 2^53 and scipy's float64 sums could round."""
     n = graph.n
+    if (n - 1) * graph.max_weight >= 2 ** 53:
+        return dijkstra(graph, source).d
     if not graph.edge_tails:
         out = [inf] * n
         out[source] = 0
@@ -115,92 +119,78 @@ def brute_force_distances(graph, source: int) -> list:
     return best
 
 
-def audit_edge_invariant(table, graph, label: str, breaches: list,
-                         tails=None, heads=None, weights=None) -> None:
-    """Check d̂(v) ≤ d̂(u) + ω(u,v) + εδ on every edge of ``table``.
+def audit_edge_invariant(tables, graph) -> list:
+    """Edges breaching d̂(v) ≤ d̂(u) + ω(u,v) + εδ, as ``(label, (u, v),
+    amount)`` for each ``(label, table)`` in ``tables``.
 
-    CAP on the head counts as the cap value (a breach only if the tail
-    demands a finite sub-cap estimate); CAP on the tail never breaches.
+    Estimates are clipped to the cap: CAP on the head counts as the cap,
+    and a tail at the cap never breaches.  The excess min(d̂(v), cap) −
+    d̂(u) − ω is an integer in [−(cap+W), cap], so it exceeds εδ exactly
+    when it exceeds ⌊εδ⌋; int64 holds it while cap + W < 2^62.
     """
-    if tails is None:
-        tails = np.asarray(graph.edge_tails, dtype=np.int64)
-        heads = np.asarray(graph.edge_heads, dtype=np.int64)
-        weights = np.asarray(graph.edge_weights, dtype=np.float64)
-    if len(tails) == 0:
-        return
-    dh = np.asarray(table.dhat, dtype=np.float64)
-    den = float(table.gran_den)
-    num = float(table.gran_num)
-    lhs = np.minimum(dh[heads], table.cap) * den
-    rhs = dh[tails] * den + weights * den + num
-    bad = np.nonzero(lhs > rhs)[0]
-    for i in bad:
-        u, v = int(tails[i]), int(heads[i])
-        amount = Fraction(int(min(table.dhat[v], table.cap)) - int(table.dhat[u])
-                          - int(weights[i])) - table.gran
-        breaches.append((label, (u, v), amount))
+    if not graph.edge_tails:
+        return []
+    top = max((table.cap for _, table in tables), default=0)
+    dtype = np.int64 if top + graph.max_weight < 2 ** 62 else object
+    tails = np.array(graph.edge_tails)
+    heads = np.array(graph.edge_heads)
+    weights = np.array(graph.edge_weights, dtype=dtype)
+    breaches = []
+    for label, table in tables:
+        cap = table.cap
+        dh = np.array([d if d < cap else cap for d in table.dhat], dtype)
+        excess = dh[heads] - dh[tails] - weights
+        for i in np.flatnonzero(excess > table.gran_num // table.gran_den):
+            breaches.append((label, (int(tails[i]), int(heads[i])),
+                             int(excess[i]) - table.gran))
+    return breaches
 
 
-def verify(engine, truth: ExactDistances, eps_eff: Fraction,
-           insertion_index: int = 0, audit: bool = True) -> VerifyReport:
+def verify(engine, dist, eps_eff: Fraction, insertion_index: int = 0,
+           audit: bool = True) -> VerifyReport:
     """Check d ≤ query(v) ≤ (1+ε_eff)·d for every vertex, plus edge audits.
 
+    ``dist`` lists the true distances; an :class:`ExactDistances`, which
+    ``bench/run.py`` passes, is read through its ``d``.  Every comparison is between Python integers: the
+    upper bound as q·den > d·num and the worst ratio by cross-multiplying.
     Pure: repeated calls on the same state yield identical reports.
     """
-    report = VerifyReport(insertion_index)
-    n = engine.graph.n
-    q = np.asarray(engine.min_value, dtype=np.float64)
-    t = np.asarray(truth.d, dtype=np.float64)
-    p, pq = (1 + eps_eff).numerator, (1 + eps_eff).denominator
-
-    lower_bad = np.nonzero(q < t)[0]
-    for v in lower_bad:
-        report.lower_violations.append((int(v), engine.min_value[v], truth.d[v]))
-
-    finite_t = t != inf
-    qq = q.copy()
-    # inf estimate with finite truth: upper violation by definition
-    inf_q = finite_t & (q == inf)
-    over = finite_t & ~inf_q & (qq * pq > t * p)
-    for v in np.nonzero(inf_q | over)[0]:
-        tv = truth.d[v]
-        ev = engine.min_value[v]
-        ratio = inf if ev == inf else (Fraction(ev, tv) if tv else inf)
-        report.upper_violations.append((int(v), ev, tv, ratio))
-
-    ok = finite_t & (t > 0) & (q != inf)
-    if ok.any():
-        ratios = qq[ok] / t[ok]
-        i = int(np.argmax(ratios))
-        vs = np.nonzero(ok)[0]
-        v = int(vs[i])
-        report.max_ratio = Fraction(engine.min_value[v], truth.d[v])
-
-    if audit:
-        tails = np.asarray(engine.graph.edge_tails, dtype=np.int64)
-        heads = np.asarray(engine.graph.edge_heads, dtype=np.int64)
-        ws = np.asarray(engine.graph.edge_weights, dtype=np.float64)
-        for label, table in engine.audit_tables():
-            audit_edge_invariant(table, engine.graph, label,
-                                 report.invariant_breaches, tails, heads, ws)
-    return report
+    if isinstance(dist, ExactDistances):
+        dist = dist.d
+    one = 1 + Fraction(eps_eff)
+    num, den = one.numerator, one.denominator
+    lower, upper = [], []
+    worst, top = 0, None    # largest q − d; (q, d) of the largest q/d, d > 0
+    for v, (q, d) in enumerate(zip(engine.min_value, dist)):
+        if d == inf:
+            if q != inf:
+                lower.append((v, q, d))
+        elif q == inf:
+            upper.append((v, q, d, inf))
+        else:
+            if q < d:
+                lower.append((v, q, d))
+            elif q * den > d * num:
+                upper.append((v, q, d, Fraction(q, d) if d else inf))
+            if q - d > worst:
+                worst = q - d
+            if d and (top is None or q * top[1] > top[0] * d):
+                top = (q, d)
+    breaches = (audit_edge_invariant(engine.audit_tables(), engine.graph)
+                if audit else [])
+    return VerifyReport(insertion_index, lower, upper, breaches,
+                        Fraction(*top) if top else Fraction(1), worst)
 
 
-def phase_error_audit(det_range, truth: ExactDistances):
+def phase_error_audit(det_range, dist):
     """Max additive error over vertices whose true distance is in [τ, 2τ).
 
     Callers assert the result against 2·B·εδ·lg B + B·εδ for the range's
     configured phase length and granularity.
     """
-    tau = det_range.tau
-    dhat = det_range.table.dhat
-    worst = 0
-    for v, d in enumerate(truth.d):
-        if d != inf and tau <= d < 2 * tau:
-            err = dhat[v] - d
-            if err > worst:
-                worst = err
-    return worst
+    tau, dhat = det_range.tau, det_range.table.dhat
+    return max([0] + [dhat[v] - d for v, d in enumerate(dist)
+                      if tau <= d < 2 * tau])
 
 
 def phase_error_bound(phase_length: int, eps_delta: Fraction) -> Fraction:
@@ -211,14 +201,13 @@ def phase_error_bound(phase_length: int, eps_delta: Fraction) -> Fraction:
     return 2 * B * eps_delta * lg + B * eps_delta
 
 
-def additive_error_histogram(engine, truth: ExactDistances, bin_width: int):
+def additive_error_histogram(engine, dist, bin_width: int):
     """Histogram of query(v) − d(s,v) over reachable vertices (diagnostic)."""
     counts: dict[int, int] = {}
-    for v, d in enumerate(truth.d):
+    for v, d in enumerate(dist):
         if d == inf:
             continue
         q = engine.min_value[v]
-        err = inf if q == inf else q - d
-        key = inf if err == inf else int(err // bin_width)
+        key = inf if q == inf else int((q - d) // bin_width)
         counts[key] = counts.get(key, 0) + 1
     return dict(sorted(counts.items(), key=lambda kv: (kv[0] == inf, kv[0])))

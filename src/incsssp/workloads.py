@@ -203,10 +203,10 @@ def quadratic_error_replay(stream: InsertionStream, sync: bool) -> dict:
     for (_, u, v, w) in stream.events:
         g.insert_edge(u, v, w)
         rng.insert(u, v, w)
-        truth = dijkstra(g, 0)
+        dist = dijkstra(g, 0).d
         sink_estimates.append(rng.estimate(sink))
-        sink_truths.append(truth.d[sink])
-        audits.append(phase_error_audit(rng, truth))
+        sink_truths.append(dist[sink])
+        audits.append(phase_error_audit(rng, dist))
     return {
         "sink_estimates": sink_estimates,
         "sink_truths": sink_truths,
@@ -239,8 +239,8 @@ def adaptive_run(adversary, system, budget: int, *, check: bool = True):
             system.insert(u, v, w)
             inserted += 1
             if check:
-                truth = dijkstra(system.graph, system.source)
-                reports.append(verify(system, truth,
+                dist = dijkstra(system.graph, system.source).d
+                reports.append(verify(system, dist,
                                       system.guarantee_epsilon,
                                       insertion_index=inserted))
         elif kind == "q":

@@ -137,6 +137,16 @@ def test_cli_usage_error_exit_64(stream_file):
     assert out.returncode == 64
 
 
+@pytest.mark.parametrize("args", [
+    ("--eps", "abc"), ("--eps", "1/0"), ("--iter-mult", "x"),
+    ("--inject-corrupt", "zz"), ("--inject-corrupt", "20"),
+    ("--verify", "--inject-corrupt", "20:16")])
+def test_cli_malformed_option_exit_64(stream_file, args):
+    out = cli(str(stream_file), *args)
+    assert out.returncode == 64, out.stderr
+    assert "Traceback" not in out.stderr
+
+
 def test_cli_byte_identical_metrics(stream_file, tmp_path):
     outputs = []
     for name in ("m1.csv", "m2.csv"):

@@ -73,6 +73,15 @@ def test_float_parameters_rejected(field):
         make(**{field: 0.1})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("n", 10.0), ("m_budget", 8.0), ("max_weight", 2.5), ("source", 0.0),
+    ("seed", 1.0), ("c_b", 1.5)])
+def test_non_integer_fields_rejected(field, value):
+    fields = {"n": 16, "m_budget": 64, "max_weight": 4, field: value}
+    with pytest.raises(InvalidConfig):
+        IncrementalSSSP(Config(**fields))
+
+
 def test_randomized_eps_scaling():
     eng = make(n=1024, m=64, w=4, mode="rand", eps=Fraction(1, 2))
     assert eng.eps_internal == Fraction(1, 2000)
@@ -168,7 +177,7 @@ def test_sandwich_and_min_table_on_random_run(mode, seed):
     for i, (_, u, v, wt) in enumerate(stream.events, 1):
         eng.insert(u, v, wt)
         truth = dijkstra(eng.graph, 0)
-        report = verify(eng, truth, eng.guarantee_epsilon, insertion_index=i)
+        report = verify(eng, truth.d, eng.guarantee_epsilon, insertion_index=i)
         assert report.clean, report
     assert min_table_scan(eng) == eng.min_value
 

@@ -26,12 +26,19 @@ def test_weight_bounds():
         g.insert_edge(0, 1, 0)
     with pytest.raises(WeightOutOfRange):
         g.insert_edge(0, 1, 11)
+    with pytest.raises(WeightOutOfRange):
+        g.insert_edge(0, 1, 2.5)
+    assert g.edge_count == 0
 
 
 def test_vertex_bounds():
     g = Graph(3, 10)
     with pytest.raises(VertexOutOfRange):
         g.insert_edge(0, 3, 1)
+    with pytest.raises(VertexOutOfRange):
+        g.insert_edge(0.0, 1, 1)
+    with pytest.raises(VertexOutOfRange):
+        g.insert_edge(0, 1.0, 1)
     with pytest.raises(VertexOutOfRange):
         g.out_edges(3)
 

@@ -3,12 +3,12 @@ from fractions import Fraction
 from math import inf
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from incsssp import (Config, ExactDistances, Graph, IncrementalSSSP,
-                     brute_force_distances, dijkstra, exact_distances_fast,
-                     phase_error_audit, verify)
+from incsssp import (Config, Graph, IncrementalSSSP, brute_force_distances,
+                     dijkstra, exact_distances_fast, phase_error_audit, verify)
 from incsssp.workloads import random_stream
-from tests.conftest import random_graph
+from tests.conftest import random_graph, streams
 
 
 def test_single_edge():
@@ -57,7 +57,7 @@ def replayed_engine(seed=0, n=24, m=120, w=8):
 def test_verify_clean_on_fresh_engine():
     eng = replayed_engine()
     truth = dijkstra(eng.graph, 0)
-    report = verify(eng, truth, eng.guarantee_epsilon)
+    report = verify(eng, truth.d, eng.guarantee_epsilon)
     assert report.clean
     assert report.max_ratio >= 1
 
@@ -65,8 +65,8 @@ def test_verify_clean_on_fresh_engine():
 def test_verify_is_pure():
     eng = replayed_engine(seed=3)
     truth = dijkstra(eng.graph, 0)
-    a = verify(eng, truth, eng.guarantee_epsilon)
-    b = verify(eng, truth, eng.guarantee_epsilon)
+    a = verify(eng, truth.d, eng.guarantee_epsilon)
+    b = verify(eng, truth.d, eng.guarantee_epsilon)
     assert (a.lower_violations, a.upper_violations, a.invariant_breaches,
             a.max_ratio) == \
            (b.lower_violations, b.upper_violations, b.invariant_breaches,
@@ -79,7 +79,7 @@ def test_fault_injection_caught_as_lower_violation():
     victim = next(v for v in range(eng.graph.n)
                   if 0 < truth.d[v] < inf)
     eng.min_value[victim] = truth.d[victim] - 1
-    report = verify(eng, truth, eng.guarantee_epsilon, audit=False)
+    report = verify(eng, truth.d, eng.guarantee_epsilon, audit=False)
     assert [v for (v, _, _) in report.lower_violations] == [victim]
 
 
@@ -88,7 +88,7 @@ def test_upper_violation_detected():
     truth = dijkstra(eng.graph, 0)
     victim = next(v for v in range(eng.graph.n) if 0 < truth.d[v] < inf)
     eng.min_value[victim] = truth.d[victim] * 10
-    report = verify(eng, truth, eng.guarantee_epsilon, audit=False)
+    report = verify(eng, truth.d, eng.guarantee_epsilon, audit=False)
     assert any(v == victim for (v, _, _, _) in report.upper_violations)
 
 
@@ -96,7 +96,7 @@ def test_additive_error_histogram():
     from incsssp import additive_error_histogram
     eng = replayed_engine(seed=7)
     truth = dijkstra(eng.graph, 0)
-    hist = additive_error_histogram(eng, truth, bin_width=4)
+    hist = additive_error_histogram(eng, truth.d, bin_width=4)
     reachable = sum(1 for d in truth.d if d != inf)
     assert sum(hist.values()) == reachable
     assert all(k == inf or k >= 0 for k in hist)
@@ -110,4 +110,150 @@ def test_phase_error_audit_zero_after_rebuild():
     tau = max(1, finite[len(finite) // 2]) if finite else 1
     r = DeterministicRange(g, 0, tau, Fraction(1), phase_length=4,
                            cap=10 ** 6)
-    assert phase_error_audit(r, truth) == 0
+    assert phase_error_audit(r, truth.d) == 0
+
+
+# ------------------------------------------------- exactness past 2^53
+
+
+@pytest.fixture(params=[2 ** 55, 2 ** 60], ids=["W=2^55", "W=2^60"])
+def big(request):
+    """0→1 (W−1), 1→2 (W), so d(2) = 2W − 1, which float64 rounds to 2W.
+    The audit runs in int64 at W = 2^55 and in Python ints at W = 2^60."""
+    w = request.param
+    eng = IncrementalSSSP(Config(n=3, m_budget=2, max_weight=w))
+    eng.insert(0, 1, w - 1)
+    eng.insert(1, 2, w)
+    return eng, dijkstra(eng.graph, 0).d, w
+
+
+def test_big_weights_start_clean(big):
+    eng, dist, w = big
+    assert dist == [0, w - 1, 2 * w - 1]
+    report = verify(eng, dist, eng.guarantee_epsilon)
+    assert report.clean and report.max_ratio == 1
+
+
+def test_scipy_path_exact_past_2_53(big):
+    eng, dist, _ = big
+    assert exact_distances_fast(eng.graph, 0) == dist
+
+
+def test_lower_violation_one_below_caught_at_big_weights(big):
+    eng, dist, _ = big
+    eng.min_value[2] = dist[2] - 1
+    report = verify(eng, dist, eng.guarantee_epsilon, audit=False)
+    assert report.lower_violations == [(2, dist[2] - 1, dist[2])]
+
+
+def test_upper_violation_one_past_bound_caught_at_big_weights(big):
+    eng, dist, _ = big
+    one = 1 + eng.guarantee_epsilon
+    bound = dist[2] * one.numerator // one.denominator   # ⌊(1+ε)·d⌋
+    eng.min_value[2] = bound
+    assert verify(eng, dist, eng.guarantee_epsilon, audit=False).clean
+    eng.min_value[2] = bound + 1
+    report = verify(eng, dist, eng.guarantee_epsilon, audit=False)
+    assert report.upper_violations == [
+        (2, bound + 1, dist[2], Fraction(bound + 1, dist[2]))]
+    assert report.max_ratio == Fraction(bound + 1, dist[2])
+
+
+def test_edge_breach_of_one_caught_at_big_weights(big):
+    eng, dist, w = big
+    label, table = next((label, t) for label, t in eng.audit_tables()
+                        if t.dhat[1] == w - 1 and t.dhat[1] + 2 * w < t.cap)
+    floor_gran = table.gran_num // table.gran_den
+    table.dhat[2] = table.dhat[1] + w + floor_gran
+    assert verify(eng, dist, eng.guarantee_epsilon).invariant_breaches == []
+    table.dhat[2] += 1
+    report = verify(eng, dist, eng.guarantee_epsilon)
+    assert report.invariant_breaches == [
+        (label, (1, 2), floor_gran + 1 - table.gran)]
+
+
+def reference_sandwich(q, d, eps):
+    """Lower list, upper list and max ratio, one ``Fraction`` per vertex."""
+    lower, upper, ratios = [], [], []
+    for v, (qv, dv) in enumerate(zip(q, d)):
+        if dv == inf:
+            if qv != inf:
+                lower.append((v, qv, dv))
+            continue
+        if qv == inf:
+            upper.append((v, qv, dv, inf))
+            continue
+        if dv == 0:
+            if qv < 0:
+                lower.append((v, qv, dv))
+            elif qv > 0:
+                upper.append((v, qv, dv, inf))
+            continue
+        ratio = Fraction(qv) / Fraction(dv)
+        ratios.append(ratio)
+        if ratio < 1:
+            lower.append((v, qv, dv))
+        elif ratio > 1 + eps:
+            upper.append((v, qv, dv, ratio))
+    return lower, upper, max(ratios, default=Fraction(1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(stream=streams(families=("random", "chain")),
+       scale=st.sampled_from([1, 3 ** 40]),
+       edits=st.lists(st.tuples(st.integers(0, 47), st.sampled_from(
+           ["below", "at_bound", "past_bound", "inf"])), max_size=6))
+def test_verify_matches_fraction_reference(stream, scale, edits):
+    eng = IncrementalSSSP(Config(n=stream.n, m_budget=stream.budget,
+                                 max_weight=stream.max_weight))
+    eng.preprocess(stream.initial_edges)
+    for (_, u, v, w) in stream.insertions:
+        eng.insert(u, v, w)
+    eps = eng.guarantee_epsilon
+    dist = [d * scale for d in dijkstra(eng.graph, 0).d]
+    q = [x * scale for x in eng.min_value]
+    one = 1 + eps
+    for v, kind in edits:
+        v %= stream.n
+        if dist[v] == inf:
+            q[v] = 0 if kind == "below" else inf
+        elif kind == "below":
+            q[v] = dist[v] - 1
+        elif kind == "inf":
+            q[v] = inf
+        else:
+            bound = dist[v] * one.numerator // one.denominator
+            q[v] = bound + (kind == "past_bound")
+    eng.min_value[:] = q
+    report = verify(eng, dist, eps, audit=False)
+    assert (report.lower_violations, report.upper_violations,
+            report.max_ratio) == reference_sandwich(q, dist, eps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(stream=streams(families=("random", "chain")),
+       mode=st.sampled_from(["det", "rand"]),
+       edits=st.lists(st.tuples(st.integers(0, 63), st.integers(0, 47),
+                                st.floats(0, 1.1)), max_size=8))
+def test_audit_matches_fraction_reference(stream, mode, edits):
+    eng = IncrementalSSSP(Config(n=stream.n, m_budget=stream.budget,
+                                 max_weight=stream.max_weight, mode=mode,
+                                 iter_mult=Fraction(1, 100)))
+    eng.preprocess(stream.initial_edges)
+    for (_, u, v, w) in stream.insertions:
+        eng.insert(u, v, w)
+    tables = eng.audit_tables()
+    for t, v, frac in edits:
+        table = tables[t % len(tables)][1]
+        table.dhat[v % stream.n] = inf if frac > 1 else int(frac * table.cap)
+    want = []
+    for label, table in tables:
+        for u, v, w in zip(eng.graph.edge_tails, eng.graph.edge_heads,
+                           eng.graph.edge_weights):
+            if table.dhat[u] != inf:
+                excess = Fraction(min(table.dhat[v], table.cap)
+                                  - table.dhat[u] - w)
+                if excess > table.gran:
+                    want.append((label, (u, v), excess - table.gran))
+    assert verify(eng, dijkstra(eng.graph, 0).d,
+                  eng.guarantee_epsilon).invariant_breaches == want
