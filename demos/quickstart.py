@@ -12,11 +12,11 @@ from incsssp import Config, IncrementalSSSP, dijkstra, random_stream
 n, m, W = 64, 400, 64
 eps = Fraction(1, 4)
 
-# c_b=1 stretches phases to their full length so the lazy batching is
-# actually visible; the default constant collapses phases at this scale
+# at the default c_b=2 a phase batches B = ⌊√400 / 2⌋ = 10 insertions
+# between exact rebuilds
 stream = random_stream(n, m, W, seed=11)
 engine = IncrementalSSSP(Config(n=n, m_budget=m, max_weight=W, eps=eps,
-                                mode="det", c_b=1))
+                                mode="det"))
 
 worst = Fraction(1)
 for i, (_, u, v, w) in enumerate(stream.events, 1):

@@ -23,7 +23,7 @@ import sys
 from fractions import Fraction
 from math import inf
 
-from .engine import Config, IncrementalSSSP
+from .engine import DEFAULT_C_B, Config, IncrementalSSSP
 from .errors import IncSSSPError, InvalidConfig, ParseError, Unreachable
 from .oracle import exact_distances_fast, verify
 from .workloads import InsertionStream
@@ -254,7 +254,9 @@ def main(argv=None) -> int:
     parser.add_argument("--eps", type=rational, metavar="P/Q",
                         help="approximation slack (overrides stream header)")
     parser.add_argument("--cb-mult", type=int, metavar="C",
-                        help="override the phase-length constant c_B")
+                        help="override the phase-length constant c_B "
+                             "(phases of floor(sqrt(m)/C) insertions; "
+                             f"default {DEFAULT_C_B})")
     parser.add_argument("--iter-mult", type=rational, metavar="P/Q",
                         default=Fraction(1),
                         help="fixing-phase iteration multiplier")

@@ -35,6 +35,14 @@ UNREACHABLE = inf
 
 MODES = ("det", "rand", "nosync")
 
+# Deterministic phases last B = ⌊√m / c_B⌋ insertions.  The paper's
+# c_B = Θ(log n) is an asymptotic constant: 6·⌈lg n⌉ gives B = 1 below
+# m ≈ 17,000 at n = 2048, a rebuild before every insertion.  Of c_B in
+# {1, 2, 3, 4, 6, 8, 6·⌈lg n⌉}, 2 measured fastest (or tied) on chains and
+# within 1.5× of the best on random graphs (README, "Phase length").  The
+# guarantee holds for any c_B: ε is rescaled by B(2⌈lg B⌉+1)/⌈√m⌉.
+DEFAULT_C_B = 2
+
 
 @dataclass
 class Config:
@@ -43,7 +51,8 @@ class Config:
     ``m_budget`` is the total number of edges the instance will ever hold
     (initial plus inserted); batch lengths and error tolerances are
     functions of it, so it cannot grow later.  ``c_b`` overrides the
-    phase-length constant (default 6·⌈lg n⌉); ``iter_mult`` scales the
+    phase-length constant c_B (default ``DEFAULT_C_B``, 2): deterministic
+    phases last ⌊√m / c_B⌋ insertions.  ``iter_mult`` scales the
     fixing-phase sampling iteration count; ``raw_epsilon`` skips the
     internal ε rescaling in both modes; ``seed`` seeds the randomized
     ranges' window draws.
@@ -158,7 +167,7 @@ class IncrementalSSSP:
         cfg = self.config
         m = cfg.m_budget
         sq = ceil_sqrt(m)
-        c_b = cfg.c_b if cfg.c_b is not None else 6 * self.lg_n
+        c_b = cfg.c_b if cfg.c_b is not None else DEFAULT_C_B
         B = max(1, isqrt(m) // c_b)   # ⌊√m / c_B⌋
         lg_B = ceil_log2(B) if B > 1 else 0
         # keep the per-phase error bound B·εδ·(2·lg B + 1) below ε·τ
@@ -243,9 +252,14 @@ class IncrementalSSSP:
     def query(self, v: int):
         """Current distance estimate; UNREACHABLE (math.inf) if every
         structure reports out-of-range."""
-        if not (0 <= v < self.graph.n):
-            raise VertexOutOfRange(f"vertex {v} outside [0,{self.graph.n})")
-        return self.min_value[v]
+        # a non-integer index fails the comparison or the list lookup,
+        # which costs nothing on the valid path, unlike an isinstance test
+        try:
+            if 0 <= v < self.graph.n:
+                return self.min_value[v]
+        except TypeError:
+            pass
+        raise VertexOutOfRange(f"vertex {v} outside [0,{self.graph.n})")
 
     def report_path(self, v: int) -> list[int]:
         """Vertex sequence of an approximate shortest path source → v.

@@ -31,10 +31,10 @@ class Graph:
 
     def __init__(self, n: int, max_weight: int, budget: int | None = None,
                  initial_edges=()):
-        if n < 1:
-            raise VertexOutOfRange("vertex count must be positive")
-        if max_weight < 1:
-            raise WeightOutOfRange("maximum weight must be >= 1")
+        if not (isinstance(n, int) and n >= 1):
+            raise VertexOutOfRange("vertex count must be a positive int")
+        if not (isinstance(max_weight, int) and max_weight >= 1):
+            raise WeightOutOfRange("maximum weight must be an int >= 1")
         self.n = n
         self.max_weight = max_weight
         self.budget = budget
@@ -100,7 +100,7 @@ class Graph:
 
     def out_edges(self, u: int) -> list[tuple[int, int]]:
         """Out-neighborhood of u as (head, weight) pairs, in insertion order."""
-        if not (0 <= u < self.n):
+        if not (isinstance(u, int) and 0 <= u < self.n):
             raise VertexOutOfRange(f"vertex {u} outside [0,{self.n})")
         return list(self._adj[u])
 

@@ -17,6 +17,8 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as _scipy_dijkstra
 
+from .intmath import ceil_log2, floor_log2
+
 
 @dataclass
 class ExactDistances:
@@ -185,20 +187,106 @@ def verify(engine, dist, eps_eff: Fraction, insertion_index: int = 0,
 def phase_error_audit(det_range, dist):
     """Max additive error over vertices whose true distance is in [τ, 2τ).
 
-    Callers assert the result against 2·B·εδ·lg B + B·εδ for the range's
-    configured phase length and granularity.
+    Callers compare the result with :func:`phase_error_bound` for the
+    range's configured phase length and granularity.
     """
     tau, dhat = det_range.tau, det_range.table.dhat
     return max([0] + [dhat[v] - d for v, d in enumerate(dist)
                       if tau <= d < 2 * tau])
 
 
-def phase_error_bound(phase_length: int, eps_delta: Fraction) -> Fraction:
-    """2·B·εδ·lg B + B·εδ; lg of a non-power-of-two goes through the float
-    log (exact for the power-of-two phase lengths used in experiments)."""
-    B = phase_length
-    lg = Fraction(log2(B)) if B > 1 else Fraction(0)
-    return 2 * B * eps_delta * lg + B * eps_delta
+def _pow_bracket(base: int, q: int, bits: int) -> tuple[int, int, int]:
+    """(lo, hi, e) with lo·2^e ≤ base^q ≤ hi·2^e, by square-and-multiply
+    on floor and ceiling truncations to ``bits`` leading bits."""
+    def trim(lo, hi, e):
+        s = max(0, hi.bit_length() - bits)
+        return lo >> s, -(-hi >> s), e + s
+
+    lo = hi = 1
+    e = 0
+    sq_lo = sq_hi = base      # bracket of base^(2^i)
+    sq_e = 0
+    while True:
+        if q & 1:
+            lo, hi, e = trim(lo * sq_lo, hi * sq_hi, e + sq_e)
+        q >>= 1
+        if not q:
+            return lo, hi, e
+        sq_lo, sq_hi, sq_e = trim(sq_lo * sq_lo, sq_hi * sq_hi, 2 * sq_e)
+
+
+def _compare_powers(base: int, q: int, p: int) -> int:
+    """Sign of base^q − 2^p, in integers.
+
+    The bracket of base^q is refined, doubling its precision, until it
+    excludes 2^p; once no bits are dropped it is exact, so this ends.
+    """
+    bits = 64
+    while True:
+        lo, hi, e = _pow_bracket(base, q, bits)
+        if p < e or 1 << (p - e) < lo:
+            return 1
+        if 1 << (p - e) > hi:
+            return -1
+        if lo == hi:
+            return 0
+        bits *= 2
+
+
+class PhaseErrorBound:
+    """2·B·εδ·lg B + B·εδ, compared exactly with a rational error or ±inf.
+
+    With x = (err − B·εδ)/(2·B·εδ) = p/q in lowest terms, err ≤ bound
+    exactly when x ≤ lg B, that is 2^p ≤ B^q.  ``float()`` is for display.
+    """
+
+    __slots__ = ("phase_length", "eps_delta")
+
+    def __init__(self, phase_length: int, eps_delta: Fraction):
+        self.phase_length = phase_length
+        self.eps_delta = Fraction(eps_delta)
+
+    def _sign(self, err) -> int:
+        """Sign of bound − err."""
+        if err == inf:
+            return -1
+        if err == -inf:
+            return 1
+        B = self.phase_length
+        unit = B * self.eps_delta
+        x = (Fraction(err) - unit) / (2 * unit)
+        p, q = x.numerator, x.denominator
+        if p < floor_log2(B) * q:
+            return 1
+        if p > ceil_log2(B) * q:
+            return -1
+        return _compare_powers(B, q, p)
+
+    def __lt__(self, err):
+        return self._sign(err) < 0
+
+    def __le__(self, err):
+        return self._sign(err) <= 0
+
+    def __gt__(self, err):
+        return self._sign(err) > 0
+
+    def __ge__(self, err):
+        return self._sign(err) >= 0
+
+    def __float__(self):
+        B = self.phase_length
+        return float(B * self.eps_delta) * (2 * log2(B) + 1)
+
+    def __repr__(self):
+        return (f"PhaseErrorBound(phase_length={self.phase_length}, "
+                f"eps_delta={self.eps_delta})")
+
+
+def phase_error_bound(phase_length: int, eps_delta: Fraction) -> PhaseErrorBound:
+    """The per-phase error bound 2·B·εδ·lg B + B·εδ of a synchronized range,
+    as a value that compares exactly with any rational error."""
+    return PhaseErrorBound(phase_length, eps_delta)
 
 
 def additive_error_histogram(engine, dist, bin_width: int):

@@ -14,12 +14,13 @@ from math import inf
 import numpy as np
 import pytest
 
-from incsssp import (Config, EstimateTable, QuadraticErrorParams, IncrementalSSSP,
-                     adaptive_run, exact_distances_fast, quadratic_error_stream,
+from incsssp import (Config, EstimateTable, Graph, QuadraticErrorParams,
+                     IncrementalSSSP, ShortDistanceTree, adaptive_run,
+                     exact_distances_fast, quadratic_error_stream,
                      phase_error_audit, phase_error_bound, random_stream,
                      serialize_stream, verify)
 from incsssp.workloads import quadratic_error_replay
-from tests.conftest import cli_env, random_graph
+from tests.conftest import chain_shortcut_stream, cli_env, random_graph
 
 
 def _passline(name, ok, detail=""):
@@ -240,6 +241,30 @@ def test_c6_scaling_measurement():
         _passline("C6", True, detail + "  [ADVISORY EXCESS, see report]")
         print("\n".join(report))
     assert slopes["det"] == slopes["det"]   # measurement completed
+
+
+def test_default_det_chain_work_grows_slower_than_exact():
+    """On chain-with-shortcuts streams, exact propagation does Θ(n²) work;
+    default ``det`` batches each phase's decreases into εδ buckets, so its
+    counted work must grow more slowly."""
+    sizes = [1 << k for k in range(8, 13)]
+    det_work, exact_work = [], []
+    for n in sizes:
+        stream = chain_shortcut_stream(n)
+        eng = IncrementalSSSP(Config(n=n, m_budget=stream.budget,
+                                     max_weight=stream.max_weight))
+        eng.preprocess(stream.initial_edges)
+        graph = Graph(n, stream.max_weight, budget=stream.budget,
+                      initial_edges=stream.initial_edges)
+        exact = ShortDistanceTree(graph, 0, inf)
+        for _, u, v, w in stream.events:
+            eng.insert(u, v, w)
+            graph.insert_edge(u, v, w)
+            exact.insert(u, v, w)
+        det_work.append(eng.counters()["relaxations"])
+        exact_work.append(exact.table.work)
+    det_slope, exact_slope = _slope(sizes, det_work), _slope(sizes, exact_work)
+    assert det_slope < exact_slope, (det_work, exact_work)
 
 
 def test_c7_randomized_correctness(c7_corpus):

@@ -271,11 +271,12 @@ def assert_same_state(eng, ref):
 
 @settings(max_examples=60, deadline=None)
 @given(stream=streams(), mode=st.sampled_from(["det", "nosync"]),
-       c_b=st.sampled_from([1, None]))
+       c_b=st.sampled_from([1, None, 10 ** 6]))
 def test_shared_rebuild_matches_per_range_dijkstra(stream, mode, c_b):
     """One Dijkstra to the largest cap, shared by every range, leaves each
     range exactly as a Dijkstra capped at the range's own cap followed by
-    the original full-scan assignment would."""
+    the original full-scan assignment would.  c_b = 10^6 gives B = 1, a
+    rebuild before every insertion."""
     def build():
         return IncrementalSSSP(Config(
             n=stream.n, m_budget=stream.budget, max_weight=stream.max_weight,

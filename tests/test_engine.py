@@ -150,6 +150,10 @@ def test_query_source_and_bounds():
     assert eng.query(0) == 0
     with pytest.raises(VertexOutOfRange):
         eng.query(16)
+    with pytest.raises(VertexOutOfRange):
+        eng.query(1.0)
+    with pytest.raises(VertexOutOfRange):
+        eng.report_path(1.0)
 
 
 def test_phase_bookkeeping_rebuild_before_next_insert():

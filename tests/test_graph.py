@@ -41,6 +41,17 @@ def test_vertex_bounds():
         g.insert_edge(0, 1.0, 1)
     with pytest.raises(VertexOutOfRange):
         g.out_edges(3)
+    with pytest.raises(VertexOutOfRange):
+        g.out_edges(1.0)
+
+
+@pytest.mark.parametrize("n, max_weight, error", [
+    (0, 5, VertexOutOfRange), (10.0, 5, VertexOutOfRange),
+    ("3", 5, VertexOutOfRange), (3, 0, WeightOutOfRange),
+    (3, 2.5, WeightOutOfRange), (3, 5.0, WeightOutOfRange)])
+def test_constructor_rejects_bad_sizes(n, max_weight, error):
+    with pytest.raises(error):
+        Graph(n, max_weight)
 
 
 def test_out_edges_in_insertion_order():

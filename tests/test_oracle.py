@@ -1,12 +1,14 @@
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
-from math import inf
+from math import inf, log2
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from incsssp import (Config, Graph, IncrementalSSSP, brute_force_distances,
-                     dijkstra, exact_distances_fast, phase_error_audit, verify)
+                     dijkstra, exact_distances_fast, phase_error_audit,
+                     phase_error_bound, verify)
 from incsssp.workloads import random_stream
 from tests.conftest import random_graph, streams
 
@@ -111,6 +113,62 @@ def test_phase_error_audit_zero_after_rebuild():
     r = DeterministicRange(g, 0, tau, Fraction(1), phase_length=4,
                            cap=10 ** 6)
     assert phase_error_audit(r, truth.d) == 0
+
+
+# ------------------------------------------------- exact phase error bound
+
+
+def reference_phase_bound(B, eps_delta) -> Decimal:
+    """2·B·εδ·lg B + B·εδ to 60 digits; ``Decimal.ln`` is correctly rounded."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        lg = Decimal(B).ln() / Decimal(2).ln()
+        unit = Decimal(eps_delta.numerator) * B / eps_delta.denominator
+        return unit * (2 * lg + 1)
+
+
+def test_phase_error_bound_exact_at_three():
+    # float lg 3 < below < lg 3 < above, each within 1.1e-16 of lg 3
+    below = Fraction(85137581, 53715833)
+    above = Fraction(187363077, 118212940)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        lg3 = Decimal(3).ln() / Decimal(2).ln()
+    assert Fraction(log2(3)) < below < Fraction(lg3) < above
+    bound = phase_error_bound(3, Fraction(1))    # 6·lg 3 + 3
+    inside, outside = 6 * below + 3, 6 * above + 3
+    assert inside <= bound and not inside > bound and inside < bound
+    assert outside > bound and not outside <= bound and outside >= bound
+    # a float lg 3 rejects the error that lies inside the bound
+    assert inside > 6 * Fraction(log2(3)) + 3
+
+
+def test_phase_error_bound_edges():
+    bound = phase_error_bound(4, Fraction(1, 3))     # 2·4·(1/3)·2 + 4/3
+    assert Fraction(20, 3) <= bound and Fraction(20, 3) >= bound
+    assert not Fraction(20, 3) < bound and not Fraction(20, 3) > bound
+    assert Fraction(20, 3) + Fraction(1, 10 ** 30) > bound
+    one = phase_error_bound(1, Fraction(5, 2))       # lg 1 = 0: just εδ
+    assert Fraction(5, 2) <= one and 3 > one and 2 < one
+    assert -inf < bound < inf and inf > bound and not inf <= bound
+    assert float(phase_error_bound(3, Fraction(1))) == pytest.approx(
+        6 * log2(3) + 3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(B=st.integers(1, 200), num=st.integers(1, 50), den=st.integers(1, 50),
+       err=st.fractions(min_value=-10, max_value=10 ** 4, max_denominator=100))
+def test_phase_error_bound_matches_decimal_reference(B, num, den, err):
+    eps_delta = Fraction(num, den)
+    bound = phase_error_bound(B, eps_delta)
+    ref = reference_phase_bound(B, eps_delta)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        e = Decimal(err.numerator) / err.denominator
+        clear = abs(e - ref) > Decimal(10) ** -40
+    if clear:
+        assert (err <= bound) == (e <= ref)
+        assert (err > bound) == (e > ref)
 
 
 # ------------------------------------------------- exactness past 2^53
