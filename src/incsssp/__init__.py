@@ -12,7 +12,7 @@ from .errors import (AlreadyPreprocessed, BudgetExceeded, DuplicateEdge,
                      ParseError, PhaseFull, TooDense, Unreachable,
                      VertexOutOfRange, WeightOutOfRange)
 from .graph import Edge, Graph
-from .lazy import CAP, EstimateTable, bucket
+from .lazy import CAP, EstimateTable
 from .det import DeterministicRange, batch_index, bounded_dijkstra
 from .rand import FixingSample, RandomizedRange
 from .short import ShortDistanceTree
@@ -28,7 +28,7 @@ __all__ = [
     "AlreadyPreprocessed", "BudgetExceeded", "DuplicateEdge", "IncSSSPError",
     "InvalidConfig", "InvalidParams", "NotAPath", "ParseError", "PhaseFull",
     "TooDense", "Unreachable", "VertexOutOfRange", "WeightOutOfRange",
-    "Edge", "Graph", "CAP", "EstimateTable", "bucket",
+    "Edge", "Graph", "CAP", "EstimateTable",
     "DeterministicRange", "batch_index", "bounded_dijkstra",
     "FixingSample", "RandomizedRange", "ShortDistanceTree",
     "ExactDistances", "VerifyReport", "additive_error_histogram",

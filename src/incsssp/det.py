@@ -9,6 +9,16 @@ estimates between phases.  All ranges of one engine share a phase
 boundary, so the engine runs one bounded Dijkstra to the largest cap and
 every range assigns the distances below its own cap from it.
 
+At a shared boundary a range visits only the vertices whose distance or
+parent changed since the previous shared tree.  Right after a rebuild a range holds that tree
+exactly below its cap.  Until the next one, every estimate it lowers
+becomes the weight of a real path, never below the vertex's true distance
+at the next boundary.  A vertex whose distance did not change between the
+two trees was therefore never lowered: it still holds the value and parent
+the previous rebuild gave it (or CAP, if its distance is still at least
+the cap), and unless its tree parent changed the full scan would write
+nothing to it.
+
 A baseline mode replaces the batch with just the head of the inserted edge
 (when its relaxation fired), reproducing the per-edge propagation scheme
 this design improves on; it exists for contrast experiments only.
@@ -38,15 +48,14 @@ def insert_step(table: EstimateTable, u: int, v: int, w: int, b: int,
     """
     relaxed = table.try_relax(u, v, w)
     if relaxed:
-        table.mark_touched(v, b)
+        table.mark_touched((v,), b)
     if sync:
         j, k = batch_index(b)
         v_input = table.touched_in_window((k - 1) << j, b)
     else:
         v_input = {v} if relaxed else set()
     touched = table.partial_dijkstra(v_input)
-    for x in touched:
-        table.mark_touched(x, b)
+    table.mark_touched(touched, b)
     return touched
 
 
@@ -80,6 +89,15 @@ def bounded_dijkstra(graph, source: int, cap: int) -> tuple[list, list]:
                 parent[v] = u
                 push(heap, (nd, v))
     return dist, parent
+
+
+def tree_diff(old: tuple[list, list], new: tuple[list, list]) -> list[int]:
+    """Vertices, in increasing order, whose distance or parent differs
+    between two :func:`bounded_dijkstra` results."""
+    old_dist, old_parent = old
+    new_dist, new_parent = new
+    return [v for v in range(len(new_dist))
+            if new_dist[v] != old_dist[v] or new_parent[v] != old_parent[v]]
 
 
 class DeterministicRange:
@@ -116,18 +134,21 @@ class DeterministicRange:
     def phase_full(self) -> bool:
         return self.b >= self.B
 
-    def rebuild(self, tree: tuple[list, list] | None = None) -> None:
+    def rebuild(self, tree: tuple[list, list] | None = None,
+                changed: list[int] | None = None) -> None:
         """Restore exact estimates (clamped at cap) and reset the phase.
 
         ``tree`` is a shared ``(dist, parent)`` from :func:`bounded_dijkstra`
         on the current graph, run to at least this range's cap; without it
-        the range runs its own.  The rebuild is charged ``edge_count + n``
-        work either way.
+        the range runs its own.  ``changed``, when given with ``tree``, is
+        the :func:`tree_diff` of the tree of this range's previous rebuild
+        and ``tree``, and only those vertices are visited.  The rebuild is
+        charged ``edge_count + n`` work either way.
         """
         if tree is None:
             tree = bounded_dijkstra(self.graph, self.source, self.cap)
         self.table.work += self.graph.edge_count + self.graph.n
-        self.table.assign_exact(*tree)
+        self.table.assign_exact(*tree, changed)
         self.b = 0
         self.table.reset_phase()
         self.rebuilds += 1

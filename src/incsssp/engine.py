@@ -8,11 +8,13 @@ parent pointers inside whichever structure owns the minimum.
 
 The short tree and every range, deterministic or randomized, give one
 protocol (``table``, ``cap``, ``estimate``, ``insert``, ``phase_full``,
-``rebuild(tree)``, ``counters``; ranges also ``audit_tables``), so the
-engine never asks which kind a structure is.  Exact (re)initialization
-runs one bounded Dijkstra to the largest cap, shared by every structure
-it serves: at ``preprocess`` all of them, before an insertion every
-structure whose phase is full (only deterministic ranges fill, together).
+``rebuild(tree, changed)``, ``counters``; ranges also ``audit_tables``),
+so the engine never asks which kind a structure is.  Exact
+(re)initialization runs one bounded Dijkstra to the largest cap, shared by
+every structure it serves: at ``preprocess`` all of them, before an
+insertion every structure whose phase is full (only deterministic ranges
+fill, together).  Each visits only the vertices whose distance or parent
+changed since the previous shared tree.
 """
 
 import weakref
@@ -156,6 +158,9 @@ class IncrementalSSSP:
             s.table.on_decrease = _MinCallback(self, s)
         self._min_owner[self.source] = self.short
         self._tree_cap = max(s.cap for s in self._structures)
+        # the empty graph's tree, which every structure was just built from
+        self._tree = det.bounded_dijkstra(self.graph, self.source,
+                                          self._tree_cap)
 
     # -- construction -----------------------------------------------------
 
@@ -220,12 +225,25 @@ class IncrementalSSSP:
         if len(edges) > self.config.m_budget:
             raise BudgetExceeded("initial edges exceed the declared budget")
         self.graph.load_initial(edges)
+        tree, changed = self._next_tree()
+        for s in self._structures:
+            s.rebuild(tree, changed)
+        self._preprocessed = True
+
+    def _next_tree(self) -> tuple[tuple[list, list], list[int]]:
+        """The shared bounded Dijkstra on the current graph, and the
+        vertices whose entry differs from the previous one.
+
+        Every structure rebuilt at a boundary was rebuilt at the previous
+        one too (or, before the first, built on the empty graph), so each
+        needs to visit only those vertices.
+        """
         # through the module, so a wrapper on det.bounded_dijkstra sees it;
         # a run to a higher cap is exact for every lower one
         tree = det.bounded_dijkstra(self.graph, self.source, self._tree_cap)
-        for s in self._structures:
-            s.rebuild(tree)
-        self._preprocessed = True
+        changed = det.tree_diff(self._tree, tree)
+        self._tree = tree
+        return tree, changed
 
     def insert(self, u: int, v: int, w: int) -> None:
         """Insert one edge and bring every structure up to date.
@@ -242,9 +260,8 @@ class IncrementalSSSP:
                 if tree is None:
                     # deterministic ranges share B and b, so they fill
                     # together and the largest cap is needed anyway
-                    tree = det.bounded_dijkstra(self.graph, self.source,
-                                                self._tree_cap)
-                s.rebuild(tree)
+                    tree, changed = self._next_tree()
+                s.rebuild(tree, changed)
             s.insert(u, v, w)
 
     # -- queries --------------------------------------------------------------
@@ -269,13 +286,14 @@ class IncrementalSSSP:
         """
         if self.query(v) == inf:
             raise Unreachable(f"vertex {v} currently unreachable")
-        if v == self.source:
-            return [self.source]
-        table = self._min_owner[v].table
+        source = self.source
+        if v == source:
+            return [source]
+        parent = self._min_owner[v].table.parent
         path = [v]
         x = v
-        while x != self.source:
-            x = table.parent[x]
+        while x != source:
+            x = parent[x]
             path.append(x)
         path.reverse()
         return path

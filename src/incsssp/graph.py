@@ -35,6 +35,8 @@ class Graph:
             raise VertexOutOfRange("vertex count must be a positive int")
         if not (isinstance(max_weight, int) and max_weight >= 1):
             raise WeightOutOfRange("maximum weight must be an int >= 1")
+        if not (budget is None or (isinstance(budget, int) and budget >= 0)):
+            raise BudgetExceeded("edge budget must be an int >= 0")
         self.n = n
         self.max_weight = max_weight
         self.budget = budget

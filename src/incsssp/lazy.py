@@ -1,14 +1,29 @@
 """Shared machinery for all lazy shortest-path structures.
 
-An :class:`EstimateTable` keeps one distance estimate per vertex, a parent
-pointer recording the edge that caused the last decrease, and per-phase
-touch timestamps.  Relaxations fire only when they would lower the
-quantized bucket index ⌈d/εδ⌉, with εδ held as an exact rational so the
-boundary test never suffers floating-point misclassification.
+A :class:`DistanceTable` keeps one distance estimate per vertex, a parent
+pointer recording the edge that caused the last decrease, and decrease
+notifications; the exact short tree uses it as it is.  An
+:class:`EstimateTable` adds εδ-quantized relaxation and per-phase touch
+timestamps for the lazy ranges.  Relaxations fire only when they would
+lower the bucket index ⌈d·den/num⌉ of εδ = num/den, held as an exact
+rational so the boundary test never suffers floating-point
+misclassification.
 
 Estimates at or above the table's cap are stored as the CAP sentinel
 (``math.inf``); its bucket is maximal by construction, and a relaxation out
 of CAP compares against the real candidate value.
+
+Every relaxation test is one integer comparison, ``cand <= lim[v]``.  An
+estimate table keeps ``lim[v]``, the largest candidate that lands in a
+lower bucket than d̂(v) and stays below the cap:
+
+    lim[v] = (⌈d̂(v)·den/num⌉ − 1)·num // den    for a finite d̂(v),
+    lim[v] = cap − 1                             for CAP.
+
+For an integer candidate c and k = ⌈d̂(v)·den/num⌉, ⌈c·den/num⌉ ≤ k − 1
+iff c ≤ (k − 1)·num/den iff c ≤ ⌊(k − 1)·num/den⌋, and that bound lies
+below d̂(v) < cap.  Every write of an estimate (``_set``, ``assign_exact``)
+refreshes ``lim``, so the invariant holds between any two calls.
 """
 
 import heapq
@@ -16,23 +31,19 @@ from fractions import Fraction
 from math import inf
 
 from .errors import NotAPath
-from .intmath import ceil_div
 
 CAP = inf
 
 
-def bucket(d, num: int, den: int):
-    """Bucket index ⌈d·den/num⌉ of an estimate for granularity εδ = num/den.
-
-    CAP maps to a dedicated maximal bucket.
-    """
-    if d is CAP or d == inf:
-        return inf
-    return ceil_div(d * den, num)
+def relax_limit(d, num: int, den: int, cap):
+    """``lim`` for estimate ``d`` at granularity num/den below ``cap``."""
+    if d == inf:
+        return cap - 1
+    return (-(-d * den // num) - 1) * num // den
 
 
-class EstimateTable:
-    """Per-vertex distance estimates with εδ-quantized relaxation.
+class DistanceTable:
+    """Per-vertex distance estimates with parent pointers.
 
     Estimates only ever decrease.  Every decrease is reported through the
     ``on_decrease(vertex, old, new)`` callback (CAP passed as ``math.inf``),
@@ -40,28 +51,18 @@ class EstimateTable:
     current without scanning.
     """
 
-    def __init__(self, graph, source: int, cap: int, gran: Fraction,
-                 on_decrease=None):
-        if gran <= 0:
-            raise ValueError("granularity must be positive")
+    def __init__(self, graph, source: int, cap, on_decrease=None):
         n = graph.n
         self.graph = graph
         self.source = source
         self.cap = cap
-        self.gran = gran
-        self.gran_num = gran.numerator
-        self.gran_den = gran.denominator
         self.dhat: list = [CAP] * n
         self.dhat[source] = 0
         self.parent: list = [None] * n
-        self.last_touched = [0] * n
-        self._touch_log: dict[int, list[int]] = {}
         self.on_decrease = on_decrease
         # instrumentation
         self.work = 0          # edges examined + queue extractions
         self.decreases = 0     # successful estimate decreases
-
-    # -- state updates ------------------------------------------------
 
     def _set(self, v: int, value: int, parent) -> None:
         old = self.dhat[v]
@@ -71,25 +72,102 @@ class EstimateTable:
         if self.on_decrease is not None:
             self.on_decrease(v, old, value)
 
+    def assign_exact(self, dist, parents, vertices=None) -> list[int]:
+        """Overwrite with exact distances (clamped at cap) and tree parents.
+
+        Exact distances never exceed current estimates, so this is a pure
+        sequence of decreases plus parent refreshes.  ``dist`` may come from
+        a run to a higher cap; entries at or above this table's cap (CAP
+        included) are skipped.  ``vertices``, when given, lists in
+        increasing order the only vertices to visit; without it every
+        vertex is.  Decreases are written here, not through ``_set``, and
+        notified in increasing vertex order; returns the lowered vertices.
+        """
+        cap = self.cap
+        if vertices is None:
+            visit = [v for v, d in enumerate(dist) if d < cap]
+        else:
+            visit = [v for v in vertices if dist[v] < cap]
+        dhat = self.dhat
+        parent = self.parent
+        source = self.source
+        notify = self.on_decrease
+        lowered = []
+        for v in visit:
+            d = dist[v]
+            old = dhat[v]
+            if d < old:
+                dhat[v] = d
+                parent[v] = parents[v]
+                lowered.append(v)
+                if notify is not None:
+                    notify(v, old, d)
+            elif d == old and v != source:
+                parent[v] = parents[v]
+        self.decreases += len(lowered)
+        return lowered
+
+
+class EstimateTable(DistanceTable):
+    """Distance estimates with εδ-quantized relaxation and touch stamps."""
+
+    def __init__(self, graph, source: int, cap: int, gran: Fraction,
+                 on_decrease=None):
+        if gran <= 0:
+            raise ValueError("granularity must be positive")
+        super().__init__(graph, source, cap, on_decrease)
+        n = graph.n
+        self.gran = gran
+        self.gran_num = num = gran.numerator
+        self.gran_den = den = gran.denominator
+        self.lim: list = [relax_limit(CAP, num, den, cap)] * n
+        self.lim[source] = relax_limit(0, num, den, cap)
+        self.last_touched = [0] * n
+        self._touch_log: dict[int, list[int]] = {}
+        # in-queue flags of partial_dijkstra, all False between calls
+        self._queued = [False] * n
+
+    # -- state updates ------------------------------------------------
+
+    def _set(self, v: int, value: int, parent) -> None:
+        old = self.dhat[v]
+        self.dhat[v] = value
+        num, den = self.gran_num, self.gran_den
+        # relax_limit of a finite value, inlined on this per-decrease path
+        self.lim[v] = (-(-value * den // num) - 1) * num // den
+        self.parent[v] = parent
+        self.decreases += 1
+        if self.on_decrease is not None:
+            self.on_decrease(v, old, value)
+
+    def assign_exact(self, dist, parents, vertices=None) -> list[int]:
+        """As :meth:`DistanceTable.assign_exact`, keeping ``lim`` in step."""
+        lowered = super().assign_exact(dist, parents, vertices)
+        lim = self.lim
+        num, den = self.gran_num, self.gran_den
+        for v in lowered:   # relax_limit, inlined as in _set
+            lim[v] = (-(-dist[v] * den // num) - 1) * num // den
+        return lowered
+
     def try_relax(self, u: int, v: int, w: int) -> bool:
         """Relax edge (u, v) iff the candidate crosses an εδ bucket boundary."""
         self.work += 1
         du = self.dhat[u]
-        if du is CAP or du == inf:
+        if du == inf:
             return False
         cand = du + w
-        if cand >= self.cap:
-            return False
-        num, den = self.gran_num, self.gran_den
-        dv = self.dhat[v]
-        if dv == inf or ceil_div(dv * den, num) > ceil_div(cand * den, num):
+        if cand <= self.lim[v]:
             self._set(v, cand, u)
             return True
         return False
 
-    def mark_touched(self, v: int, b: int) -> None:
-        self.last_touched[v] = b
-        self._touch_log.setdefault(b, []).append(v)
+    def mark_touched(self, vertices, b: int) -> None:
+        """Stamp every vertex of ``vertices`` with time b."""
+        if vertices:
+            lt = self.last_touched
+            for v in vertices:
+                lt[v] = b
+            self._touch_log.setdefault(b, []).extend(vertices)
 
     def touched_in_window(self, lo: int, hi: int) -> set[int]:
         """Vertices whose last touch falls in (lo, hi]."""
@@ -110,28 +188,6 @@ class EstimateTable:
                 lt[v] = 0
         self._touch_log.clear()
 
-    def assign_exact(self, dist, parents) -> None:
-        """Overwrite with exact distances (clamped at cap) and tree parents.
-
-        Exact distances never exceed current estimates, so this is a pure
-        sequence of decreases plus parent refreshes.  ``dist`` may come from
-        a run to a higher cap; entries at or above this table's cap (CAP
-        included) are skipped.
-        """
-        cap = self.cap
-        visit = [v for v, d in enumerate(dist) if d < cap]
-        dhat = self.dhat
-        parent = self.parent
-        source = self.source
-        set_ = self._set
-        for v in visit:
-            d = dist[v]
-            old = dhat[v]
-            if d < old:
-                set_(v, d, parents[v])
-            elif d == old and v != source:
-                parent[v] = parents[v]
-
     # -- propagation ---------------------------------------------------
 
     def partial_dijkstra(self, v_input) -> set[int]:
@@ -141,51 +197,57 @@ class EstimateTable:
         the head to the queue and to the returned touched set, while an
         in-queue head is decrease-keyed without being counted as touched.
         Each vertex leaves the queue at most once per call, ties broken by
-        vertex id.
+        vertex id.  The crossing test is ``cand <= lim[v]``: ``lim[v]`` is
+        the largest candidate below the cap whose bucket lies below that of
+        d̂(v) (see the module docstring), refreshed by every write of d̂.
         """
         if not v_input:
             return set()
         dhat = self.dhat
+        lim = self.lim
         adj = self.graph._adj
         cap = self.cap
-        num, den = self.gran_num, self.gran_den
+        set_ = self._set
+        queued = self._queued
         heap = []
-        current_key = {}
-        in_queue = set()
         for v in v_input:
-            key = dhat[v]
-            current_key[v] = key
-            in_queue.add(v)
-            heapq.heappush(heap, (key, v))
+            if not queued[v]:
+                queued[v] = True
+                heap.append((dhat[v], v))
+        heapq.heapify(heap)
         touched: set[int] = set()
         push = heapq.heappush
         pop = heapq.heappop
-        while heap:
-            key, u = pop(heap)
-            if u not in in_queue or current_key[u] != key:
-                continue
-            in_queue.discard(u)
-            self.work += 1
-            du = dhat[u]
-            if du == inf:
-                continue
-            for v, w in adj[u]:
-                self.work += 1
-                cand = du + w
-                if cand >= cap:
+        work = 0
+        try:
+            while heap:
+                du, u = pop(heap)
+                # each push stores its key as d̂ and lies strictly below the
+                # vertex's previous estimate, so only the latest entry of a
+                # vertex matches d̂: the others are stale
+                if du != dhat[u]:
                     continue
-                dv = dhat[v]
-                if dv == inf or ceil_div(dv * den, num) > ceil_div(cand * den, num):
-                    self._set(v, cand, u)
-                    touched.add(v)
-                    current_key[v] = cand
-                    if v not in in_queue:
-                        in_queue.add(v)
-                    push(heap, (cand, v))
-                elif v in in_queue and cand < dv:
-                    self._set(v, cand, u)
-                    current_key[v] = cand
-                    push(heap, (cand, v))
+                queued[u] = False
+                if du == inf:
+                    work += 1
+                    continue
+                edges = adj[u]
+                work += 1 + len(edges)
+                for v, w in edges:
+                    cand = du + w
+                    if cand <= lim[v]:
+                        set_(v, cand, u)
+                        touched.add(v)
+                        queued[v] = True
+                        push(heap, (cand, v))
+                    elif queued[v] and cand < dhat[v] and cand < cap:
+                        set_(v, cand, u)
+                        push(heap, (cand, v))
+        finally:
+            # a drained heap has cleared every flag; an exception may not
+            for _, v in heap:
+                queued[v] = False
+            self.work += work
         return touched
 
     # -- diagnostics ----------------------------------------------------

@@ -33,7 +33,8 @@ class FixingSample:
 
 class _TrackedTable(EstimateTable):
     """Estimate table that also records which vertices decreased since the
-    last synchronization, so the sync step visits only those."""
+    last synchronization, so the sync step visits only those.  A rebuild
+    assigns both tables the same exact values and records nothing."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -134,16 +135,18 @@ class RandomizedRange:
 
     # -- lifecycle -------------------------------------------------------
 
-    def rebuild(self, tree: tuple[list, list] | None = None) -> None:
+    def rebuild(self, tree: tuple[list, list] | None = None,
+                changed: list[int] | None = None) -> None:
         """Exact initialization; counts as a fixing phase with no sampling.
 
         ``tree`` is a shared :func:`bounded_dijkstra` result run to at least
-        this cap; without it the range runs its own.
+        this cap; without it the range runs its own.  ``changed`` as for
+        ``DeterministicRange.rebuild``.
         """
         if tree is None:
             tree = bounded_dijkstra(self.graph, self.source, self.cap)
-        self.table.assign_exact(*tree)
-        self._hidden.assign_exact(*tree)
+        self.table.assign_exact(*tree, changed)
+        self._hidden.assign_exact(*tree, changed)
         self.phi = self.potential_scan()
         self.phi_snapshot = self.phi
         self.b = 0

@@ -8,11 +8,10 @@ any of the rounding machinery used for the long ranges.
 """
 
 import heapq
-from fractions import Fraction
 from math import inf
 
 from .det import bounded_dijkstra
-from .lazy import EstimateTable
+from .lazy import DistanceTable
 
 
 class ShortDistanceTree:
@@ -22,19 +21,19 @@ class ShortDistanceTree:
         self.graph = graph
         self.source = source
         self.cap = cap
-        # granularity 1 is unused by exact relaxation; the table is reused
-        # for its storage, parents, and decrease notifications.
-        self.table = EstimateTable(graph, source, cap, Fraction(1))
+        # a plain table: exact relaxation has no bucket limits to keep
+        self.table = DistanceTable(graph, source, cap)
         self.rebuild()
 
-    def rebuild(self, tree: tuple[list, list] | None = None) -> None:
+    def rebuild(self, tree: tuple[list, list] | None = None,
+                changed: list[int] | None = None) -> None:
         """Exact distances below the cap, from ``tree`` (a shared
         :func:`bounded_dijkstra` result run to at least this cap) or a run
-        of its own."""
+        of its own; ``changed`` as for ``DeterministicRange.rebuild``."""
         if tree is None:
             tree = bounded_dijkstra(self.graph, self.source, self.cap)
         self.table.work += self.graph.edge_count + self.graph.n
-        self.table.assign_exact(*tree)
+        self.table.assign_exact(*tree, changed)
 
     def insert(self, u: int, v: int, w: int) -> None:
         """Process one edge insertion, keeping sub-cap distances exact."""

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import incsssp
 from incsssp import (Graph, InsertionStream, QuadraticErrorParams,
                      quadratic_error_stream, random_stream)
+from incsssp.lazy import relax_limit
 
 
 def cli_env() -> dict:
@@ -36,6 +37,18 @@ def random_graph(n, m, max_weight, seed):
         g.insert_edge(u, v, rng.randint(1, max_weight))
         added += 1
     return g
+
+
+def plant(table, estimates):
+    """Overwrite estimates of an ``EstimateTable`` (test-only surgery),
+    keeping its relaxation limits in step.  ``estimates`` maps vertex to
+    value, or is a list of values for vertices 0, 1, ..."""
+    items = estimates.items() if isinstance(estimates, dict) \
+        else enumerate(estimates)
+    for v, d in items:
+        table.dhat[v] = d
+        table.lim[v] = relax_limit(d, table.gran_num, table.gran_den,
+                                   table.cap)
 
 
 def chain_shortcut_stream(n):

@@ -1,0 +1,103 @@
+"""The two-``ceil_div`` relaxation test and propagation loop that
+``EstimateTable`` used before it kept per-vertex relaxation limits, kept
+as a reference for the equivalence property in ``test_estimates.py``.
+
+Each relaxation recomputes both bucket indices ⌈d·den/num⌉; a propagation
+keeps a current-key map and an in-queue set, and counts work per edge.
+"""
+
+import heapq
+from fractions import Fraction
+from math import inf
+
+from incsssp.intmath import ceil_div
+
+CAP = inf
+
+
+class ReferenceTable:
+    """Estimates, parents and counters with the reference relaxation."""
+
+    def __init__(self, graph, source: int, cap: int, gran: Fraction,
+                 on_decrease=None):
+        n = graph.n
+        self.graph = graph
+        self.source = source
+        self.cap = cap
+        self.gran_num = gran.numerator
+        self.gran_den = gran.denominator
+        self.dhat: list = [CAP] * n
+        self.dhat[source] = 0
+        self.parent: list = [None] * n
+        self.on_decrease = on_decrease
+        self.work = 0
+        self.decreases = 0
+
+    def _set(self, v: int, value: int, parent) -> None:
+        old = self.dhat[v]
+        self.dhat[v] = value
+        self.parent[v] = parent
+        self.decreases += 1
+        if self.on_decrease is not None:
+            self.on_decrease(v, old, value)
+
+    def try_relax(self, u: int, v: int, w: int) -> bool:
+        self.work += 1
+        du = self.dhat[u]
+        if du is CAP or du == inf:
+            return False
+        cand = du + w
+        if cand >= self.cap:
+            return False
+        num, den = self.gran_num, self.gran_den
+        dv = self.dhat[v]
+        if dv == inf or ceil_div(dv * den, num) > ceil_div(cand * den, num):
+            self._set(v, cand, u)
+            return True
+        return False
+
+    def partial_dijkstra(self, v_input) -> set[int]:
+        if not v_input:
+            return set()
+        dhat = self.dhat
+        adj = self.graph._adj
+        cap = self.cap
+        num, den = self.gran_num, self.gran_den
+        heap = []
+        current_key = {}
+        in_queue = set()
+        for v in v_input:
+            key = dhat[v]
+            current_key[v] = key
+            in_queue.add(v)
+            heapq.heappush(heap, (key, v))
+        touched: set[int] = set()
+        push = heapq.heappush
+        pop = heapq.heappop
+        while heap:
+            key, u = pop(heap)
+            if u not in in_queue or current_key[u] != key:
+                continue
+            in_queue.discard(u)
+            self.work += 1
+            du = dhat[u]
+            if du == inf:
+                continue
+            for v, w in adj[u]:
+                self.work += 1
+                cand = du + w
+                if cand >= cap:
+                    continue
+                dv = dhat[v]
+                if dv == inf or ceil_div(dv * den, num) > ceil_div(cand * den, num):
+                    self._set(v, cand, u)
+                    touched.add(v)
+                    current_key[v] = cand
+                    if v not in in_queue:
+                        in_queue.add(v)
+                    push(heap, (cand, v))
+                elif v in in_queue and cand < dv:
+                    self._set(v, cand, u)
+                    current_key[v] = cand
+                    push(heap, (cand, v))
+        return touched

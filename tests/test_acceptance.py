@@ -20,7 +20,8 @@ from incsssp import (Config, EstimateTable, Graph, QuadraticErrorParams,
                      phase_error_audit, phase_error_bound, random_stream,
                      serialize_stream, verify)
 from incsssp.workloads import quadratic_error_replay
-from tests.conftest import chain_shortcut_stream, cli_env, random_graph
+from tests.conftest import (chain_shortcut_stream, cli_env, plant,
+                            random_graph)
 
 
 def _passline(name, ok, detail=""):
@@ -147,7 +148,7 @@ def test_c3_fixed_set_property():
                                         rng.randint(1, 3)))
         for v in range(1, n):
             if rng.random() < 0.3:
-                t.dhat[v] = rng.randint(0, 300)
+                plant(t, {v: rng.randint(0, 300)})
         v_input = {v for v in range(n) if rng.random() < 0.35}
         touched = t.partial_dijkstra(v_input)
         calls += 1

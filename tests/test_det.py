@@ -156,9 +156,10 @@ def test_entry_count_bound_per_decrease():
             memberships[v] += 1
         return got
 
-    def counting_mark(v, b):
-        touches[v] += 1
-        mark(v, b)
+    def counting_mark(vertices, b):
+        for v in vertices:
+            touches[v] += 1
+        mark(vertices, b)
 
     r.table.touched_in_window = counting_window
     r.table.mark_touched = counting_mark
@@ -261,6 +262,7 @@ def assert_same_state(eng, ref):
     for r, q in zip(eng.ranges, ref.ranges):
         assert r.table.dhat == q.table.dhat
         assert r.table.parent == q.table.parent
+        assert r.table.lim == q.table.lim
         assert (r.table.work, r.table.decreases, r.rebuilds) == \
             (q.table.work, q.table.decreases, q.rebuilds)
     assert eng.short.table.dhat == ref.short.table.dhat
@@ -271,21 +273,29 @@ def assert_same_state(eng, ref):
 
 @settings(max_examples=60, deadline=None)
 @given(stream=streams(), mode=st.sampled_from(["det", "nosync"]),
-       c_b=st.sampled_from([1, None, 10 ** 6]))
-def test_shared_rebuild_matches_per_range_dijkstra(stream, mode, c_b):
-    """One Dijkstra to the largest cap, shared by every range, leaves each
-    range exactly as a Dijkstra capped at the range's own cap followed by
-    the original full-scan assignment would.  c_b = 10^6 gives B = 1, a
-    rebuild before every insertion."""
+       c_b=st.sampled_from([1, None, 10 ** 6]), preprocess=st.booleans())
+def test_shared_rebuild_matches_per_range_dijkstra(stream, mode, c_b,
+                                                   preprocess):
+    """One Dijkstra to the largest cap, shared by every range and visited
+    only where it differs from the previous one, leaves each range exactly
+    as a Dijkstra capped at the range's own cap followed by the original
+    full-scan assignment would.  c_b = 10^6 gives B = 1, a rebuild before
+    every insertion.  Without ``preprocess`` the initial edges are
+    inserted, and the first rebuild is diffed against the empty graph's
+    tree."""
     def build():
         return IncrementalSSSP(Config(
             n=stream.n, m_budget=stream.budget, max_weight=stream.max_weight,
             mode=mode, c_b=c_b))
     eng, ref = build(), build()
-    eng.preprocess(stream.initial_edges)
-    reference_preprocess(ref, stream.initial_edges)
+    insertions = stream.insertions
+    if preprocess:
+        eng.preprocess(stream.initial_edges)
+        reference_preprocess(ref, stream.initial_edges)
+    else:
+        insertions = [("a", *e) for e in stream.initial_edges] + insertions
     assert_same_state(eng, ref)
-    for _, u, v, w in stream.insertions:
+    for _, u, v, w in insertions:
         eng.insert(u, v, w)
         reference_insert(ref, u, v, w)
         assert_same_state(eng, ref)

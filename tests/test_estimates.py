@@ -5,8 +5,11 @@ from math import inf
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from incsssp import CAP, EstimateTable, Graph, NotAPath, bucket, dijkstra
-from tests.conftest import random_graph
+from incsssp import CAP, EstimateTable, Graph, NotAPath, dijkstra
+from incsssp.intmath import ceil_div
+from incsssp.lazy import relax_limit
+from tests.conftest import plant, random_graph
+from tests.reference_lazy import ReferenceTable
 
 
 def make_table(graph, source=0, cap=10 ** 9, gran=Fraction(1)):
@@ -14,6 +17,16 @@ def make_table(graph, source=0, cap=10 ** 9, gran=Fraction(1)):
 
 
 # -- bucket arithmetic -------------------------------------------------------
+
+
+def bucket(d, num: int, den: int):
+    """Bucket index ⌈d·den/num⌉ of an estimate for granularity εδ = num/den.
+
+    CAP maps to a dedicated maximal bucket.
+    """
+    if d == inf:
+        return inf
+    return ceil_div(d * den, num)
 
 
 def test_bucket_zero():
@@ -39,6 +52,86 @@ def test_bucket_monotone(d1, d2, num, den):
     assert bucket(lo, num, den) <= bucket(hi, num, den)
 
 
+# -- relaxation limits -------------------------------------------------------
+
+scales = st.sampled_from([2 ** 6, 2 ** 20, 2 ** 60])
+
+
+@settings(max_examples=300)
+@given(scale=scales, data=st.data())
+def test_limit_is_the_bucket_test(scale, data):
+    """cand ≤ lim iff cand < cap and (d̂ is CAP or bucket(d̂) > bucket(cand)),
+    for every estimate a table can hold: CAP or an integer below the cap."""
+    num = data.draw(st.integers(1, scale))
+    den = data.draw(st.integers(1, scale))
+    cap = data.draw(st.integers(1, scale))
+    d = data.draw(st.one_of(st.just(CAP), st.integers(0, cap - 1)))
+    gran = max(1, num // den)
+    near = [c for c in (d, cap) if c != CAP]
+    cand = data.draw(st.one_of(
+        st.integers(0, 2 * scale),
+        st.sampled_from(near).flatmap(
+            lambda c: st.integers(max(0, c - 3 * gran), c + 3 * gran))))
+    want = cand < cap and (d == CAP or bucket(d, num, den) > bucket(cand, num, den))
+    assert (cand <= relax_limit(d, num, den, cap)) == want
+
+
+@st.composite
+def relaxation_cases(draw):
+    """A random graph, granularity, cap and planted estimates, and a
+    sequence of single relaxations and propagations to run on them."""
+    scale = draw(scales)
+    n = draw(st.integers(2, 10))
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                    st.integers(0, n - 1),
+                                    st.integers(1, scale)), max_size=4 * n))
+    g = Graph(n, scale)
+    for u, v, w in edges:
+        if u != v and not g.has_edge(u, v):
+            g.insert_edge(u, v, w)
+    gran = Fraction(draw(st.integers(1, 4 * scale)), draw(st.integers(1, 97)))
+    cap = draw(st.integers(1, n * scale))
+    planted = {v: draw(st.one_of(st.just(CAP), st.integers(0, cap - 1)))
+               for v in range(1, n)}
+    ops = draw(st.lists(st.one_of(
+        st.tuples(st.just("relax"), st.integers(0, max(0, g.edge_count - 1))),
+        st.tuples(st.just("propagate"),
+                  st.frozensets(st.integers(0, n - 1)))), max_size=8))
+    return g, gran, cap, planted, ops
+
+
+@settings(max_examples=200, deadline=None)
+@given(relaxation_cases())
+def test_limit_loop_matches_two_ceil_div_reference(case):
+    """The one-comparison relaxation and propagation give the same
+    estimates, parents, touched sets, work, decreases and decrease
+    notifications as the reference that computes both bucket indices."""
+    g, gran, cap, planted, ops = case
+    logs = ([], [])
+    new = EstimateTable(g, 0, cap, gran,
+                        on_decrease=lambda *a: logs[0].append(a))
+    ref = ReferenceTable(g, 0, cap, gran,
+                         on_decrease=lambda *a: logs[1].append(a))
+    plant(new, planted)
+    for v, d in planted.items():
+        ref.dhat[v] = d
+    edges = list(zip(g.edge_tails, g.edge_heads, g.edge_weights))
+    for kind, arg in ops:
+        if kind == "relax":
+            if not edges:
+                continue
+            got, want = new.try_relax(*edges[arg]), ref.try_relax(*edges[arg])
+        else:
+            got, want = new.partial_dijkstra(arg), ref.partial_dijkstra(arg)
+        assert got == want
+        assert new.dhat == ref.dhat
+        assert new.parent == ref.parent
+        assert (new.work, new.decreases) == (ref.work, ref.decreases)
+        assert logs[0] == logs[1]
+        assert new.lim == [relax_limit(d, new.gran_num, new.gran_den, cap)
+                           for d in new.dhat]
+
+
 # -- try_relax ---------------------------------------------------------------
 
 
@@ -46,7 +139,7 @@ def test_try_relax_crossing_fires():
     g = Graph(3, 100)
     g.insert_edge(0, 1, 3)
     t = make_table(g, gran=Fraction(2))
-    t.dhat[1] = 10
+    plant(t, {1: 10})
     assert t.try_relax(0, 1, 3) is True
     assert t.dhat[1] == 3
     assert t.parent[1] == 0
@@ -56,7 +149,7 @@ def test_try_relax_equal_bucket_is_no_relaxation():
     g = Graph(3, 100)
     g.insert_edge(0, 1, 3)
     t = make_table(g, gran=Fraction(2))
-    t.dhat[1] = 4
+    plant(t, {1: 4})
     assert t.try_relax(0, 1, 3) is False
     assert t.dhat[1] == 4
 
@@ -104,7 +197,7 @@ def test_partial_dijkstra_chain():
     g.insert_edge(0, 1, 1)
     g.insert_edge(1, 2, 1)
     t = make_table(g, gran=Fraction(1))
-    t.dhat = [0, 1, 9]   # a pre-set to 1, b stale at 9
+    plant(t, [0, 1, 9])   # a pre-set to 1, b stale at 9
     touched = t.partial_dijkstra({1})
     assert t.dhat[2] == 2
     assert touched == {2}
@@ -118,7 +211,7 @@ def test_in_queue_decrease_not_touched():
     g.insert_edge(0, 2, 1)
     g.insert_edge(2, 1, 2)   # cheaper route to 1 via 2
     t = make_table(g, gran=Fraction(4))
-    t.dhat = [0, 100, 100, inf]
+    plant(t, [0, 100, 100, inf])
     touched = t.partial_dijkstra({0})
     # 1 entered the queue at 2 (touched); 2 at 1 (touched); when 2 left the
     # queue it offered 1 the value 3 -- same bucket, no second touch
@@ -144,7 +237,8 @@ def test_fixed_set_property_random(seed):
     g = random_graph(16, 60, 8, seed=seed)
     t = make_table(g, cap=10 ** 6, gran=Fraction(rng.randint(1, 5)))
     for v in range(1, 16):
-        t.dhat[v] = rng.choice([inf] + [rng.randint(0, 200) for _ in range(3)])
+        plant(t, {v: rng.choice([inf] + [rng.randint(0, 200)
+                                         for _ in range(3)])})
     v_input = {v for v in range(16) if rng.random() < 0.4}
     touched = t.partial_dijkstra(v_input)
     assert fixed_set_holds(t, g, v_input | touched)
@@ -223,7 +317,7 @@ def slack_fixture():
     for i in range(4):
         g.insert_edge(i, i + 1, 1)
     t = make_table(g, gran=Fraction(1))
-    t.dhat = [2, 7, 8, 8, 9]
+    plant(t, [2, 7, 8, 8, 9])
     return g, t
 
 

@@ -54,6 +54,18 @@ def test_constructor_rejects_bad_sizes(n, max_weight, error):
         Graph(n, max_weight)
 
 
+@pytest.mark.parametrize("budget", ["2", 1.5, 2.0, -1])
+def test_constructor_rejects_bad_budget(budget):
+    with pytest.raises(BudgetExceeded):
+        Graph(3, 5, budget=budget)
+
+
+def test_zero_budget_admits_no_edge():
+    g = Graph(3, 5, budget=0)
+    with pytest.raises(BudgetExceeded):
+        g.insert_edge(0, 1, 1)
+
+
 def test_out_edges_in_insertion_order():
     g = Graph(3, 10)
     g.insert_edge(0, 1, 5)

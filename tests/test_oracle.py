@@ -10,7 +10,7 @@ from incsssp import (Config, Graph, IncrementalSSSP, brute_force_distances,
                      dijkstra, exact_distances_fast, phase_error_audit,
                      phase_error_bound, verify)
 from incsssp.workloads import random_stream
-from tests.conftest import random_graph, streams
+from tests.conftest import plant, random_graph, streams
 
 
 def test_single_edge():
@@ -222,9 +222,9 @@ def test_edge_breach_of_one_caught_at_big_weights(big):
     label, table = next((label, t) for label, t in eng.audit_tables()
                         if t.dhat[1] == w - 1 and t.dhat[1] + 2 * w < t.cap)
     floor_gran = table.gran_num // table.gran_den
-    table.dhat[2] = table.dhat[1] + w + floor_gran
+    plant(table, {2: table.dhat[1] + w + floor_gran})
     assert verify(eng, dist, eng.guarantee_epsilon).invariant_breaches == []
-    table.dhat[2] += 1
+    plant(table, {2: table.dhat[2] + 1})
     report = verify(eng, dist, eng.guarantee_epsilon)
     assert report.invariant_breaches == [
         (label, (1, 2), floor_gran + 1 - table.gran)]
@@ -303,7 +303,8 @@ def test_audit_matches_fraction_reference(stream, mode, edits):
     tables = eng.audit_tables()
     for t, v, frac in edits:
         table = tables[t % len(tables)][1]
-        table.dhat[v % stream.n] = inf if frac > 1 else int(frac * table.cap)
+        plant(table, {v % stream.n: inf if frac > 1
+                      else int(frac * table.cap)})
     want = []
     for label, table in tables:
         for u, v, w in zip(eng.graph.edge_tails, eng.graph.edge_heads,

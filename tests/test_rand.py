@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from incsssp import Config, Graph, IncrementalSSSP, RandomizedRange, dijkstra
 from incsssp.intmath import ceil_cbrt, ceil_frac, ceil_log2
-from tests.conftest import random_graph, streams
+from tests.conftest import plant, random_graph, streams
 
 
 def make_range(graph, tau=8, eps=Fraction(1, 4), m_budget=64, seed=1,
@@ -108,7 +108,7 @@ def test_sync_takes_pointwise_minimum_and_drops_phi():
     g.insert_edge(0, 1, 10)
     r = make_range(g, tau=8, m_budget=30)
     # force divergence (test-only surgery): hidden holds 12, visible 10
-    r._hidden.dhat[1] = 12
+    plant(r._hidden, {1: 12})
     r.phi += 2
     assert r.phi == r.potential_scan()
     phi_before = r.phi

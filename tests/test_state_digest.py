@@ -1,0 +1,40 @@
+from fractions import Fraction
+
+import pytest
+
+from incsssp import Config, IncrementalSSSP, random_stream
+from tests.conftest import plant
+from tools.state_digest import replay_digest, snapshot
+
+
+def builder(mode):
+    def make(stream):
+        return IncrementalSSSP(Config(
+            n=stream.n, m_budget=stream.budget, max_weight=stream.max_weight,
+            mode=mode, iter_mult=Fraction(1, 100)))
+    return make
+
+
+@pytest.mark.parametrize("mode", ["det", "rand"])
+def test_digest_is_stable_and_sees_one_estimate(mode):
+    stream = random_stream(24, 80, 6, seed=7)
+    make = builder(mode)
+    assert replay_digest(make, [stream]) == replay_digest(make, [stream])
+
+    eng = make(stream)
+    eng.preprocess(stream.initial_edges)
+    for _, u, v, w in stream.insertions:
+        eng.insert(u, v, w)
+    before = snapshot(eng)
+    assert snapshot(eng) == before
+    table = eng.audit_tables()[-1][1]
+    v = next(v for v, d in enumerate(table.dhat) if 0 < d < table.cap)
+    plant(table, {v: table.dhat[v] + 1})
+    assert snapshot(eng) != before
+
+    def make_planted(stream):
+        eng = make(stream)
+        plant(eng.audit_tables()[-1][1], {v: 0})   # below any true distance
+        return eng
+    assert replay_digest(make_planted, [stream]) != \
+        replay_digest(make, [stream])
