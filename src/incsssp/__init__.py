@@ -14,11 +14,11 @@ from .errors import (AlreadyPreprocessed, BudgetExceeded, DuplicateEdge,
 from .graph import Edge, Graph
 from .lazy import CAP, EstimateTable
 from .det import DeterministicRange, batch_index, bounded_dijkstra
-from .rand import FixingSample, RandomizedRange
+from .rand import RandomizedRange
 from .short import ShortDistanceTree
-from .oracle import (ExactDistances, VerifyReport, additive_error_histogram,
-                     brute_force_distances, dijkstra, exact_distances_fast,
-                     phase_error_audit, phase_error_bound, verify)
+from .oracle import (ExactDistances, VerifyReport, brute_force_distances,
+                     dijkstra, exact_distances_fast, phase_error_audit,
+                     phase_error_bound, verify)
 from .workloads import (QuadraticErrorParams, InsertionStream, adaptive_run,
                         quadratic_error_stream, random_stream)
 from .cli import parse_stream, serialize_stream, run
@@ -30,10 +30,9 @@ __all__ = [
     "TooDense", "Unreachable", "VertexOutOfRange", "WeightOutOfRange",
     "Edge", "Graph", "CAP", "EstimateTable",
     "DeterministicRange", "batch_index", "bounded_dijkstra",
-    "FixingSample", "RandomizedRange", "ShortDistanceTree",
-    "ExactDistances", "VerifyReport", "additive_error_histogram",
-    "brute_force_distances", "dijkstra", "exact_distances_fast",
-    "phase_error_audit", "phase_error_bound", "verify",
+    "RandomizedRange", "ShortDistanceTree",
+    "ExactDistances", "VerifyReport", "brute_force_distances", "dijkstra",
+    "exact_distances_fast", "phase_error_audit", "phase_error_bound", "verify",
     "QuadraticErrorParams", "InsertionStream", "adaptive_run", "quadratic_error_stream",
     "random_stream", "parse_stream", "serialize_stream", "run",
 ]

@@ -43,8 +43,9 @@ def insert_step(table: EstimateTable, u: int, v: int, w: int, b: int,
                 sync: bool = True) -> set[int]:
     """One insertion-processing step at in-phase index b.
 
-    Bucket-tests the new edge, gathers the synchronized batch, propagates,
-    and stamps everything the propagation touched with time b.
+    Bucket-tests the new edge, gathers the synchronized batch (the union
+    of the touch lists of steps ((k−1)·2^j, b]), propagates, and logs
+    everything the propagation touched at step b.
     """
     relaxed = table.try_relax(u, v, w)
     if relaxed:

@@ -88,12 +88,24 @@ class Graph:
         return self._edges(self._initial_count, self.edge_count)
 
     def load_initial(self, edges) -> None:
-        """Install pre-existing edges; only valid before any logged insertion."""
+        """Install pre-existing edges, all or none; only valid before any
+        logged insertion.  A rejected edge removes the ones installed
+        before it in this call, then the error propagates."""
         if self.edge_count > self._initial_count:
             raise BudgetExceeded("initial edges must precede all insertions")
-        for (u, v, w) in edges:
-            self._add(u, v, w)
-            self._initial_count += 1
+        start = self.edge_count
+        try:
+            for (u, v, w) in edges:
+                self._add(u, v, w)
+        except BaseException:
+            tails, heads = self.edge_tails, self.edge_heads
+            while len(tails) > start:   # newest first: each is last in adj
+                u, v = tails.pop(), heads.pop()
+                self.edge_weights.pop()
+                self._adj[u].pop()
+                del self._weights[(u, v)]
+            raise
+        self._initial_count = self.edge_count
 
     def insert_edge(self, u: int, v: int, w: int) -> int:
         """Insert edge (u, v, w); returns its 1-based insertion index."""

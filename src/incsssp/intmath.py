@@ -49,7 +49,3 @@ def floor_log2(n: int) -> int:
 
 def ceil_frac(x: Fraction) -> int:
     return -((-x.numerator) // x.denominator)
-
-
-def floor_frac(x: Fraction) -> int:
-    return x.numerator // x.denominator

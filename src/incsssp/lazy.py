@@ -3,10 +3,10 @@
 A :class:`DistanceTable` keeps one distance estimate per vertex, a parent
 pointer recording the edge that caused the last decrease, and decrease
 notifications; the exact short tree uses it as it is.  An
-:class:`EstimateTable` adds εδ-quantized relaxation and per-phase touch
-timestamps for the lazy ranges.  Relaxations fire only when they would
-lower the bucket index ⌈d·den/num⌉ of εδ = num/den, held as an exact
-rational so the boundary test never suffers floating-point
+:class:`EstimateTable` adds εδ-quantized relaxation and a per-phase touch
+log, one vertex list per step, for the lazy ranges.  Relaxations fire only
+when they would lower the bucket index ⌈d·den/num⌉ of εδ = num/den, held
+as an exact rational so the boundary test never suffers floating-point
 misclassification.
 
 Estimates at or above the table's cap are stored as the CAP sentinel
@@ -109,7 +109,7 @@ class DistanceTable:
 
 
 class EstimateTable(DistanceTable):
-    """Distance estimates with εδ-quantized relaxation and touch stamps."""
+    """Distance estimates with εδ-quantized relaxation and a touch log."""
 
     def __init__(self, graph, source: int, cap: int, gran: Fraction,
                  on_decrease=None):
@@ -122,7 +122,6 @@ class EstimateTable(DistanceTable):
         self.gran_den = den = gran.denominator
         self.lim: list = [relax_limit(CAP, num, den, cap)] * n
         self.lim[source] = relax_limit(0, num, den, cap)
-        self.last_touched = [0] * n
         self._touch_log: dict[int, list[int]] = {}
         # in-queue flags of partial_dijkstra, all False between calls
         self._queued = [False] * n
@@ -162,30 +161,27 @@ class EstimateTable(DistanceTable):
         return False
 
     def mark_touched(self, vertices, b: int) -> None:
-        """Stamp every vertex of ``vertices`` with time b."""
+        """Log ``vertices`` as touched at step b."""
         if vertices:
-            lt = self.last_touched
-            for v in vertices:
-                lt[v] = b
             self._touch_log.setdefault(b, []).extend(vertices)
 
     def touched_in_window(self, lo: int, hi: int) -> set[int]:
-        """Vertices whose last touch falls in (lo, hi]."""
+        """Vertices touched at some step in (lo, hi].
+
+        The one caller, ``det.insert_step``, passes the current step as
+        ``hi``, so no touch lies past the window and the union of its step
+        lists is the set of vertices whose last touch falls in it.
+        """
         log = self._touch_log
-        lt = self.last_touched
         out = set()
         for t in range(lo + 1, hi + 1):
-            for v in log.get(t, ()):
-                if lt[v] == t:
-                    out.add(v)
+            vs = log.get(t)
+            if vs:   # most steps touch nothing: skip the update call
+                out.update(vs)
         return out
 
     def reset_phase(self) -> None:
-        """Zero all touch timestamps (called on rebuild / fixing phase)."""
-        lt = self.last_touched
-        for vs in self._touch_log.values():
-            for v in vs:
-                lt[v] = 0
+        """Clear the touch log (called on rebuild / fixing phase)."""
         self._touch_log.clear()
 
     # -- propagation ---------------------------------------------------

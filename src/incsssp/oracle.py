@@ -287,15 +287,3 @@ def phase_error_bound(phase_length: int, eps_delta: Fraction) -> PhaseErrorBound
     """The per-phase error bound 2·B·εδ·lg B + B·εδ of a synchronized range,
     as a value that compares exactly with any rational error."""
     return PhaseErrorBound(phase_length, eps_delta)
-
-
-def additive_error_histogram(engine, dist, bin_width: int):
-    """Histogram of query(v) − d(s,v) over reachable vertices (diagnostic)."""
-    counts: dict[int, int] = {}
-    for v, d in enumerate(dist):
-        if d == inf:
-            continue
-        q = engine.min_value[v]
-        key = inf if q == inf else int((q - d) // bin_width)
-        counts[key] = counts.get(key, 0) + 1
-    return dict(sorted(counts.items(), key=lambda kv: (kv[0] == inf, kv[0])))

@@ -12,7 +12,6 @@ windows hidden is what lets query answers reveal nothing an adaptive
 adversary can use before the next synchronization.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import inf
 
@@ -21,14 +20,6 @@ import numpy as np
 from .det import bounded_dijkstra, insert_step
 from .intmath import ceil_cbrt, ceil_frac, floor_cbrt
 from .lazy import EstimateTable
-
-
-@dataclass(frozen=True)
-class FixingSample:
-    """Window indices drawn by one fixing phase (diagnostic record)."""
-    indices: tuple
-    window_width: Fraction
-    iteration_count: int
 
 
 class _TrackedTable(EstimateTable):
@@ -86,12 +77,10 @@ class RandomizedRange:
     """
 
     def __init__(self, graph, source: int, tau: int, eps: Fraction,
-                 m_budget: int, lg_n: int, rng, iter_mult: Fraction = Fraction(1),
-                 record_samples: bool = False):
+                 m_budget: int, lg_n: int, rng, iter_mult: Fraction = Fraction(1)):
         self.graph = graph
         self.source = source
         self.tau = tau
-        self.eps = eps
         m_cbrt = ceil_cbrt(m_budget)
         self.m_cbrt = m_cbrt
         self.B = max(1, floor_cbrt(m_budget))
@@ -104,8 +93,6 @@ class RandomizedRange:
             0, ceil_frac(2 * m_cbrt + 200 * eps * m_cbrt * lg_n - 8))
         self.iterations = max(1, ceil_frac(Fraction(2000 * lg_n) / eps * iter_mult))
         self.rng = rng
-        self.record_samples = record_samples
-        self.sample_history: list[FixingSample] = []
         self.fixing_phases = 0
         self.fixing_log: list[int] = []   # insertion count at each phase
         self.b = 0
@@ -186,9 +173,6 @@ class RandomizedRange:
 
         draws = self.rng.integers(0, self.max_window_index + 1,
                                   size=self.iterations)
-        if self.record_samples:
-            self.sample_history.append(FixingSample(
-                tuple(int(i) for i in draws), 8 * self.delta, self.iterations))
         v_star = self._window_union(draws)
         hid.partial_dijkstra(v_star)
 

@@ -1,12 +1,15 @@
 import random
+from collections import defaultdict
 from fractions import Fraction
 from math import inf
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from incsssp import (Config, DeterministicRange, Graph, IncrementalSSSP,
-                     PhaseFull, batch_index, bounded_dijkstra, dijkstra)
+                     PhaseFull, RandomizedRange, batch_index,
+                     bounded_dijkstra, dijkstra)
 from incsssp.intmath import ceil_log2
 from tests.conftest import random_graph, streams
 
@@ -185,6 +188,73 @@ def test_entry_count_bound_per_decrease():
         inserted += 1
         for x in range(20):
             assert memberships[x] <= limit * touches[x]
+
+
+def check_batches(owner, table) -> list[bool]:
+    """Check every batch ``table`` gathers against the paper's definition:
+    at step b = k·2^j of a phase, the vertices touched at steps
+    ((k−1)·2^j, b] since the phase began.  Returns, per batch, whether it
+    holds a vertex not touched at step b itself."""
+    touched = defaultdict(set)   # step -> vertices touched at it this phase
+    reaches_back = []
+    mark = table.mark_touched
+    window = table.touched_in_window
+    reset = table.reset_phase
+
+    def recording_mark(vertices, b):
+        touched[b].update(vertices)
+        mark(vertices, b)
+
+    def checked_window(lo, hi):
+        got = window(lo, hi)
+        j, k = batch_index(hi)
+        assert hi == owner.b and lo == (k - 1) << j
+        assert got == set().union(*(touched[t] for t in range(lo + 1, hi + 1)))
+        reaches_back.append(bool(got - touched[hi]))
+        return got
+
+    def recording_reset():
+        touched.clear()
+        reset()
+
+    table.mark_touched = recording_mark
+    table.touched_in_window = checked_window
+    table.reset_phase = recording_reset
+    return reaches_back
+
+
+def test_batch_is_union_of_window_touch_lists():
+    n = 24
+    g = Graph(n, 16)
+    det_r = DeterministicRange(g, 0, 1, Fraction(2), phase_length=16,
+                               cap=10 ** 6)
+    # τ = 32 puts the rand potential threshold ε·M·τ/4 at 8, so phases
+    # often outlast one step and batches reach back
+    rand_r = RandomizedRange(
+        g, 0, 32, Fraction(1, 4), 64, ceil_log2(n),
+        np.random.Generator(np.random.PCG64(5)), iter_mult=Fraction(1, 100))
+    checks = [check_batches(det_r, det_r.table),
+              check_batches(rand_r, rand_r.table),
+              check_batches(rand_r, rand_r._hidden)]
+    rng = random.Random(11)
+    seen = set()
+    while len(seen) < 120:
+        u = rng.randrange(n)
+        v = rng.randrange(n - 1)
+        if v >= u:
+            v += 1
+        if (u, v) in seen:
+            continue
+        seen.add((u, v))
+        w = rng.randint(1, 16)
+        if det_r.phase_full():
+            det_r.rebuild()
+        g.insert_edge(u, v, w)
+        det_r.insert(u, v, w)
+        rand_r.insert(u, v, w)
+    assert det_r.rebuilds > 1 and rand_r.fixing_phases > 1
+    for reaches_back in checks:
+        assert len(reaches_back) == 120 and any(reaches_back)
 
 
 def test_baseline_mode_propagates_only_from_inserted_head():

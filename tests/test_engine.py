@@ -30,6 +30,13 @@ def min_table_scan(eng) -> list:
     return out
 
 
+def test_every_exported_name_resolves():
+    import incsssp
+    assert [name for name in incsssp.__all__
+            if not hasattr(incsssp, name)] == []
+    assert len(set(incsssp.__all__)) == len(incsssp.__all__)
+
+
 def test_deterministic_parameter_derivation():
     eng = make(n=16, m=64, w=4)
     assert [r.tau for r in eng.ranges] == [8, 16, 32, 64]
@@ -113,6 +120,18 @@ def test_preprocess_budget():
     eng = make(n=8, m=4, w=4)
     with pytest.raises(BudgetExceeded):
         eng.preprocess([(i, i + 1, 1) for i in range(5)])
+
+
+@pytest.mark.parametrize("mode", ["det", "rand"])
+def test_failed_preprocess_installs_nothing(mode):
+    eng = make(n=4, m=10, w=10, mode=mode)
+    with pytest.raises(DuplicateEdge):
+        eng.preprocess([(0, 1, 3), (1, 2, 3), (1, 2, 4)])
+    assert eng.graph.edge_count == 0
+    eng.preprocess([(0, 1, 3), (1, 2, 3)])
+    eng.insert(2, 3, 1)
+    assert verify(eng, dijkstra(eng.graph, 0).d, eng.guarantee_epsilon).clean
+    assert [eng.query(v) for v in range(4)] == [0, 3, 6, 7]
 
 
 def test_preprocess_only_once_and_first():

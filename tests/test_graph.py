@@ -1,8 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from incsssp import (BudgetExceeded, DuplicateEdge, Graph, VertexOutOfRange,
-                     WeightOutOfRange)
+from incsssp import (BudgetExceeded, DuplicateEdge, Edge, Graph,
+                     VertexOutOfRange, WeightOutOfRange)
 
 
 def test_first_insertion_gets_index_one():
@@ -94,6 +94,20 @@ def test_initial_edges_must_precede_insertions():
     g.insert_edge(0, 1, 1)
     with pytest.raises(BudgetExceeded):
         g.load_initial([(1, 2, 1)])
+
+
+@pytest.mark.parametrize("bad, error", [
+    ((1, 2, 4), DuplicateEdge), ((2, 3, 11), WeightOutOfRange),
+    ((2, 9, 1), VertexOutOfRange), ((2, 3), ValueError)])
+def test_rejected_initial_list_installs_none_of_it(bad, error):
+    g = Graph(4, 10, initial_edges=[(3, 0, 5)])
+    with pytest.raises(error):
+        g.load_initial([(0, 1, 3), (1, 2, 3), (0, 2, 7), bad])
+    assert g.edge_count == 1 and g.initial_edges == [Edge(3, 0, 5)]
+    assert [g.out_edges(u) for u in range(4)] == [[], [], [], [(0, 5)]]
+    assert not g.has_edge(0, 1) and not g.has_edge(1, 2)
+    g.load_initial([(0, 1, 3), (1, 2, 3)])
+    assert g.insert_edge(2, 3, 1) == 1
 
 
 edge_lists = st.lists(

@@ -94,16 +94,6 @@ def test_upper_violation_detected():
     assert any(v == victim for (v, _, _, _) in report.upper_violations)
 
 
-def test_additive_error_histogram():
-    from incsssp import additive_error_histogram
-    eng = replayed_engine(seed=7)
-    truth = dijkstra(eng.graph, 0)
-    hist = additive_error_histogram(eng, truth.d, bin_width=4)
-    reachable = sum(1 for d in truth.d if d != inf)
-    assert sum(hist.values()) == reachable
-    assert all(k == inf or k >= 0 for k in hist)
-
-
 def test_phase_error_audit_zero_after_rebuild():
     from incsssp import DeterministicRange
     g = random_graph(16, 60, 6, seed=2)

@@ -118,13 +118,36 @@ def test_sync_takes_pointwise_minimum_and_drops_phi():
     assert r.phi <= phi_before - 2
 
 
+class RecordingRng:
+    """Stands in for a range's generator and records the window indices of
+    each fixing phase, which ``integers`` draws once per phase.  (A numpy
+    Generator's methods cannot be reassigned, so the wrapper replaces the
+    attribute ``r.rng`` rather than ``r.rng.integers``.)"""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.draws = []
+
+    def integers(self, *args, **kwargs):
+        got = self.rng.integers(*args, **kwargs)
+        self.draws.append(tuple(int(i) for i in got))
+        return got
+
+
+def record_draws(r):
+    r.rng = RecordingRng(r.rng)
+    return r.rng.draws
+
+
 def test_sampled_indices_reproducible():
     def collect(seed):
         g = Graph(16, 5)
-        r = make_range(g, m_budget=27, seed=seed, record_samples=True)
+        r = make_range(g, m_budget=27, seed=seed)
+        draws = record_draws(r)
         for _ in drive(r, g, 20, seed=99):
             pass
-        return [s.indices for s in r.sample_history]
+        assert len(draws) == r.fixing_phases > 0
+        return draws
 
     assert collect(7) == collect(7)
     assert collect(7) != collect(8)
@@ -132,13 +155,14 @@ def test_sampled_indices_reproducible():
 
 def test_sample_range_invariant():
     g = Graph(16, 5)
-    r = make_range(g, m_budget=27, seed=3, record_samples=True)
+    r = make_range(g, m_budget=27, seed=3)
+    draws = record_draws(r)
     for _ in drive(r, g, 20, seed=5):
         pass
-    for s in r.sample_history:
-        assert s.iteration_count == r.iterations
-        assert all(0 <= i <= r.max_window_index for i in s.indices)
-        assert s.window_width == 8 * r.delta
+    assert len(draws) == r.fixing_phases > 0
+    for indices in draws:
+        assert len(indices) == r.iterations
+        assert all(0 <= i <= r.max_window_index for i in indices)
 
 
 def test_visible_estimate_ignores_hidden_mutations():

@@ -31,6 +31,9 @@ def test_digest_is_stable_and_sees_one_estimate(mode):
     v = next(v for v, d in enumerate(table.dhat) if 0 < d < table.cap)
     plant(table, {v: table.dhat[v] + 1})
     assert snapshot(eng) != before
+    planted = snapshot(eng)
+    table.mark_touched((v,), 10 ** 9)   # a touch log entry alone
+    assert snapshot(eng) != planted
 
     def make_planted(stream):
         eng = make(stream)

@@ -10,12 +10,13 @@ and the C1 acceptance configurations (``random_stream(128, 1500, 64)``,
 det mode, ε ∈ {1/4, 1/10} × c_B ∈ {1, default}), through the package in
 ``--src``.  After ``preprocess``, after every 16th insertion and at the
 end of each stream it hashes, with sha256, every table's estimates,
-parents, work and decreases, every structure's ``counters()``, phase
-counter ``b``, potential ``phi`` and fixing-phase log where it has them,
-the global minimum values and which structure owns each minimum.  It
-prints one digest per workload and engine.  Two checkouts whose digests
-match left every structure bit-identical along the way; timing never
-enters the digest.
+parents, work, decreases and touch log (``None`` for the short tree,
+which keeps none), every structure's ``counters()``, phase counter ``b``,
+potential ``phi`` and fixing-phase log where it has them, the global
+minimum values and which structure owns each minimum.  It prints one
+digest per workload and engine.  Two checkouts whose digests match left
+every structure bit-identical along the way; timing never enters the
+digest.
 """
 
 import argparse
@@ -38,8 +39,8 @@ def snapshot(engine) -> bytes:
     for s in structures:
         tables = [s.table] if s is engine.short else \
             [t for _, t in s.audit_tables()]
-        parts.append([(t.dhat, t.parent, t.work, t.decreases)
-                      for t in tables])
+        parts.append([(t.dhat, t.parent, t.work, t.decreases,
+                       getattr(t, "_touch_log", None)) for t in tables])
         parts.append(sorted(s.counters().items()))
         parts.append([getattr(s, name, None)
                       for name in ("b", "phi", "fixing_log")])
