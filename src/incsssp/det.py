@@ -45,17 +45,17 @@ def insert_step(table: EstimateTable, u: int, v: int, w: int, b: int,
 
     Bucket-tests the new edge, gathers the synchronized batch (the union
     of the touch lists of steps ((k−1)·2^j, b]), propagates, and logs
-    everything the propagation touched at step b.
+    everything the propagation touched at step b.  Without ``sync`` the
+    batch is the head alone, if its relaxation fired, and nothing is
+    logged, since only the batch reads the log.
     """
     relaxed = table.try_relax(u, v, w)
+    if not sync:
+        return table.partial_dijkstra((v,) if relaxed else ())
     if relaxed:
         table.mark_touched((v,), b)
-    if sync:
-        j, k = batch_index(b)
-        v_input = table.touched_in_window((k - 1) << j, b)
-    else:
-        v_input = {v} if relaxed else set()
-    touched = table.partial_dijkstra(v_input)
+    j, k = batch_index(b)
+    touched = table.partial_dijkstra(table.touched_in_window((k - 1) << j, b))
     table.mark_touched(touched, b)
     return touched
 

@@ -10,6 +10,22 @@ random distance windows are sampled, and one propagation pass over the
 sampled vertices runs on the hidden table only.  Keeping the sampled
 windows hidden is what lets query answers reveal nothing an adaptive
 adversary can use before the next synchronization.
+
+The hidden pass runs only when it can lower something.  Call an edge
+(u, v, w) *tense* when d̂(u) + w < min(d̂(v), cap).  Both relaxation
+branches of ``partial_dijkstra`` need ``cand < d̂(v)`` and ``cand < cap``,
+so a call none of whose seeds has a tense out-edge lowers nothing and
+only charges its work, 1 + outdeg(u) per seed.  The one precondition is
+that estimates never increase: then an edge not tense stays so until
+d̂(u) drops or the edge is inserted, and a rebuild, which makes the table
+exact, leaves no edge tense.  So every tail of a tense edge is in the
+*dirty* set: the hidden vertices lowered since the last fixing phase (by
+insertions, the previous pass or the sync, all recorded in ``changed``),
+the tails of the edges inserted since then, and the tense vertices the
+last phase kept.  Each fixing phase prunes that set to the vertices still
+tense, and when no seed is among them it charges the work instead of
+running the pass.  Tables, counters and the draws are those of a run that
+always propagates.
 """
 
 from fractions import Fraction
@@ -24,8 +40,10 @@ from .lazy import EstimateTable
 
 class _TrackedTable(EstimateTable):
     """Estimate table that also records which vertices decreased since the
-    last synchronization, so the sync step visits only those.  A rebuild
-    assigns both tables the same exact values and records nothing."""
+    last synchronization, so the sync step visits only those and the
+    fixing phase knows which hidden vertices may have become tense.  A
+    rebuild assigns both tables the same exact values and records
+    nothing."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -53,13 +71,15 @@ class _HiddenListener:
     __slots__ = ("phi", "slots", "cap", "m_cbrt", "tau", "top")
 
     def __init__(self, r: "RandomizedRange", n: int, source: int):
-        self.phi = 0
+        # a new table holds d̂(s) = 0 and CAP, counted as the cap, elsewhere;
+        # every later decrease, a rebuild's included, is reported here
+        self.phi = (n - 1) * r.cap
         self.cap = r.cap
         self.m_cbrt = r.m_cbrt
         self.tau = r.tau
         self.top = r.max_window_index + 8
         self.slots = np.full(n, self.top, dtype=np.int64)
-        self.slots[source] = 0   # a new table holds d̂(s) = 0, all else CAP
+        self.slots[source] = 0
 
     def __call__(self, v, old, new):
         # estimates only decrease, so ``new`` is finite
@@ -111,15 +131,6 @@ class RandomizedRange:
         """Hidden potential Σ d̂, CAP counted as the cap."""
         return self._listener.phi
 
-    @phi.setter
-    def phi(self, value: int) -> None:
-        self._listener.phi = value
-
-    def potential_scan(self) -> int:
-        """Full-scan Σ d̂ over the hidden table (CAP counted as the cap)."""
-        cap = self.cap
-        return sum(cap if d == inf else d for d in self._hidden.dhat)
-
     # -- lifecycle -------------------------------------------------------
 
     def rebuild(self, tree: tuple[list, list] | None = None,
@@ -134,13 +145,19 @@ class RandomizedRange:
             tree = bounded_dijkstra(self.graph, self.source, self.cap)
         self.table.assign_exact(*tree, changed)
         self._hidden.assign_exact(*tree, changed)
-        self.phi = self.potential_scan()
         self.phi_snapshot = self.phi
         self.b = 0
         self.table.reset_phase()
         self._hidden.reset_phase()
         self.table.changed.clear()
         self._hidden.changed.clear()
+        # the hidden table now holds the bounded tree, so no edge is tense;
+        # the out-degrees count the first ``_edges_seen`` graph edges
+        self._tense: set[int] = set()
+        tails = self.graph.edge_tails
+        self._outdeg = np.bincount(np.array(tails, dtype=np.int64),
+                                   minlength=self.graph.n)
+        self._edges_seen = len(tails)
 
     def insert(self, u: int, v: int, w: int) -> None:
         self.b += 1
@@ -166,6 +183,9 @@ class RandomizedRange:
                 hid._set(v, a, ds.parent[v])
             elif h < a:
                 ds._set(v, h, hid.parent[v])
+        dirty = self._tense | hid.changed   # the sync's decreases included
+        dirty.update(self._new_tails())
+        self._tense = self._still_tense(dirty)
         ds.changed.clear()
         hid.changed.clear()
 
@@ -173,8 +193,12 @@ class RandomizedRange:
 
         draws = self.rng.integers(0, self.max_window_index + 1,
                                   size=self.iterations)
-        v_star = self._window_union(draws)
-        hid.partial_dijkstra(v_star)
+        seeds = self._window_union(draws)
+        if self._covers_tense(seeds):
+            hid.partial_dijkstra(seeds.tolist())
+        else:
+            # the pass would lower nothing: charge what it would have
+            hid.work += len(seeds) + int(self._outdeg[seeds].sum())
 
         self.b = 0
         ds.reset_phase()
@@ -182,8 +206,43 @@ class RandomizedRange:
         self.fixing_phases += 1
         self.fixing_log.append(self.insertions_seen)
 
-    def _window_union(self, draws) -> set[int]:
-        """Vertices of the hidden table with d̂ in [iδ, (i+8)δ) for any drawn i.
+    def _new_tails(self) -> list[int]:
+        """Tails of the graph edges added since the last call, counted into
+        the out-degrees."""
+        tails = self.graph.edge_tails
+        new = tails[self._edges_seen:]
+        self._edges_seen = len(tails)
+        outdeg = memoryview(self._outdeg)   # indexes as ints, not numpy scalars
+        for u in new:
+            outdeg[u] += 1
+        return new
+
+    def _still_tense(self, dirty) -> set[int]:
+        """The vertices of ``dirty`` with a tense out-edge in the hidden
+        table: d̂(u) + w < min(d̂(v), cap)."""
+        dhat = self._hidden.dhat
+        adj = self.graph._adj
+        cap = self.cap
+        tense = set()
+        for u in dirty:
+            du = dhat[u]
+            if du == inf:
+                continue
+            for v, w in adj[u]:
+                cand = du + w
+                if cand < cap and cand < dhat[v]:
+                    tense.add(u)
+                    break
+        return tense
+
+    def _covers_tense(self, seeds) -> bool:
+        """Whether a seed of the hidden pass has a tense out-edge."""
+        tense = self._tense
+        return bool(tense) and not tense.isdisjoint(seeds.tolist())
+
+    def _window_union(self, draws):
+        """Vertices of the hidden table with d̂ in [iδ, (i+8)δ) for any
+        drawn i, as a numpy array in increasing order.
 
         Membership is decided in exact integer arithmetic: with δ = τ/M,
         d̂ ∈ [iδ, (i+8)δ)  ⟺  iτ ≤ d̂·M < (i+8)τ  ⟺  i ≤ ⌊d̂·M/τ⌋ < i+8,
@@ -197,7 +256,7 @@ class RandomizedRange:
         edges = drawn.astype(np.int64)
         edges[8:] -= edges[:top - 7]
         covered = np.cumsum(edges) > 0
-        return set(np.flatnonzero(covered[self._listener.slots]).tolist())
+        return np.flatnonzero(covered[self._listener.slots])
 
     # -- queries ----------------------------------------------------------
 

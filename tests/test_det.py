@@ -11,6 +11,7 @@ from incsssp import (Config, DeterministicRange, Graph, IncrementalSSSP,
                      PhaseFull, RandomizedRange, batch_index,
                      bounded_dijkstra, dijkstra)
 from incsssp.intmath import ceil_log2
+from incsssp.lazy import EstimateTable
 from tests.conftest import random_graph, streams
 
 
@@ -267,6 +268,31 @@ def test_baseline_mode_propagates_only_from_inserted_head():
     touched = r.insert(0, 1, 1)
     assert r.table.dhat[1] == 1
     assert touched == {2, 3}
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_baseline_mode_logs_no_touch(seed):
+    """A nosync range keeps an empty touch log, and its estimates follow
+    the per-edge scheme: relax the new edge, propagate from its head."""
+    rng = random.Random(seed)
+    g = Graph(16, 9)
+    r = DeterministicRange(g, 0, 1, Fraction(3, 2), phase_length=10 ** 6,
+                           cap=60, sync=False)
+    ref = EstimateTable(g, 0, 60, Fraction(3, 2))
+    rebuild_work = r.table.work   # the constructor's rebuild charge
+    for _ in range(80):
+        u, v = rng.sample(range(16), 2)
+        if g.has_edge(u, v):
+            continue
+        w = rng.randint(1, 9)
+        g.insert_edge(u, v, w)
+        r.insert(u, v, w)
+        ref.partial_dijkstra({v} if ref.try_relax(u, v, w) else set())
+        assert r.table._touch_log == {}
+        assert (r.table.dhat, r.table.parent, r.table.work - rebuild_work,
+                r.table.decreases) == (ref.dhat, ref.parent, ref.work,
+                                       ref.decreases)
+    assert r.table.decreases > 10
 
 
 def test_bounded_dijkstra_abandons_at_cap():

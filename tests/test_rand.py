@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from incsssp import Config, Graph, IncrementalSSSP, RandomizedRange, dijkstra
 from incsssp.intmath import ceil_cbrt, ceil_frac, ceil_log2
-from tests.conftest import plant, random_graph, streams
+from tests.conftest import random_graph, streams
 
 
 def make_range(graph, tau=8, eps=Fraction(1, 4), m_budget=64, seed=1,
@@ -36,6 +36,11 @@ def drive(r, g, m, seed):
         r.insert(u, v, w)
         inserted += 1
         yield
+
+
+def potential_scan(r) -> int:
+    """Full-scan Σ d̂ over the hidden table, CAP counted as the cap."""
+    return sum(r.cap if d == inf else d for d in r._hidden.dhat)
 
 
 def test_cap_formula():
@@ -83,7 +88,7 @@ def test_potential_equals_full_scan(seed):
     g = Graph(14, 5)
     r = make_range(g, m_budget=60, seed=seed)
     for _ in drive(r, g, 45, seed=seed):
-        assert r.phi == r.potential_scan()
+        assert r.phi == potential_scan(r)
 
 
 def test_no_estimate_change_means_no_potential_drop():
@@ -105,17 +110,36 @@ def test_no_estimate_change_means_no_potential_drop():
 
 def test_sync_takes_pointwise_minimum_and_drops_phi():
     g = Graph(4, 20)
-    g.insert_edge(0, 1, 10)
+    g.insert_edge(0, 1, 12)
     r = make_range(g, tau=8, m_budget=30)
-    # force divergence (test-only surgery): hidden holds 12, visible 10
-    plant(r._hidden, {1: 12})
-    r.phi += 2
-    assert r.phi == r.potential_scan()
+    assert r.table.dhat[1] == r._hidden.dhat[1] == 12
+    # diverge by a recorded decrease of the visible table alone: hidden
+    # holds 12, visible 10, and no hidden edge is tense, so only the sync
+    # can lower the hidden estimate
+    r.table._set(1, 10, 0)
+    assert r.phi == potential_scan(r)
     phi_before = r.phi
     r.run_fixing_phase()
     assert r.table.dhat[1] == 10
     assert r._hidden.dhat[1] == 10
+    assert r._hidden.parent[1] == 0
     assert r.phi <= phi_before - 2
+
+
+def test_hidden_pass_runs_from_a_vertex_only_the_sync_lowered():
+    """A hidden vertex lowered by the sync alone can make an out-edge tense;
+    the pass must then run, in the hidden table only."""
+    g = Graph(4, 20)
+    g.insert_edge(0, 1, 12)
+    g.insert_edge(1, 2, 5)
+    # iter_mult 1 draws every window, so every finite vertex is a seed
+    r = make_range(g, tau=8, m_budget=30, iter_mult=Fraction(1))
+    assert r._hidden.dhat[:3] == [0, 12, 17]
+    r.table._set(1, 10, 0)
+    r.run_fixing_phase()
+    assert r._hidden.dhat[1] == 10 and r._hidden.dhat[2] == 15
+    assert r._hidden.parent[2] == 1
+    assert r.table.dhat[2] == 17   # the pass never touches the visible table
 
 
 class RecordingRng:
@@ -227,6 +251,13 @@ def window_union_reference(r, draws):
     return out
 
 
+def window_union(r, draws):
+    """The range's window union as a set; it comes as an increasing array."""
+    got = r._window_union(draws)
+    assert np.all(np.diff(got) > 0)
+    return set(got.tolist())
+
+
 @pytest.mark.parametrize("max_weight,tau", [(6, 8), (2 ** 62, 2 ** 62)],
                          ids=["int64", "past_int64"])
 def test_window_union_exact_at_any_weight(max_weight, tau):
@@ -238,8 +269,8 @@ def test_window_union_exact_at_any_weight(max_weight, tau):
     for _ in drive(r, g, 40, seed=3):
         draws = list(range(r.max_window_index + 1))
         want = window_union_reference(r, draws)
-        assert r._window_union(draws) == want
-        assert r._window_union(draws[::3]) == window_union_reference(
+        assert window_union(r, draws) == want
+        assert window_union(r, draws[::3]) == window_union_reference(
             r, draws[::3])
     assert r.fixing_phases > 0 and len(want) > 1
 
@@ -273,7 +304,7 @@ def test_window_union_matches_reference(stream, width, data):
         g.insert_edge(u, v, w * scale)
         r.insert(u, v, w * scale)
         draws = data.draw(window_draws(r.max_window_index))
-        assert r._window_union(np.asarray(draws, dtype=np.int64)) == \
+        assert window_union(r, np.asarray(draws, dtype=np.int64)) == \
             window_union_reference(r, draws)
 
 
@@ -282,7 +313,7 @@ def assert_mirror_current(r):
     want = [top if d == inf else min(d * r.m_cbrt // r.tau, top)
             for d in r._hidden.dhat]
     assert r._listener.slots.tolist() == want
-    assert r.phi == r.potential_scan()
+    assert r.phi == potential_scan(r)
 
 
 @settings(max_examples=40, deadline=None)
@@ -315,3 +346,73 @@ def test_hidden_mirror_tracks_table(stream, seed, raw_epsilon):
         for r in eng.ranges:
             assert_mirror_current(r)
     assert sum(r.fixing_phases for r in eng.ranges) > 0
+
+
+def hidden_seed_is_tense(r, seeds) -> bool:
+    """Brute force: a seed u with an out-edge (u, v, w) of the hidden table
+    where d̂(u) + w < min(d̂(v), cap)."""
+    dhat = r._hidden.dhat
+    return any(dhat[u] + w < min(dhat[v], r.cap)
+               for u in seeds.tolist() for v, w in r.graph.out_edges(u))
+
+
+def rand_state(eng):
+    """Every table's estimates, parents and counts, and every range's
+    potential, fixing-phase log and counters."""
+    return ([(t.dhat[:], t.parent[:], t.work, t.decreases)
+             for _, t in eng.audit_tables()],
+            [(r.phi, r.fixing_log[:], r.counters()) for r in eng.ranges])
+
+
+def test_skipped_hidden_pass_matches_always_propagating():
+    """A fixing phase skips the hidden pass exactly when no seed has a
+    tense out-edge, and the engine then equals one whose fixing phases
+    always propagate, after every insertion.  The raw ε makes εδ ≥ 1, so
+    tense edges outlive insertions and the passes do lower estimates."""
+    seen = dict.fromkeys(("skip", "run", "lowered"), 0)
+
+    def engine(stream, seed):
+        return IncrementalSSSP(Config(
+            n=stream.n, m_budget=stream.budget, max_weight=stream.max_weight,
+            mode="rand", seed=seed, raw_epsilon=True,
+            iter_mult=Fraction(1, 1000)))
+
+    def checked(r):
+        hid = r._hidden
+        decide, run = r._covers_tense, r.run_fixing_phase
+        before = []
+
+        def covers_tense(seeds):
+            got = decide(seeds)
+            assert got == hidden_seed_is_tense(r, seeds)
+            seen["run" if got else "skip"] += 1
+            before.append((got, hid.decreases))
+            return got
+
+        def run_fixing_phase():
+            run()
+            ran, decreases = before.pop()
+            assert ran or hid.decreases == decreases
+            seen["lowered"] += hid.decreases > decreases
+        r._covers_tense = covers_tense
+        r.run_fixing_phase = run_fixing_phase
+
+    @settings(max_examples=60, deadline=None)
+    @given(stream=streams(families=("random", "chain")),
+           seed=st.integers(0, 3))
+    def replay(stream, seed):
+        eng, ref = engine(stream, seed), engine(stream, seed)
+        for r in eng.ranges:
+            checked(r)
+        for r in ref.ranges:
+            r._covers_tense = lambda seeds: True
+        for e in (eng, ref):
+            e.preprocess(stream.initial_edges)
+        assert rand_state(eng) == rand_state(ref)
+        for _, u, v, w in stream.insertions:
+            eng.insert(u, v, w)
+            ref.insert(u, v, w)
+            assert rand_state(eng) == rand_state(ref)
+
+    replay()
+    assert seen["skip"] and seen["run"] and seen["lowered"], seen

@@ -4,7 +4,7 @@ import pytest
 
 from incsssp import Config, IncrementalSSSP, random_stream
 from tests.conftest import plant
-from tools.state_digest import replay_digest, snapshot
+from tools.state_digest import c7_runs, replay_digest, snapshot
 
 
 def builder(mode):
@@ -41,3 +41,20 @@ def test_digest_is_stable_and_sees_one_estimate(mode):
         return eng
     assert replay_digest(make_planted, [stream]) != \
         replay_digest(make, [stream])
+
+
+def test_c7_digest_sees_the_hidden_pass():
+    """The c7 workload runs rand with the raw ε, where fixing-phase hidden
+    passes lower estimates: skipping every pass changes its digest."""
+    [(label, make, streams)] = c7_runs(1)
+    config = make(streams[0]).config
+    assert (config.mode, config.raw_epsilon, config.iter_mult) == \
+        ("rand", True, Fraction(1, 100))
+
+    def make_skipping(stream):
+        eng = make(stream)
+        for r in eng.ranges:
+            r._covers_tense = lambda seeds: False
+        return eng
+    assert replay_digest(make, streams) != replay_digest(make_skipping,
+                                                         streams)

@@ -6,17 +6,21 @@
 
 Replays the streams of the bench workloads (``bench/streams.py``) through
 the ``det``, ``det_c1`` and ``rand`` configurations of ``bench/engines.py``,
-and the C1 acceptance configurations (``random_stream(128, 1500, 64)``,
-det mode, ε ∈ {1/4, 1/10} × c_B ∈ {1, default}), through the package in
-``--src``.  After ``preprocess``, after every 16th insertion and at the
-end of each stream it hashes, with sha256, every table's estimates,
-parents, work, decreases and touch log (``None`` for the short tree,
-which keeps none), every structure's ``counters()``, phase counter ``b``,
-potential ``phi`` and fixing-phase log where it has them, the global
-minimum values and which structure owns each minimum.  It prints one
-digest per workload and engine.  Two checkouts whose digests match left
-every structure bit-identical along the way; timing never enters the
-digest.
+the C1 acceptance configurations (``random_stream(128, 1500, 64)``, det
+mode, ε ∈ {1/4, 1/10} × c_B ∈ {1, default}) and the C7 ones
+(``random_stream(128, 1000, 64)``, rand mode, ε = 1/4 raw, iter_mult =
+1/100), through the package in ``--src``.  Every bench ``rand`` range has
+εδ < 1, where a fixing phase's hidden pass never lowers anything; the raw
+ε of C7 gives εδ ≥ 1, where it does.
+
+After ``preprocess``, after every 16th insertion and at the end of each
+stream it hashes, with sha256, every table's estimates, parents, work,
+decreases and touch log (``None`` for the short tree, which keeps none),
+every structure's ``counters()``, phase counter ``b``, potential ``phi``
+and fixing-phase log where it has them, the global minimum values and
+which structure owns each minimum.  It prints one digest per workload and
+engine.  Two checkouts whose digests match left every structure
+bit-identical along the way; timing never enters the digest.
 """
 
 import argparse
@@ -26,7 +30,7 @@ from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-WORKLOADS = ("sparse_uniform", "connected", "chain", "c1")
+WORKLOADS = ("sparse_uniform", "connected", "chain", "c1", "c7")
 ENGINES = ("det", "det_c1", "rand")
 EVERY = 16
 
@@ -83,6 +87,21 @@ def c1_runs(count: int):
                [random_stream(n, m, W, seed=1000 + i)])
 
 
+def c7_runs(count: int):
+    """(label, make_engine, streams) for the first ``count`` C7 streams,
+    each with its acceptance configuration."""
+    from incsssp import Config, IncrementalSSSP, random_stream
+    n, m, W = 128, 1000, 64
+    for i in range(count):
+        def make(stream, seed=i):
+            return IncrementalSSSP(Config(
+                n=n, m_budget=m, max_weight=W, eps=Fraction(1, 4),
+                mode="rand", seed=seed, raw_epsilon=True,
+                iter_mult=Fraction(1, 100)))
+        yield (f"rand[eps=1/4,raw]#{i}", make,
+               [random_stream(n, m, W, seed=5000 + i)])
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=1)
@@ -92,6 +111,8 @@ def main(argv=None) -> int:
                         default=list(ENGINES))
     parser.add_argument("--c1-streams", type=int, default=4,
                         help="C1 streams replayed for the c1 workload")
+    parser.add_argument("--c7-streams", type=int, default=4,
+                        help="C7 streams replayed for the c7 workload")
     parser.add_argument("--src", type=Path, default=ROOT / "src",
                         help="directory holding the incsssp package")
     args = parser.parse_args(argv)
@@ -104,6 +125,8 @@ def main(argv=None) -> int:
     for workload in args.workloads:
         if workload == "c1":
             runs = c1_runs(args.c1_streams)
+        elif workload == "c7":
+            runs = c7_runs(args.c7_streams)
         else:
             built = streams.build(workload, args.seed)
             runs = [(name, lambda s, name=name: incsssp.IncrementalSSSP(
