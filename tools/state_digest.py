@@ -33,6 +33,7 @@ ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("sparse_uniform", "connected", "chain", "c1", "c7")
 ENGINES = ("det", "det_c1", "rand")
 EVERY = 16
+C7_STREAMS = 4   # C7 streams replayed for the c7 workload
 
 
 def snapshot(engine) -> bytes:
@@ -111,8 +112,6 @@ def main(argv=None) -> int:
                         default=list(ENGINES))
     parser.add_argument("--c1-streams", type=int, default=4,
                         help="C1 streams replayed for the c1 workload")
-    parser.add_argument("--c7-streams", type=int, default=4,
-                        help="C7 streams replayed for the c7 workload")
     parser.add_argument("--src", type=Path, default=ROOT / "src",
                         help="directory holding the incsssp package")
     args = parser.parse_args(argv)
@@ -126,7 +125,7 @@ def main(argv=None) -> int:
         if workload == "c1":
             runs = c1_runs(args.c1_streams)
         elif workload == "c7":
-            runs = c7_runs(args.c7_streams)
+            runs = c7_runs(C7_STREAMS)
         else:
             built = streams.build(workload, args.seed)
             runs = [(name, lambda s, name=name: incsssp.IncrementalSSSP(
