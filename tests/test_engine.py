@@ -4,12 +4,14 @@ from fractions import Fraction
 from math import inf
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from incsssp import (AlreadyPreprocessed, BudgetExceeded, Config,
                      DuplicateEdge, IncrementalSSSP, InvalidConfig,
                      Unreachable, UNREACHABLE, VertexOutOfRange, dijkstra,
                      verify)
 from incsssp.workloads import random_stream
+from tests.conftest import streams
 
 
 def make(n=16, m=64, w=4, mode="det", eps=Fraction(1, 4), **kw):
@@ -203,6 +205,32 @@ def test_sandwich_and_min_table_on_random_run(mode, seed):
         report = verify(eng, truth.d, eng.guarantee_epsilon, insertion_index=i)
         assert report.clean, report
     assert min_table_scan(eng) == eng.min_value
+
+
+@settings(max_examples=60, deadline=None)
+@given(stream=streams(), mode=st.sampled_from(["det", "rand", "nosync"]),
+       seed=st.integers(0, 3), raw_epsilon=st.booleans())
+def test_every_mode_verifies_after_every_insertion(stream, mode, seed,
+                                                   raw_epsilon):
+    """Every mode keeps the sandwich and the edge invariant, as the exact
+    oracle checks them, after preprocess and after every insertion, on all
+    three stream families.  ``rand`` also runs with the raw ε, whose
+    coarse buckets make its hidden passes lower estimates."""
+    eng = IncrementalSSSP(Config(
+        n=stream.n, m_budget=stream.budget, max_weight=stream.max_weight,
+        mode=mode, seed=seed, raw_epsilon=mode == "rand" and raw_epsilon,
+        iter_mult=Fraction(1, 100)))
+
+    def check(i):
+        report = verify(eng, dijkstra(eng.graph, 0).d, eng.guarantee_epsilon,
+                        insertion_index=i)
+        assert report.clean, report
+
+    eng.preprocess(stream.initial_edges)
+    check(0)
+    for i, (_, u, v, w) in enumerate(stream.insertions, 1):
+        eng.insert(u, v, w)
+        check(i)
 
 
 def test_range_coverage():
