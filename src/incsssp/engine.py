@@ -6,6 +6,19 @@ answers queries in O(1) from a per-vertex minimum table maintained through
 decrease notifications.  Approximate shortest paths are reported by walking
 parent pointers inside whichever structure owns the minimum.
 
+A range whose bucket width εδ is below 1 is not built: the short tree
+covers it.  Estimates and weights are integers, so with εδ < 1 every strict
+decrease lowers the bucket index, and the relaxation limit is
+``lim[v] = min(d̂(v), cap) − 1``, the exact relaxation rule.  Such a range
+therefore holds the exact distances below its cap after every insertion,
+in every mode (a randomized range's hidden pass and sync then lower
+nothing).  εδ and the cap both grow with τ, so these ranges are the lowest
+ones and their caps nest: a short tree whose cap is the largest of theirs
+(or its own 2⌈√m⌉, 2⌈m^{1/3}⌉ when that is larger) gives every answer they
+gave.  The paper keeps the exact tree only below √m or m^{1/3}, where the
+buckets give no slack; the ε rescaling moves that point much higher, so on
+graphs of a few thousand vertices every default-ε ``rand`` range is folded.
+
 The short tree and every range, deterministic or randomized, give one
 protocol (``table``, ``cap``, ``estimate``, ``insert``, ``phase_full``,
 ``rebuild(tree, changed)``, ``counters``; ranges also ``audit_tables``),
@@ -182,16 +195,19 @@ class IncrementalSSSP:
         else:
             self.eps_internal = self.eps / blow_up
 
-        self.short = ShortDistanceTree(self.graph, self.source, 2 * sq)
-
         floor_exp = (ceil_log2(m) + 1) // 2   # smallest e with 2^e ≥ √m
+        short_cap = 2 * sq
         self.ranges = []
         sync = cfg.mode == "det"
         for tau in self._range_taus(floor_exp):
             eps_delta = self.eps_internal * Fraction(tau, sq)
             cap = ceil_frac((1 + self.eps_internal) * 2 * tau)
+            if eps_delta < 1:   # an exact tree: the short tree covers it
+                short_cap = max(short_cap, cap)
+                continue
             self.ranges.append(DeterministicRange(
                 self.graph, self.source, tau, eps_delta, B, cap, sync=sync))
+        self.short = ShortDistanceTree(self.graph, self.source, short_cap)
         self.guarantee_epsilon = self.eps
 
     def _setup_randomized(self) -> None:
@@ -203,17 +219,22 @@ class IncrementalSSSP:
             self.eps_internal = self.eps / (100 * self.lg_n)
         self.guarantee_epsilon = 100 * self.eps_internal * self.lg_n
 
-        self.short = ShortDistanceTree(self.graph, self.source,
-                                       2 * ceil_cbrt(m))
-
         floor_exp = (ceil_log2(m) + 2) // 3   # smallest e with 2^e ≥ m^{1/3}
+        short_cap = 2 * ceil_cbrt(m)
         self.ranges = []
         for i, tau in enumerate(self._range_taus(floor_exp)):
+            eps_delta, cap = RandomizedRange.granularity_and_cap(
+                tau, self.eps_internal, m, self.lg_n)
+            if eps_delta < 1:   # an exact tree: the short tree covers it
+                short_cap = max(short_cap, cap)
+                continue
+            # spawn key i, the index among all τ, whichever ranges are kept
             rng = np.random.Generator(np.random.PCG64(
                 np.random.SeedSequence(cfg.seed, spawn_key=(i,))))
             self.ranges.append(RandomizedRange(
                 self.graph, self.source, tau, self.eps_internal, m, self.lg_n,
                 rng, iter_mult=Fraction(cfg.iter_mult)))
+        self.short = ShortDistanceTree(self.graph, self.source, short_cap)
 
     # -- updates ------------------------------------------------------------
 

@@ -123,11 +123,3 @@ class Graph:
 
     def weight_of(self, u: int, v: int) -> int | None:
         return self._weights.get((u, v))
-
-    def replay_clone(self) -> "Graph":
-        """Rebuild an identical graph from the initial edges plus the log."""
-        g = Graph(self.n, self.max_weight, self.budget,
-                  [(e.tail, e.head, e.weight) for e in self.initial_edges])
-        for e in self.insertion_log:
-            g.insert_edge(e.tail, e.head, e.weight)
-        return g

@@ -30,8 +30,6 @@ import heapq
 from fractions import Fraction
 from math import inf
 
-from .errors import NotAPath
-
 CAP = inf
 
 
@@ -245,31 +243,3 @@ class EstimateTable(DistanceTable):
                 queued[v] = False
             self.work += work
         return touched
-
-    # -- diagnostics ----------------------------------------------------
-
-    def slack(self, path, height=None):
-        """Worst additive error witnessed along ``path``.
-
-        With ``height`` absent this is max_i(d̂(v_l) − d̂(v_i) − d_path(v_i, v_l));
-        with ``height`` given, d̂(v_l) is replaced by the fixed value.
-        Read-only; raises NotAPath if a consecutive edge is missing.
-        """
-        if not path:
-            raise NotAPath("empty vertex sequence")
-        weights = []
-        for a, b in zip(path, path[1:]):
-            w = self.graph.weight_of(a, b)
-            if w is None:
-                raise NotAPath(f"missing edge ({a},{b})")
-            weights.append(w)
-        ref = self.dhat[path[-1]] if height is None else height
-        best = None
-        suffix = 0
-        for i in range(len(path) - 1, -1, -1):
-            term = ref - self.dhat[path[i]] - suffix
-            if best is None or term > best:
-                best = term
-            if i > 0:
-                suffix += weights[i - 1]
-        return best

@@ -26,23 +26,6 @@ last phase kept.  Each fixing phase prunes that set to the vertices still
 tense, and when no seed is among them it charges the work instead of
 running the pass.  Tables, counters and the draws are those of a run that
 always propagates.
-
-While the two tables hold the same state they are one table.  The hidden
-table's estimates, parents, limits, touch log and ``changed`` set are then
-the visible table's own objects, the visible table reports each decrease
-to the hidden listener as well, and each insertion runs one propagation
-step, its work and decreases charged to both tables.  Two equal tables fed
-the same insertion make the same decreases in the same order, so this is
-the state two separate steps would leave.  The tables come apart only
-where the hidden table is written alone: before a fixing phase's hidden
-pass and before a rebuild, the range copies the shared state into lists
-of the hidden table's own.  A sync leaves the estimates equal everywhere.
-They were equal after the previous sync or rebuild, and every vertex
-either table has lowered since, the last hidden pass included, is in that
-table's ``changed`` set, so the sync visits every vertex where they may
-differ and gives both tables the minimum.  Parents can still differ where
-the two estimates were already equal, so the tables join again only when
-their estimates and parents both compare equal.
 """
 
 from fractions import Fraction
@@ -60,28 +43,15 @@ class _TrackedTable(EstimateTable):
     last synchronization, so the sync step visits only those and the
     fixing phase knows which hidden vertices may have become tense.  A
     rebuild assigns both tables the same exact values and records
-    nothing.  While the visible table shares its state with the hidden
-    one, ``twin_listener`` is the hidden table's decrease listener and
-    hears every decrease too."""
+    nothing."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.changed: set[int] = set()
-        self.twin_listener = None
 
     def _set(self, v: int, value: int, parent) -> None:
-        # EstimateTable._set, inlined on this per-decrease path
         self.changed.add(v)
-        old = self.dhat[v]
-        self.dhat[v] = value
-        num, den = self.gran_num, self.gran_den
-        self.lim[v] = (-(-value * den // num) - 1) * num // den
-        self.parent[v] = parent
-        self.decreases += 1
-        if self.on_decrease is not None:
-            self.on_decrease(v, old, value)
-        if self.twin_listener is not None:
-            self.twin_listener(v, old, value)
+        EstimateTable._set(self, v, value, parent)
 
 
 class _HiddenListener:
@@ -93,10 +63,9 @@ class _HiddenListener:
     included) collapse to ``top``, which no window covers, so the slots fit
     int64 at any τ while d̂·M is formed as an exact Python int.
 
-    The hidden table holds the listener, and so does the visible one while
-    it shares its state; the listener holds no reference to the range: one
-    back would make every range a reference cycle, freed only when the
-    cyclic garbage collector next runs.
+    The table holds the listener, so the listener holds no reference to the
+    range: one back would make every range a reference cycle, freed only
+    when the cyclic garbage collector next runs.
     """
 
     __slots__ = ("phi", "slots", "cap", "m_cbrt", "tau", "top")
@@ -136,8 +105,8 @@ class RandomizedRange:
         self.m_cbrt = m_cbrt
         self.B = max(1, floor_cbrt(m_budget))
         self.delta = Fraction(tau, m_cbrt)
-        eps_delta = eps * self.delta
-        self.cap = ceil_frac((2 + 200 * lg_n * eps) * tau) + 1   # maximum estimate
+        eps_delta, self.cap = self.granularity_and_cap(tau, eps, m_budget,
+                                                       lg_n)
         # potential drops are integers, so ⌈ε·M·τ/4⌉ decides as ε·M·τ/4 does
         self.threshold = ceil_frac(Fraction(eps * m_cbrt * tau, 4))
         self.max_window_index = max(
@@ -154,6 +123,14 @@ class RandomizedRange:
         self._hidden = _TrackedTable(graph, source, self.cap, eps_delta,
                                      on_decrease=self._listener)
         self.rebuild()
+
+    @staticmethod
+    def granularity_and_cap(tau: int, eps: Fraction, m_budget: int,
+                            lg_n: int) -> tuple[Fraction, int]:
+        """εδ with δ = τ/⌈m^{1/3}⌉, and the maximum estimate, of the range
+        [τ, 2τ); known before the range is built."""
+        eps_delta = eps * Fraction(tau, ceil_cbrt(m_budget))
+        return eps_delta, ceil_frac((2 + 200 * lg_n * eps) * tau) + 1
 
     # -- potential tracking ---------------------------------------------
 
@@ -174,8 +151,6 @@ class RandomizedRange:
         """
         if tree is None:
             tree = bounded_dijkstra(self.graph, self.source, self.cap)
-        if self.table.twin_listener is not None:
-            self._unshare()
         self.table.assign_exact(*tree, changed)
         self._hidden.assign_exact(*tree, changed)
         self.phi_snapshot = self.phi
@@ -184,7 +159,6 @@ class RandomizedRange:
         self._hidden.reset_phase()
         self.table.changed.clear()
         self._hidden.changed.clear()
-        self._share_if_equal()
         # the hidden table now holds the bounded tree, so no edge is tense;
         # the out-degrees count the first ``_edges_seen`` graph edges
         self._tense: set[int] = set()
@@ -196,16 +170,8 @@ class RandomizedRange:
     def insert(self, u: int, v: int, w: int) -> None:
         self.b += 1
         self.insertions_seen += 1
-        ds, hid = self.table, self._hidden
-        if ds.twin_listener is None:
-            insert_step(ds, u, v, w, self.b, sync=True)
-            insert_step(hid, u, v, w, self.b, sync=True)
-        else:
-            # one step for both tables; the hidden one is charged its cost
-            work, decreases = ds.work, ds.decreases
-            insert_step(ds, u, v, w, self.b, sync=True)
-            hid.work += ds.work - work
-            hid.decreases += ds.decreases - decreases
+        insert_step(self.table, u, v, w, self.b, sync=True)
+        insert_step(self._hidden, u, v, w, self.b, sync=True)
         while self.needs_fixing():
             self.run_fixing_phase()
 
@@ -218,15 +184,13 @@ class RandomizedRange:
 
     def run_fixing_phase(self) -> None:
         ds, hid = self.table, self._hidden
-        if ds.twin_listener is None:
-            # synchronize to the pointwise minimum, parents following the
-            # winner; shared tables are equal already
-            for v in ds.changed | hid.changed:
-                a, h = ds.dhat[v], hid.dhat[v]
-                if a < h:
-                    hid._set(v, a, ds.parent[v])
-                elif h < a:
-                    ds._set(v, h, hid.parent[v])
+        # synchronize to the pointwise minimum, parents following the winner
+        for v in ds.changed | hid.changed:
+            a, h = ds.dhat[v], hid.dhat[v]
+            if a < h:
+                hid._set(v, a, ds.parent[v])
+            elif h < a:
+                ds._set(v, h, hid.parent[v])
         dirty = self._tense | hid.changed   # the sync's decreases included
         dirty.update(self._new_tails())
         self._tense = self._still_tense(dirty)
@@ -239,8 +203,6 @@ class RandomizedRange:
                                   size=self.iterations)
         seeds = self._window_union(draws)
         if self._covers_tense(seeds):
-            if ds.twin_listener is not None:
-                self._unshare()
             hid.partial_dijkstra(seeds.tolist())
         else:
             # the pass would lower nothing: charge what it would have
@@ -249,33 +211,8 @@ class RandomizedRange:
         self.b = 0
         ds.reset_phase()
         hid.reset_phase()
-        if ds.twin_listener is None:
-            self._share_if_equal()
         self.fixing_phases += 1
         self.fixing_log.append(self.insertions_seen)
-
-    def _unshare(self) -> None:
-        """Give the hidden table copies of the shared state and stop the
-        visible table reporting to the hidden listener, so the hidden
-        table can be written alone."""
-        ds, hid = self.table, self._hidden
-        hid.dhat, hid.parent, hid.lim = ds.dhat[:], ds.parent[:], ds.lim[:]
-        hid._touch_log = {b: vs[:] for b, vs in ds._touch_log.items()}
-        hid.changed = set(ds.changed)
-        ds.twin_listener = None
-
-    def _share_if_equal(self) -> None:
-        """Share the visible table's state with the hidden table if their
-        estimates and parents are equal.  Both touch logs are empty here,
-        and so are both ``changed`` sets once the estimates are equal (the
-        only vertices left in one are those the hidden pass lowered), so
-        the limits, which follow from the estimates, are the only other
-        state and need no comparison."""
-        ds, hid = self.table, self._hidden
-        if ds.dhat == hid.dhat and ds.parent == hid.parent:
-            hid.dhat, hid.parent, hid.lim = ds.dhat, ds.parent, ds.lim
-            hid._touch_log, hid.changed = ds._touch_log, ds.changed
-            ds.twin_listener = self._listener
 
     def _new_tails(self) -> list[int]:
         """Tails of the graph edges added since the last call, counted into

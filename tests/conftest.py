@@ -6,7 +6,7 @@ import pytest
 from hypothesis import strategies as st
 
 import incsssp
-from incsssp import (Graph, InsertionStream, QuadraticErrorParams,
+from incsssp import (Graph, InsertionStream, NotAPath, QuadraticErrorParams,
                      quadratic_error_stream, random_stream)
 from incsssp.lazy import relax_limit
 
@@ -49,6 +49,33 @@ def plant(table, estimates):
         table.dhat[v] = d
         table.lim[v] = relax_limit(d, table.gran_num, table.gran_den,
                                    table.cap)
+
+
+def slack(table, path, height=None):
+    """Worst additive error of ``table`` witnessed along ``path``.
+
+    With ``height`` absent this is max_i(d̂(v_l) − d̂(v_i) − d_path(v_i, v_l));
+    with ``height`` given, d̂(v_l) is replaced by the fixed value.
+    Read-only; raises NotAPath if a consecutive edge is missing.
+    """
+    if not path:
+        raise NotAPath("empty vertex sequence")
+    weights = []
+    for a, b in zip(path, path[1:]):
+        w = table.graph.weight_of(a, b)
+        if w is None:
+            raise NotAPath(f"missing edge ({a},{b})")
+        weights.append(w)
+    ref = table.dhat[path[-1]] if height is None else height
+    best = None
+    suffix = 0
+    for i in range(len(path) - 1, -1, -1):
+        term = ref - table.dhat[path[i]] - suffix
+        if best is None or term > best:
+            best = term
+        if i > 0:
+            suffix += weights[i - 1]
+    return best
 
 
 def chain_shortcut_stream(n):

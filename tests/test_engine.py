@@ -3,13 +3,16 @@ import weakref
 from fractions import Fraction
 from math import inf
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from incsssp import (AlreadyPreprocessed, BudgetExceeded, Config,
-                     DuplicateEdge, IncrementalSSSP, InvalidConfig,
-                     Unreachable, UNREACHABLE, VertexOutOfRange, dijkstra,
-                     verify)
+                     DeterministicRange, DuplicateEdge, Graph,
+                     IncrementalSSSP, InvalidConfig, RandomizedRange,
+                     Unreachable, UNREACHABLE, VertexOutOfRange,
+                     bounded_dijkstra, dijkstra, verify)
+from incsssp.intmath import ceil_cbrt, ceil_frac, ceil_log2, ceil_sqrt
 from incsssp.workloads import random_stream
 from tests.conftest import streams
 
@@ -39,30 +42,141 @@ def test_every_exported_name_resolves():
     assert len(set(incsssp.__all__)) == len(incsssp.__all__)
 
 
+def candidate_ranges(eng) -> list[tuple[int, Fraction, int]]:
+    """(τ, εδ, cap) of every range [τ, 2τ) the paper's parameters give,
+    derived here from the configuration, whether the engine builds it or
+    not."""
+    cfg = eng.config
+    m, eps = cfg.m_budget, eng.eps_internal
+    root = 3 if cfg.mode == "rand" else 2   # M = ⌈m^{1/3}⌉ or ⌈√m⌉
+    M = next(k for k in range(1, m + 1) if k ** root >= m)
+    e = next(e for e in range(m + 1) if (1 << e) ** root >= m)
+    taus = []
+    while (1 << e) <= cfg.n * cfg.max_weight:
+        taus.append(1 << e)
+        e += 1
+    if cfg.mode == "rand":
+        return [(tau, eps * Fraction(tau, M),
+                 ceil_frac((2 + 200 * eng.lg_n * eps) * tau) + 1)
+                for tau in taus]
+    return [(tau, eps * Fraction(tau, M), ceil_frac((1 + eps) * 2 * tau))
+            for tau in taus]
+
+
+def expected_structures(eng) -> tuple[list[int], int]:
+    """The τ of every range the engine should build, and the short tree's
+    cap: a range with εδ < 1 is an exact tree below its cap, so it is not
+    built and the short tree's cap, 2·M by default, covers it."""
+    candidates = candidate_ranges(eng)
+    default_cap = 2 * (ceil_cbrt if eng.config.mode == "rand" else ceil_sqrt)(
+        eng.config.m_budget)
+    return ([tau for tau, eps_delta, _ in candidates if eps_delta >= 1],
+            max([default_cap] + [cap for _, eps_delta, cap in candidates
+                                 if eps_delta < 1]))
+
+
 def test_deterministic_parameter_derivation():
     eng = make(n=16, m=64, w=4)
-    assert [r.tau for r in eng.ranges] == [8, 16, 32, 64]
-    assert eng.short.cap == 16
+    # ε/blow-up = 1/10, so εδ = τ/80 < 1 for every τ in 8…64
+    assert [tau for tau, _, _ in candidate_ranges(eng)] == [8, 16, 32, 64]
+    assert expected_structures(eng) == ([], 141)    # ⌈(1 + 1/10)·128⌉
+    assert [r.tau for r in eng.ranges] == []
+    assert eng.short.cap == 141
+    # the raw ε = 1/4 gives εδ = τ/32: τ = 8, 16 fold, 32 and 64 are built
+    eng = make(n=16, m=64, w=4, raw_epsilon=True)
+    assert expected_structures(eng) == ([32, 64], 40)   # ⌈(5/4)·32⌉
+    assert [r.tau for r in eng.ranges] == [32, 64]
+    assert eng.short.cap == 40
 
 
 def test_randomized_parameter_derivation():
     eng = make(n=16, m=64, w=4, mode="rand")
-    assert eng.short.cap == 8                       # 2·⌈64^{1/3}⌉
-    assert [r.tau for r in eng.ranges][0] == 4      # 2^⌈lg 64^{1/3}⌉
-    assert eng.ranges[-1].tau == 64
+    assert [tau for tau, _, _ in candidate_ranges(eng)] == [4, 8, 16, 32, 64]
+    assert eng.ranges == []
+    assert eng.short.cap == 161    # the τ = 64 cap ⌈(2 + 1/2)·64⌉ + 1
+    # the raw ε = 1/4 gives εδ = τ/16: τ = 4, 8 fold
+    eng = make(n=16, m=64, w=4, mode="rand", raw_epsilon=True)
+    assert expected_structures(eng) == ([16, 32, 64], 1617)
+    assert [r.tau for r in eng.ranges] == [16, 32, 64]
+    assert eng.short.cap == 1617   # the τ = 8 cap (2 + 200)·8 + 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 200), m=st.integers(1, 3000), w=st.integers(1, 80),
+       eps=st.sampled_from([Fraction(1, 10), Fraction(1, 4), Fraction(3, 4),
+                            Fraction(99, 100)]),
+       mode=st.sampled_from(["det", "nosync", "rand"]),
+       raw_epsilon=st.booleans(), seed=st.integers(0, 3))
+def test_built_ranges_follow_the_fold_rule(n, m, w, eps, mode, raw_epsilon,
+                                           seed):
+    """Every built range has εδ ≥ 1, every range with εδ ≥ 1 is built, and
+    the short tree's cap is the largest cap of the others (or 2·M); a kept
+    randomized range draws from the spawn key of its index among all τ."""
+    eng = make(n=n, m=m, w=w, eps=eps, mode=mode, raw_epsilon=raw_epsilon,
+               seed=seed)
+    taus, short_cap = expected_structures(eng)
+    assert [r.tau for r in eng.ranges] == taus
+    assert all(r.table.gran >= 1 for r in eng.ranges)
+    assert eng.short.cap == short_cap
+    if mode == "rand":
+        index = {tau: i for i, (tau, _, _) in enumerate(candidate_ranges(eng))}
+        for r in eng.ranges:
+            fresh = np.random.PCG64(np.random.SeedSequence(
+                seed, spawn_key=(index[r.tau],)))
+            assert r.rng.bit_generator.state == fresh.state
+
+
+sub_unit = st.fractions(min_value=Fraction(1, 1000),
+                        max_value=Fraction(999, 1000), max_denominator=1000)
+
+
+@settings(max_examples=60, deadline=None)
+@given(stream=streams(), kind=st.sampled_from(["det", "nosync", "rand"]),
+       eps_delta=sub_unit, tau=st.sampled_from([1, 2, 4, 8, 16]),
+       cap=st.integers(1, 3000), phase_length=st.integers(1, 8),
+       seed=st.integers(0, 3))
+def test_range_with_sub_unit_granularity_is_the_exact_tree(
+        stream, kind, eps_delta, tau, cap, phase_length, seed):
+    """The premise of the fold: a range with εδ < 1, built on its own,
+    holds the exact bounded tree below its cap after every insertion, in
+    both deterministic modes and in both randomized tables."""
+    g = Graph(stream.n, stream.max_weight, initial_edges=stream.initial_edges)
+    if kind == "rand":
+        m = stream.budget
+        # ε with ε·τ/⌈m^{1/3}⌉ = εδ; the range derives its own cap
+        r = RandomizedRange(
+            g, 0, tau, eps_delta * ceil_cbrt(m) / tau, m, ceil_log2(g.n),
+            np.random.Generator(np.random.PCG64(seed)),
+            iter_mult=Fraction(1, 1000))
+        assert r.table.gran == eps_delta
+        tables = [r.table, r._hidden]
+    else:
+        r = DeterministicRange(g, 0, tau, eps_delta, phase_length, cap,
+                               sync=kind == "det")
+        tables = [r.table]
+    for _, u, v, w in stream.insertions:
+        g.insert_edge(u, v, w)
+        if r.phase_full():
+            r.rebuild()
+        r.insert(u, v, w)
+        exact = bounded_dijkstra(g, 0, r.cap)[0]
+        assert all(t.dhat == exact for t in tables)
 
 
 @pytest.mark.parametrize("mode", ["det", "nosync", "rand"])
 def test_audit_table_labels(mode):
-    # the CLI's breach messages and the bench tracer's ".hidden" test read these
-    eng = make(n=16, m=64, w=4, mode=mode)
+    # the CLI's breach messages and the bench tracer's ".hidden" test read
+    # these; the raw ε keeps some ranges
+    eng = make(n=16, m=64, w=4, mode=mode, raw_epsilon=True)
+    taus, _ = expected_structures(eng)
+    assert taus
     if mode == "rand":
-        expected = [f"rand[{t}].{k}" for t in (4, 8, 16, 32, 64)
+        expected = [f"rand[{t}].{k}" for t in taus
                     for k in ("visible", "hidden")]
         visible = [t for label, t in eng.audit_tables()
                    if label.endswith(".visible")]
     else:
-        expected = [f"det[{t}]" for t in (8, 16, 32, 64)]
+        expected = [f"det[{t}]" for t in taus]
         visible = [t for _, t in eng.audit_tables()]
     assert [label for label, _ in eng.audit_tables()] == expected
     assert visible == [r.table for r in eng.ranges]
@@ -296,7 +410,9 @@ def test_discarded_engine_freed_without_cycle_collector(mode):
     # or every discarded engine stays in memory until the collector runs
     gc.disable()
     try:
-        eng = make(w=32, mode=mode)
+        # the raw ε = 3/4 at m = 65 folds no range, so one owns vertex 3
+        eng = make(m=65, w=32, eps=Fraction(3, 4), mode=mode,
+                   raw_epsilon=True)
         eng.preprocess([(0, 1, 2), (1, 2, 30)])
         eng.insert(2, 3, 1)
         assert eng._min_owner[1] is eng.short

@@ -284,17 +284,21 @@ def test_verify_matches_fraction_reference(stream, scale, edits):
        edits=st.lists(st.tuples(st.integers(0, 63), st.integers(0, 47),
                                 st.floats(0, 1.1)), max_size=8))
 def test_audit_matches_fraction_reference(stream, mode, edits):
+    # the raw ε keeps the ranges with εδ ≥ 1, which the rescaled one folds
+    # into the short tree at these sizes
     eng = IncrementalSSSP(Config(n=stream.n, m_budget=stream.budget,
                                  max_weight=stream.max_weight, mode=mode,
+                                 raw_epsilon=True,
                                  iter_mult=Fraction(1, 100)))
     eng.preprocess(stream.initial_edges)
     for (_, u, v, w) in stream.insertions:
         eng.insert(u, v, w)
     tables = eng.audit_tables()
-    for t, v, frac in edits:
-        table = tables[t % len(tables)][1]
-        plant(table, {v % stream.n: inf if frac > 1
-                      else int(frac * table.cap)})
+    if tables:   # a tiny nW folds even the raw-ε ranges
+        for t, v, frac in edits:
+            table = tables[t % len(tables)][1]
+            plant(table, {v % stream.n: inf if frac > 1
+                          else int(frac * table.cap)})
     want = []
     for label, table in tables:
         for u, v, w in zip(eng.graph.edge_tails, eng.graph.edge_heads,

@@ -4,10 +4,9 @@ from math import inf
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from incsssp import (Config, Graph, IncrementalSSSP, RandomizedRange,
-                     dijkstra, random_stream)
+from incsssp import Config, Graph, IncrementalSSSP, RandomizedRange, dijkstra
 from incsssp.intmath import ceil_cbrt, ceil_frac, ceil_log2
 from tests.conftest import random_graph, streams
 
@@ -116,9 +115,7 @@ def test_sync_takes_pointwise_minimum_and_drops_phi():
     assert r.table.dhat[1] == r._hidden.dhat[1] == 12
     # diverge by a recorded decrease of the visible table alone: hidden
     # holds 12, visible 10, and no hidden edge is tense, so only the sync
-    # can lower the hidden estimate (equal tables share their state, so
-    # they are first parted as before a hidden pass)
-    r._unshare()
+    # can lower the hidden estimate
     r.table._set(1, 10, 0)
     assert r.phi == potential_scan(r)
     phi_before = r.phi
@@ -138,7 +135,6 @@ def test_hidden_pass_runs_from_a_vertex_only_the_sync_lowered():
     # iter_mult 1 draws every window, so every finite vertex is a seed
     r = make_range(g, tau=8, m_budget=30, iter_mult=Fraction(1))
     assert r._hidden.dhat[:3] == [0, 12, 17]
-    r._unshare()   # else the visible decrease would be the hidden one too
     r.table._set(1, 10, 0)
     r.run_fixing_phase()
     assert r._hidden.dhat[1] == 10 and r._hidden.dhat[2] == 15
@@ -197,9 +193,7 @@ def test_visible_estimate_ignores_hidden_mutations():
     g = Graph(6, 9)
     g.insert_edge(0, 1, 6)
     r = make_range(g, tau=8, m_budget=30)
-    # hidden improves privately (as a fixing-phase propagation would,
-    # once the range has parted the shared tables)
-    r._unshare()
+    # hidden improves privately (as a fixing-phase propagation would)
     r._hidden._set(1, 3, 0)
     assert r.estimate(1) == 6
     r.run_fixing_phase()
@@ -323,16 +317,18 @@ def assert_mirror_current(r):
 
 
 @settings(max_examples=40, deadline=None)
-@given(stream=streams(), seed=st.integers(0, 3), raw_epsilon=st.booleans())
-def test_hidden_mirror_tracks_table(stream, seed, raw_epsilon):
+@given(stream=streams(), seed=st.integers(0, 3))
+def test_hidden_mirror_tracks_table(stream, seed):
     """The window-slot mirror and the potential follow every hidden
     decrease: after preprocess, each insertion and each fixing phase.
-    With the raw ε the buckets are coarse enough that decrease-keys inside
-    a bucket and visible-to-hidden synchronization both occur."""
+    The raw ε keeps the ranges with εδ ≥ 1 (the rescaled one keeps none
+    at these sizes), whose buckets are coarse enough that decrease-keys
+    inside a bucket and visible-to-hidden synchronization both occur."""
     eng = IncrementalSSSP(Config(
         n=stream.n, m_budget=stream.budget, max_weight=stream.max_weight,
-        mode="rand", seed=seed, raw_epsilon=raw_epsilon,
+        mode="rand", seed=seed, raw_epsilon=True,
         iter_mult=Fraction(1, 2000)))
+    assume(eng.ranges)   # a tiny nW folds even the raw-ε ranges
 
     def checked(r):
         run = r.run_fixing_phase
@@ -422,62 +418,3 @@ def test_skipped_hidden_pass_matches_always_propagating():
 
     replay()
     assert seen["skip"] and seen["run"] and seen["lowered"], seen
-
-
-def test_shared_tables_match_never_sharing():
-    """While the twin tables are equal they share one state and each
-    insertion propagates once; the engine then equals one whose tables
-    never share, after every insertion.  The raw ε makes hidden passes
-    lower estimates, so phases run shared, run divergent and re-share, and
-    a sync can leave equal estimates under different parents, which must
-    keep the tables apart (the example stream does so at engine seed 1)."""
-    seen = dict.fromkeys(("shared", "divergent", "reshared", "kept_apart"), 0)
-
-    def engine(stream, seed):
-        return IncrementalSSSP(Config(
-            n=stream.n, m_budget=stream.budget, max_weight=stream.max_weight,
-            mode="rand", seed=seed, raw_epsilon=True,
-            iter_mult=Fraction(1, 1000)))
-
-    def counted(r):
-        run = r.run_fixing_phase
-
-        def run_fixing_phase():
-            ds, hid = r.table, r._hidden
-            shared = ds.twin_listener is not None
-            run()
-            if shared:
-                seen["shared"] += 1
-                return
-            seen["divergent"] += 1
-            if ds.twin_listener is not None:
-                seen["reshared"] += 1
-            elif ds.dhat == hid.dhat:   # so the parents differ
-                seen["kept_apart"] += 1
-        r.run_fixing_phase = run_fixing_phase
-
-    def never_share(r):
-        r._unshare()
-        r._share_if_equal = lambda: None
-
-    @settings(max_examples=60, deadline=None)
-    @given(stream=streams(families=("random", "chain")),
-           seed=st.integers(0, 3))
-    @example(stream=random_stream(6, 23, 9, seed=5402), seed=1)
-    def replay(stream, seed):
-        eng, ref = engine(stream, seed), engine(stream, seed)
-        for r in eng.ranges:
-            counted(r)
-        for r in ref.ranges:
-            never_share(r)
-        for e in (eng, ref):
-            e.preprocess(stream.initial_edges)
-        assert rand_state(eng) == rand_state(ref)
-        for _, u, v, w in stream.insertions:
-            eng.insert(u, v, w)
-            ref.insert(u, v, w)
-            assert rand_state(eng) == rand_state(ref)
-        assert all(r.table.twin_listener is None for r in ref.ranges)
-
-    replay()
-    assert all(seen.values()), seen

@@ -8,10 +8,11 @@ from tools.state_digest import c7_runs, replay_digest, snapshot
 
 
 def builder(mode):
+    # the raw ε keeps ranges; the rescaled one folds every rand range here
     def make(stream):
         return IncrementalSSSP(Config(
             n=stream.n, m_budget=stream.budget, max_weight=stream.max_weight,
-            mode=mode, iter_mult=Fraction(1, 100)))
+            mode=mode, raw_epsilon=True, iter_mult=Fraction(1, 100)))
     return make
 
 
@@ -58,3 +59,22 @@ def test_c7_digest_sees_the_hidden_pass():
         return eng
     assert replay_digest(make, streams) != replay_digest(make_skipping,
                                                          streams)
+
+
+def test_digests_split_by_structure():
+    """A change to one C7 range moves its own digest and the state digest
+    only: the short tree, at the largest folded cap, holds every distance
+    exactly, so the answers stay too."""
+    [(_, make, streams)] = c7_runs(1)
+    top = make(streams[0]).ranges[-1]
+
+    def make_changed(stream):
+        eng = make(stream)
+        plant(eng.ranges[-1].table, {eng.source: 1})   # undone by preprocess
+        return eng
+    base = replay_digest(make, streams)
+    changed = replay_digest(make_changed, streams)
+    assert base.keys() == changed.keys()
+    assert {"state", "answers", f"rand[{top.tau}]"} < base.keys()
+    assert {k for k in base if base[k] != changed[k]} == \
+        {"state", f"rand[{top.tau}]"}

@@ -9,18 +9,30 @@ the ``det``, ``det_c1`` and ``rand`` configurations of ``bench/engines.py``,
 the C1 acceptance configurations (``random_stream(128, 1500, 64)``, det
 mode, ε ∈ {1/4, 1/10} × c_B ∈ {1, default}) and the C7 ones
 (``random_stream(128, 1000, 64)``, rand mode, ε = 1/4 raw, iter_mult =
-1/100), through the package in ``--src``.  Every bench ``rand`` range has
-εδ < 1, where a fixing phase's hidden pass never lowers anything; the raw
-ε of C7 gives εδ ≥ 1, where it does.
+1/100), through the package in ``--src``.  The engine builds no range
+whose εδ is below 1 (the short tree covers it), so the bench ``rand``
+engine, whose rescaled ε puts every εδ below 1, holds the short tree
+alone; the raw ε of C7 keeps the ranges with εδ ≥ 1, where a fixing
+phase's hidden pass can lower estimates.
 
-After ``preprocess``, after every 16th insertion and at the end of each
-stream it hashes, with sha256, every table's estimates, parents, work,
-decreases and touch log (``None`` for the short tree, which keeps none),
-every structure's ``counters()``, phase counter ``b``, potential ``phi``
-and fixing-phase log where it has them, the global minimum values and
-which structure owns each minimum.  It prints one digest per workload and
-engine.  Two checkouts whose digests match left every structure
-bit-identical along the way; timing never enters the digest.
+It prints three kinds of digest per workload and engine, each a sha256:
+
+- ``state``: after ``preprocess``, after every 16th insertion and at the
+  end of each stream, every table's estimates, parents, work, decreases
+  and touch log (``None`` for the short tree, which keeps none), every
+  structure's ``counters()``, phase counter ``b``, potential ``phi`` and
+  fixing-phase log where it has them, the global minimum values and which
+  structure owns each minimum;
+- ``answers``: the global minimum values after ``preprocess`` and after
+  every insertion, which is every answer ``query`` gave;
+- one per structure label (``short[cap]``, ``det[τ]``, ``rand[τ]``): that
+  structure's part of the ``state`` snapshots.  The short tree's label
+  carries its cap, which decides its state.
+
+Two checkouts whose ``state`` digests match left every structure
+bit-identical along the way; where they build different structures, equal
+``answers`` digests show the same answers, and a label printed by both
+shows that structure unchanged.  Timing never enters a digest.
 """
 
 import argparse
@@ -36,39 +48,62 @@ EVERY = 16
 C7_STREAMS = 4   # C7 streams replayed for the c7 workload
 
 
-def snapshot(engine) -> bytes:
-    """The state of one engine as bytes; equal bytes, equal state."""
-    structures = engine._structures
-    index = {id(s): i for i, s in enumerate(structures)}
-    parts = []
-    for s in structures:
+def label(engine, s) -> str:
+    """A structure's label: ``short[cap]``, ``det[τ]`` or ``rand[τ]``."""
+    if s is engine.short:
+        return f"short[{s.cap}]"
+    return s.audit_tables()[0][0].split(".")[0]
+
+
+def structure_states(engine) -> dict[str, bytes]:
+    """The state of each structure as bytes, by label."""
+    states = {}
+    for s in engine._structures:
         tables = [s.table] if s is engine.short else \
             [t for _, t in s.audit_tables()]
-        parts.append([(t.dhat, t.parent, t.work, t.decreases,
-                       getattr(t, "_touch_log", None)) for t in tables])
-        parts.append(sorted(s.counters().items()))
-        parts.append([getattr(s, name, None)
-                      for name in ("b", "phi", "fixing_log")])
-    parts.append(engine.min_value)
-    parts.append([None if o is None else index[id(o)]
-                  for o in engine._min_owner])
-    return repr(parts).encode()
+        states[label(engine, s)] = repr((
+            [(t.dhat, t.parent, t.work, t.decreases,
+              getattr(t, "_touch_log", None)) for t in tables],
+            sorted(s.counters().items()),
+            [getattr(s, name, None) for name in ("b", "phi", "fixing_log")],
+        )).encode()
+    return states
 
 
-def replay_digest(make_engine, streams) -> str:
-    """sha256 over the snapshots of one replay of each stream in turn;
+def snapshot(engine) -> bytes:
+    """The state of one engine as bytes; equal bytes, equal state."""
+    index = {id(s): i for i, s in enumerate(engine._structures)}
+    owners = [None if o is None else index[id(o)]
+              for o in engine._min_owner]
+    return repr((list(structure_states(engine).items()), engine.min_value,
+                 owners)).encode()
+
+
+def replay_digest(make_engine, streams) -> dict[str, str]:
+    """The ``state`` and ``answers`` digests and one per structure label
+    (see the module docstring) of one replay of each stream in turn;
     ``make_engine(stream)`` builds a fresh engine for a stream."""
-    h = hashlib.sha256()
+    state, answers = hashlib.sha256(), hashlib.sha256()
+    structures = {}
+
+    def checkpoint(engine):
+        state.update(snapshot(engine))
+        for name, data in structure_states(engine).items():
+            structures.setdefault(name, hashlib.sha256()).update(data)
+
     for stream in streams:
         engine = make_engine(stream)
         engine.preprocess(stream.initial_edges)
-        h.update(snapshot(engine))
+        checkpoint(engine)
+        answers.update(repr(engine.min_value).encode())
         for i, (_, u, v, w) in enumerate(stream.insertions, 1):
             engine.insert(u, v, w)
+            answers.update(repr(engine.min_value).encode())
             if i % EVERY == 0:
-                h.update(snapshot(engine))
-        h.update(snapshot(engine))
-    return h.hexdigest()
+                checkpoint(engine)
+        checkpoint(engine)
+    return {"state": state.hexdigest(), "answers": answers.hexdigest(),
+            **{name: h.hexdigest() for name, h in structures.items()}}
 
 
 def c1_runs(count: int):
@@ -131,8 +166,9 @@ def main(argv=None) -> int:
             runs = [(name, lambda s, name=name: incsssp.IncrementalSSSP(
                         engines.config(name, s, args.seed)), built)
                     for name in args.engines]
-        for label, make, built in runs:
-            print(workload, label, replay_digest(make, built), flush=True)
+        for name, make, built in runs:
+            for kind, digest in replay_digest(make, built).items():
+                print(workload, name, kind, digest, flush=True)
     return 0
 
 
