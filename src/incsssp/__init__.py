@@ -8,7 +8,7 @@ every approximation claim, and adversarial workload generators.
 
 from .engine import Config, IncrementalSSSP, UNREACHABLE
 from .errors import (AlreadyPreprocessed, BudgetExceeded, DuplicateEdge,
-                     IncSSSPError, InvalidConfig, InvalidParams, NotAPath,
+                     EngineBroken, IncSSSPError, InvalidConfig, InvalidParams,
                      ParseError, PhaseFull, TooDense, Unreachable,
                      VertexOutOfRange, WeightOutOfRange)
 from .graph import Edge, Graph
@@ -25,8 +25,8 @@ from .cli import parse_stream, serialize_stream, run
 
 __all__ = [
     "Config", "IncrementalSSSP", "UNREACHABLE",
-    "AlreadyPreprocessed", "BudgetExceeded", "DuplicateEdge", "IncSSSPError",
-    "InvalidConfig", "InvalidParams", "NotAPath", "ParseError", "PhaseFull",
+    "AlreadyPreprocessed", "BudgetExceeded", "DuplicateEdge", "EngineBroken",
+    "IncSSSPError", "InvalidConfig", "InvalidParams", "ParseError", "PhaseFull",
     "TooDense", "Unreachable", "VertexOutOfRange", "WeightOutOfRange",
     "Edge", "Graph", "CAP", "EstimateTable",
     "DeterministicRange", "batch_index", "bounded_dijkstra",

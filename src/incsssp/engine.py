@@ -2,9 +2,14 @@
 
 Derives all parameters from (n, m_budget, W, ε), owns the exact short tree
 plus one lazy range per power of two, fans every insertion out to them, and
-answers queries in O(1) from a per-vertex minimum table maintained through
-decrease notifications.  Approximate shortest paths are reported by walking
-parent pointers inside whichever structure owns the minimum.
+answers queries in O(1) from a per-vertex minimum table.  ``min_value[v]``
+is the smallest estimate of v in any structure's visible table, and
+``_min_owner[v]`` the index in ``_structures`` (the short tree is 0) of a
+structure holding it.  Every visible table holds the two lists and its own
+index, and writes them in place with each decrease it writes, inside the
+propagation loops too (``lazy.DistanceTable``): a decrease costs no call,
+and the tables hold no reference back to the engine.  Approximate shortest
+paths are reported by walking parent pointers inside the owner.
 
 A range whose bucket width εδ is below 1 is not built: the short tree
 covers it.  Estimates and weights are integers, so with εδ < 1 every strict
@@ -28,9 +33,12 @@ every structure it serves: at ``preprocess`` all of them, before an
 insertion every structure whose phase is full (only deterministic ranges
 fill, together).  Each visits only the vertices whose distance or parent
 changed since the previous shared tree.
+
+An update validates in the graph before changing it.  If a structure then
+raises, the structures may hold part of the update, so the engine marks
+itself broken and every later update raises ``EngineBroken``.
 """
 
-import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from math import inf, isqrt
@@ -39,8 +47,8 @@ import numpy as np
 
 from . import det
 from .det import DeterministicRange
-from .errors import AlreadyPreprocessed, BudgetExceeded, InvalidConfig, \
-    Unreachable, VertexOutOfRange
+from .errors import AlreadyPreprocessed, BudgetExceeded, EngineBroken, \
+    InvalidConfig, Unreachable, VertexOutOfRange
 from .graph import Graph
 from .intmath import ceil_cbrt, ceil_frac, ceil_log2, ceil_sqrt, floor_log2
 from .rand import RandomizedRange
@@ -112,32 +120,6 @@ class Config:
             raise InvalidConfig("seed must fit in 64 bits")
 
 
-class _MinCallback:
-    """Decrease listener that keeps one vertex's global minimum current.
-
-    The structure's tables hold the listener, and the engine's owner list
-    holds the structures, so the listener holds the minimum values (plain
-    numbers) and only weak references to the engine and the structure:
-    strong references back would make every engine and every structure
-    owning a minimum a reference cycle, which is freed only when the
-    cyclic garbage collector next runs.
-    """
-
-    __slots__ = ("min_value", "engine", "owner")
-
-    def __init__(self, engine, owner):
-        self.min_value = engine.min_value
-        self.engine = weakref.ref(engine)
-        self.owner = weakref.ref(owner)
-
-    def __call__(self, v, old, new):
-        if new < self.min_value[v]:
-            self.min_value[v] = new
-            engine = self.engine()
-            if engine is not None:   # else no one can read the minimum
-                engine._min_owner[v] = self.owner()
-
-
 class IncrementalSSSP:
     """Single-source (1+ε)-approximate distances under edge insertions.
 
@@ -157,19 +139,21 @@ class IncrementalSSSP:
         self.insertions_used = 0
         self._preprocessed = False
 
-        self.min_value: list = [inf] * n
-        self.min_value[self.source] = 0
-        self._min_owner: list = [None] * n
+        self._broken: str | None = None   # why a failed update left it
 
         if config.mode in ("det", "nosync"):
             self._setup_deterministic()
         else:
             self._setup_randomized()
         self._structures = (self.short, *self.ranges)
-        # the graph is still empty, so no estimate has decreased yet
-        for s in self._structures:
-            s.table.on_decrease = _MinCallback(self, s)
-        self._min_owner[self.source] = self.short
+        # each structure's visible table lowers the minimum in place as it
+        # writes; the graph is still empty, so no estimate has decreased yet
+        self.min_value: list = [inf] * n
+        self.min_value[self.source] = 0
+        self._min_owner: list = [None] * n   # indices into _structures
+        self._min_owner[self.source] = 0
+        for i, s in enumerate(self._structures):
+            s.table.share_minimum(self.min_value, self._min_owner, i)
         self._tree_cap = max(s.cap for s in self._structures)
         # the empty graph's tree, which every structure was just built from
         self._tree = det.bounded_dijkstra(self.graph, self.source,
@@ -240,15 +224,21 @@ class IncrementalSSSP:
 
     def preprocess(self, initial_edges) -> None:
         """Load the initial graph and initialize every structure exactly."""
+        if self._broken is not None:
+            raise EngineBroken(self._broken)
         if self._preprocessed or self.insertions_used:
             raise AlreadyPreprocessed("preprocess must come first, once")
         edges = list(initial_edges)
         if len(edges) > self.config.m_budget:
             raise BudgetExceeded("initial edges exceed the declared budget")
         self.graph.load_initial(edges)
-        tree, changed = self._next_tree()
-        for s in self._structures:
-            s.rebuild(tree, changed)
+        try:
+            tree, changed = self._next_tree()
+            for s in self._structures:
+                s.rebuild(tree, changed)
+        except BaseException as exc:
+            self._poison("preprocess", exc)
+            raise
         self._preprocessed = True
 
     def _next_tree(self) -> tuple[tuple[list, list], list[int]]:
@@ -272,18 +262,36 @@ class IncrementalSSSP:
         The graph validates before mutating, so a rejected insertion leaves
         every structure untouched.  A structure whose phase is full is
         rebuilt first, from one bounded Dijkstra shared by all of them.
+        If a structure raises once the edge is in the graph, the engine is
+        broken: the exception propagates, and every later ``insert`` or
+        ``preprocess`` raises :class:`EngineBroken`.
         """
+        if self._broken is not None:
+            raise EngineBroken(self._broken)
         self.graph.insert_edge(u, v, w)
         self.insertions_used += 1
-        tree = None
-        for s in self._structures:
-            if s.phase_full():
-                if tree is None:
-                    # deterministic ranges share B and b, so they fill
-                    # together and the largest cap is needed anyway
-                    tree, changed = self._next_tree()
-                s.rebuild(tree, changed)
-            s.insert(u, v, w)
+        try:
+            tree = None
+            for s in self._structures:
+                if s.phase_full():
+                    if tree is None:
+                        # deterministic ranges share B and b, so they fill
+                        # together and the largest cap is needed anyway
+                        tree, changed = self._next_tree()
+                    s.rebuild(tree, changed)
+                s.insert(u, v, w)
+        except BaseException as exc:
+            self._poison(f"insert({u}, {v}, {w})", exc)
+            raise
+
+    def _poison(self, what: str, exc: BaseException) -> None:
+        """Mark the engine broken: ``what`` failed with ``exc`` after
+        changing the graph, so the structures may hold part of it.  Only
+        the message is kept, since the exception's frames would tie the
+        engine into a reference cycle."""
+        self._broken = (f"{what} failed after changing the graph "
+                        f"({type(exc).__name__}: {exc}); the engine is "
+                        f"inconsistent")
 
     # -- queries --------------------------------------------------------------
 
@@ -310,7 +318,7 @@ class IncrementalSSSP:
         source = self.source
         if v == source:
             return [source]
-        parent = self._min_owner[v].table.parent
+        parent = self._structures[self._min_owner[v]].table.parent
         path = [v]
         x = v
         while x != source:

@@ -21,10 +21,6 @@ class BudgetExceeded(IncSSSPError):
     pass
 
 
-class NotAPath(IncSSSPError):
-    pass
-
-
 class PhaseFull(IncSSSPError):
     """Raised when an insertion arrives with the current phase already full."""
 
@@ -35,6 +31,11 @@ class InvalidConfig(IncSSSPError):
 
 class AlreadyPreprocessed(IncSSSPError):
     pass
+
+
+class EngineBroken(IncSSSPError):
+    """Raised by every update after one failed part-way: the graph holds
+    the edge, but some structure may not."""
 
 
 class Unreachable(IncSSSPError):

@@ -1,13 +1,23 @@
 """Shared machinery for all lazy shortest-path structures.
 
-A :class:`DistanceTable` keeps one distance estimate per vertex, a parent
-pointer recording the edge that caused the last decrease, and decrease
-notifications; the exact short tree uses it as it is.  An
-:class:`EstimateTable` adds εδ-quantized relaxation and a per-phase touch
-log, one vertex list per step, for the lazy ranges.  Relaxations fire only
-when they would lower the bucket index ⌈d·den/num⌉ of εδ = num/den, held
-as an exact rational so the boundary test never suffers floating-point
-misclassification.
+A :class:`DistanceTable` keeps one distance estimate per vertex and a
+parent pointer recording the edge that caused the last decrease; the exact
+short tree uses it as it is.  An :class:`EstimateTable` adds εδ-quantized
+relaxation and a per-phase touch log, one vertex list per step, for the
+lazy ranges.  Relaxations fire only when they would lower the bucket index
+⌈d·den/num⌉ of εδ = num/den, held as an exact rational so the boundary
+test never suffers floating-point misclassification.
+
+Every write of a decrease also lowers a minimum table in place: the
+engine's ``min_value`` and ``_min_owner`` lists, which each visible table
+holds with its structure's index; a table standing alone is its own
+minimum.  The hot loops (``EstimateTable.partial_dijkstra``,
+``ShortDistanceTree._propagate``) write estimate, parent, limit and
+minimum inline, as ``_set`` does, and count work and decreases in locals.
+The one per-decrease call left is the optional ``on_decrease`` hook, which
+only the randomized ranges set: the visible table records the vertices it
+lowered since the last fixing phase, and the hidden table also keeps its
+potential and window slots (``incsssp.rand``).
 
 Estimates at or above the table's cap are stored as the CAP sentinel
 (``math.inf``); its bucket is maximal by construction, and a relaxation out
@@ -22,8 +32,9 @@ lower bucket than d̂(v) and stays below the cap:
 
 For an integer candidate c and k = ⌈d̂(v)·den/num⌉, ⌈c·den/num⌉ ≤ k − 1
 iff c ≤ (k − 1)·num/den iff c ≤ ⌊(k − 1)·num/den⌋, and that bound lies
-below d̂(v) < cap.  Every write of an estimate (``_set``, ``assign_exact``)
-refreshes ``lim``, so the invariant holds between any two calls.
+below d̂(v) < cap.  Every write of an estimate (``_set``, ``assign_exact``,
+``partial_dijkstra``) refreshes ``lim``, so the invariant holds between
+any two calls.
 """
 
 import heapq
@@ -43,10 +54,16 @@ def relax_limit(d, num: int, den: int, cap):
 class DistanceTable:
     """Per-vertex distance estimates with parent pointers.
 
-    Estimates only ever decrease.  Every decrease is reported through the
-    ``on_decrease(vertex, old, new)`` callback (CAP passed as ``math.inf``),
-    which is how potential tracking and the global minimum table stay
-    current without scanning.
+    Estimates only ever decrease.  Every write of a decrease also lowers
+    the minimum table the table reports to, in place: ``min_value[v]``
+    takes the new estimate when it is smaller, and ``min_owner[v]`` then
+    takes ``owner_index``.  Until :meth:`share_minimum` connects it to an
+    engine's, a table is its own minimum: ``min_value`` is ``dhat``, and
+    every write lowers ``dhat[v]`` before the minimum test, which then
+    never fires (so there is no owner list to write).  The optional
+    ``on_decrease(vertex, old, new)`` hook (CAP passed as ``math.inf``) is
+    called before each decrease is written; only the randomized ranges
+    set it.
     """
 
     def __init__(self, graph, source: int, cap, on_decrease=None):
@@ -57,18 +74,32 @@ class DistanceTable:
         self.dhat: list = [CAP] * n
         self.dhat[source] = 0
         self.parent: list = [None] * n
+        self.min_value: list = self.dhat
+        self.min_owner: list | None = None
+        self.owner_index = 0
         self.on_decrease = on_decrease
         # instrumentation
         self.work = 0          # edges examined + queue extractions
         self.decreases = 0     # successful estimate decreases
 
+    def share_minimum(self, min_value: list, min_owner: list,
+                      index: int) -> None:
+        """Report every later decrease to these minimum lists, as owner
+        ``index``.  The table holds only the lists, so an engine sharing
+        its own forms no reference cycle with its tables."""
+        self.min_value = min_value
+        self.min_owner = min_owner
+        self.owner_index = index
+
     def _set(self, v: int, value: int, parent) -> None:
-        old = self.dhat[v]
+        if self.on_decrease is not None:
+            self.on_decrease(v, self.dhat[v], value)
         self.dhat[v] = value
         self.parent[v] = parent
         self.decreases += 1
-        if self.on_decrease is not None:
-            self.on_decrease(v, old, value)
+        if value < self.min_value[v]:
+            self.min_value[v] = value
+            self.min_owner[v] = self.owner_index
 
     def assign_exact(self, dist, parents, vertices=None) -> list[int]:
         """Overwrite with exact distances (clamped at cap) and tree parents.
@@ -78,8 +109,8 @@ class DistanceTable:
         a run to a higher cap; entries at or above this table's cap (CAP
         included) are skipped.  ``vertices``, when given, lists in
         increasing order the only vertices to visit; without it every
-        vertex is.  Decreases are written here, not through ``_set``, and
-        notified in increasing vertex order; returns the lowered vertices.
+        vertex is.  Decreases are written here, not through ``_set``, in
+        increasing vertex order; returns the lowered vertices.
         """
         cap = self.cap
         if vertices is None:
@@ -89,17 +120,22 @@ class DistanceTable:
         dhat = self.dhat
         parent = self.parent
         source = self.source
+        min_value, min_owner = self.min_value, self.min_owner
+        index = self.owner_index
         notify = self.on_decrease
         lowered = []
         for v in visit:
             d = dist[v]
             old = dhat[v]
             if d < old:
+                if notify is not None:
+                    notify(v, old, d)
                 dhat[v] = d
                 parent[v] = parents[v]
                 lowered.append(v)
-                if notify is not None:
-                    notify(v, old, d)
+                if d < min_value[v]:
+                    min_value[v] = d
+                    min_owner[v] = index
             elif d == old and v != source:
                 parent[v] = parents[v]
         self.decreases += len(lowered)
@@ -127,15 +163,10 @@ class EstimateTable(DistanceTable):
     # -- state updates ------------------------------------------------
 
     def _set(self, v: int, value: int, parent) -> None:
-        old = self.dhat[v]
-        self.dhat[v] = value
         num, den = self.gran_num, self.gran_den
-        # relax_limit of a finite value, inlined on this per-decrease path
+        # relax_limit of a finite value, inlined as in partial_dijkstra
         self.lim[v] = (-(-value * den // num) - 1) * num // den
-        self.parent[v] = parent
-        self.decreases += 1
-        if self.on_decrease is not None:
-            self.on_decrease(v, old, value)
+        DistanceTable._set(self, v, value, parent)
 
     def assign_exact(self, dist, parents, vertices=None) -> list[int]:
         """As :meth:`DistanceTable.assign_exact`, keeping ``lim`` in step."""
@@ -194,14 +225,21 @@ class EstimateTable(DistanceTable):
         vertex id.  The crossing test is ``cand <= lim[v]``: ``lim[v]`` is
         the largest candidate below the cap whose bucket lies below that of
         d̂(v) (see the module docstring), refreshed by every write of d̂.
+        Each decrease is written here as ``_set`` writes it, minimum table
+        included, with no call unless ``on_decrease`` is set; work and
+        decreases are counted in locals and added once.
         """
         if not v_input:
             return set()
         dhat = self.dhat
         lim = self.lim
+        parent = self.parent
+        min_value, min_owner = self.min_value, self.min_owner
+        index = self.owner_index
+        notify = self.on_decrease
+        num, den = self.gran_num, self.gran_den
         adj = self.graph._adj
         cap = self.cap
-        set_ = self._set
         queued = self._queued
         heap = []
         for v in v_input:
@@ -212,7 +250,7 @@ class EstimateTable(DistanceTable):
         touched: set[int] = set()
         push = heapq.heappush
         pop = heapq.heappop
-        work = 0
+        work = decreases = 0
         try:
             while heap:
                 du, u = pop(heap)
@@ -230,16 +268,24 @@ class EstimateTable(DistanceTable):
                 for v, w in edges:
                     cand = du + w
                     if cand <= lim[v]:
-                        set_(v, cand, u)
                         touched.add(v)
                         queued[v] = True
-                        push(heap, (cand, v))
-                    elif queued[v] and cand < dhat[v] and cand < cap:
-                        set_(v, cand, u)
-                        push(heap, (cand, v))
+                    elif not queued[v] or cand >= dhat[v] or cand >= cap:
+                        continue
+                    if notify is not None:
+                        notify(v, dhat[v], cand)
+                    dhat[v] = cand
+                    lim[v] = (-(-cand * den // num) - 1) * num // den
+                    parent[v] = u
+                    decreases += 1
+                    if cand < min_value[v]:
+                        min_value[v] = cand
+                        min_owner[v] = index
+                    push(heap, (cand, v))
         finally:
             # a drained heap has cleared every flag; an exception may not
             for _, v in heap:
                 queued[v] = False
             self.work += work
+            self.decreases += decreases
         return touched

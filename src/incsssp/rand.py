@@ -38,25 +38,26 @@ from .intmath import ceil_cbrt, ceil_frac, floor_cbrt
 from .lazy import EstimateTable
 
 
-class _TrackedTable(EstimateTable):
-    """Estimate table that also records which vertices decreased since the
-    last synchronization, so the sync step visits only those and the
-    fixing phase knows which hidden vertices may have become tense.  A
-    rebuild assigns both tables the same exact values and records
-    nothing."""
+class _DecreaseLog:
+    """Decrease listener of the visible table: records which vertices it
+    lowered since the last fixing phase, so the sync step visits only
+    those.  A rebuild assigns both tables the same exact values and clears
+    the record."""
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+    __slots__ = ("changed",)
+
+    def __init__(self):
         self.changed: set[int] = set()
 
-    def _set(self, v: int, value: int, parent) -> None:
+    def __call__(self, v, old, new):
         self.changed.add(v)
-        EstimateTable._set(self, v, value, parent)
 
 
-class _HiddenListener:
-    """Decrease listener of the hidden table: keeps the potential Σ d̂ and
-    each vertex's window slot.
+class _HiddenListener(_DecreaseLog):
+    """Decrease listener of the hidden table: records its decreases as
+    :class:`_DecreaseLog` does (the fixing phase also reads them to find
+    the vertices that may have become tense) and keeps the potential Σ d̂
+    and each vertex's window slot.
 
     Hidden vertex v lies in window i iff iτ ≤ d̂·M < (i+8)τ, that is iff
     its slot ⌊d̂·M/τ⌋ is in [i, i+8).  Slots past the last window (CAP
@@ -71,6 +72,7 @@ class _HiddenListener:
     __slots__ = ("phi", "slots", "cap", "m_cbrt", "tau", "top")
 
     def __init__(self, r: "RandomizedRange", n: int, source: int):
+        super().__init__()
         # a new table holds d̂(s) = 0 and CAP, counted as the cap, elsewhere;
         # every later decrease, a rebuild's included, is reported here
         self.phi = (n - 1) * r.cap
@@ -82,6 +84,7 @@ class _HiddenListener:
         self.slots[source] = 0
 
     def __call__(self, v, old, new):
+        self.changed.add(v)
         # estimates only decrease, so ``new`` is finite
         self.phi -= (self.cap if old == inf else old) - new
         slot = new * self.m_cbrt // self.tau
@@ -118,9 +121,11 @@ class RandomizedRange:
         self.b = 0
         self.insertions_seen = 0
 
-        self.table = _TrackedTable(graph, source, self.cap, eps_delta)
+        self._visible_log = _DecreaseLog()
+        self.table = EstimateTable(graph, source, self.cap, eps_delta,
+                                   on_decrease=self._visible_log)
         self._listener = _HiddenListener(self, graph.n, source)
-        self._hidden = _TrackedTable(graph, source, self.cap, eps_delta,
+        self._hidden = EstimateTable(graph, source, self.cap, eps_delta,
                                      on_decrease=self._listener)
         self.rebuild()
 
@@ -157,8 +162,8 @@ class RandomizedRange:
         self.b = 0
         self.table.reset_phase()
         self._hidden.reset_phase()
-        self.table.changed.clear()
-        self._hidden.changed.clear()
+        self._visible_log.changed.clear()
+        self._listener.changed.clear()
         # the hidden table now holds the bounded tree, so no edge is tense;
         # the out-degrees count the first ``_edges_seen`` graph edges
         self._tense: set[int] = set()
@@ -184,18 +189,20 @@ class RandomizedRange:
 
     def run_fixing_phase(self) -> None:
         ds, hid = self.table, self._hidden
+        ds_changed, hid_changed = self._visible_log.changed, \
+            self._listener.changed
         # synchronize to the pointwise minimum, parents following the winner
-        for v in ds.changed | hid.changed:
+        for v in ds_changed | hid_changed:
             a, h = ds.dhat[v], hid.dhat[v]
             if a < h:
                 hid._set(v, a, ds.parent[v])
             elif h < a:
                 ds._set(v, h, hid.parent[v])
-        dirty = self._tense | hid.changed   # the sync's decreases included
+        dirty = self._tense | hid_changed   # the sync's decreases included
         dirty.update(self._new_tails())
         self._tense = self._still_tense(dirty)
-        ds.changed.clear()
-        hid.changed.clear()
+        ds_changed.clear()
+        hid_changed.clear()
 
         self.phi_snapshot = self.phi   # potential reference point
 

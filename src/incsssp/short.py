@@ -49,24 +49,44 @@ class ShortDistanceTree:
         self._propagate(v)
 
     def _propagate(self, start: int) -> None:
+        """Dijkstra from ``start``, whose estimate was just lowered.
+
+        Each decrease is written here as ``DistanceTable._set`` writes it,
+        minimum table included, with no call unless ``on_decrease`` is set;
+        work and decreases are counted in locals and added once.
+        """
         t = self.table
         dhat = t.dhat
+        parent = t.parent
+        min_value, min_owner = t.min_value, t.min_owner
+        index = t.owner_index
+        notify = t.on_decrease
         adj = self.graph._adj
         cap = self.cap
         heap = [(dhat[start], start)]
         push = heapq.heappush
         pop = heapq.heappop
+        work = decreases = 0
         while heap:
             d, u = pop(heap)
             if d > dhat[u]:
                 continue
-            t.work += 1
-            for v, w in adj[u]:
-                t.work += 1
+            edges = adj[u]
+            work += 1 + len(edges)
+            for v, w in edges:
                 nd = d + w
                 if nd < cap and nd < dhat[v]:
-                    t._set(v, nd, u)
+                    if notify is not None:
+                        notify(v, dhat[v], nd)
+                    dhat[v] = nd
+                    parent[v] = u
+                    decreases += 1
+                    if nd < min_value[v]:
+                        min_value[v] = nd
+                        min_owner[v] = index
                     push(heap, (nd, v))
+        t.work += work
+        t.decreases += decreases
 
     def phase_full(self) -> bool:
         """Never: every insertion is propagated exactly."""

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import strategies as st
 
 import incsssp
-from incsssp import (Graph, InsertionStream, NotAPath, QuadraticErrorParams,
+from incsssp import (Graph, InsertionStream, QuadraticErrorParams,
                      quadratic_error_stream, random_stream)
 from incsssp.lazy import relax_limit
 
@@ -49,6 +49,10 @@ def plant(table, estimates):
         table.dhat[v] = d
         table.lim[v] = relax_limit(d, table.gran_num, table.gran_den,
                                    table.cap)
+
+
+class NotAPath(Exception):
+    """A vertex sequence given to :func:`slack` is not a path of the graph."""
 
 
 def slack(table, path, height=None):

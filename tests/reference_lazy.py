@@ -1,9 +1,13 @@
-"""The two-``ceil_div`` relaxation test and propagation loop that
-``EstimateTable`` used before it kept per-vertex relaxation limits, kept
-as a reference for the equivalence property in ``test_estimates.py``.
+"""Reference implementations for the equivalence properties of the
+propagation loops.
 
-Each relaxation recomputes both bucket indices ⌈d·den/num⌉; a propagation
-keeps a current-key map and an in-queue set, and counts work per edge.
+:class:`ReferenceTable` is the two-``ceil_div`` relaxation test and
+propagation loop that ``EstimateTable`` used before it kept per-vertex
+relaxation limits (``test_estimates.py``): each relaxation recomputes both
+bucket indices ⌈d·den/num⌉; a propagation keeps a current-key map and an
+in-queue set, and counts work per edge.  :class:`ReferenceShortTree` is
+the short tree's insertion writing every decrease through ``_set``
+(``test_short.py``).
 """
 
 import heapq
@@ -101,3 +105,50 @@ class ReferenceTable:
                     current_key[v] = cand
                     push(heap, (cand, v))
         return touched
+
+
+class ReferenceShortTree:
+    """The exact short tree's insertion as written before its loop wrote
+    decreases in place: every decrease goes through ``_set``, which calls
+    ``on_decrease`` after writing, and work is counted per edge.  Starts
+    from a copy of ``tree``'s state."""
+
+    def __init__(self, tree, on_decrease=None):
+        t = tree.table
+        self.graph = tree.graph
+        self.cap = tree.cap
+        self.dhat = list(t.dhat)
+        self.parent = list(t.parent)
+        self.work = t.work
+        self.decreases = t.decreases
+        self.on_decrease = on_decrease
+
+    def _set(self, v: int, value: int, parent) -> None:
+        old = self.dhat[v]
+        self.dhat[v] = value
+        self.parent[v] = parent
+        self.decreases += 1
+        if self.on_decrease is not None:
+            self.on_decrease(v, old, value)
+
+    def insert(self, u: int, v: int, w: int) -> None:
+        self.work += 1
+        du = self.dhat[u]
+        if du == inf:
+            return
+        cand = du + w
+        if cand >= self.cap or cand >= self.dhat[v]:
+            return
+        self._set(v, cand, u)
+        heap = [(cand, v)]
+        while heap:
+            d, x = heapq.heappop(heap)
+            if d > self.dhat[x]:
+                continue
+            self.work += 1
+            for y, wy in self.graph._adj[x]:
+                self.work += 1
+                nd = d + wy
+                if nd < self.cap and nd < self.dhat[y]:
+                    self._set(y, nd, x)
+                    heapq.heappush(heap, (nd, y))

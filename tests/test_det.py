@@ -348,12 +348,6 @@ def reference_insert(eng, u, v, w):
         r.insert(u, v, w)
 
 
-def owner_index(eng):
-    index = {id(eng.short): "short"}
-    index.update((id(r), i) for i, r in enumerate(eng.ranges))
-    return [index.get(id(o)) for o in eng._min_owner]
-
-
 def assert_same_state(eng, ref):
     for r, q in zip(eng.ranges, ref.ranges):
         assert r.table.dhat == q.table.dhat
@@ -364,7 +358,7 @@ def assert_same_state(eng, ref):
     assert eng.short.table.dhat == ref.short.table.dhat
     assert eng.short.table.parent == ref.short.table.parent
     assert eng.min_value == ref.min_value
-    assert owner_index(eng) == owner_index(ref)
+    assert eng._min_owner == ref._min_owner
 
 
 @settings(max_examples=60, deadline=None)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from incsssp import (AlreadyPreprocessed, BudgetExceeded, Config,
-                     DeterministicRange, DuplicateEdge, Graph,
+                     DeterministicRange, DuplicateEdge, EngineBroken, Graph,
                      IncrementalSSSP, InvalidConfig, RandomizedRange,
                      Unreachable, UNREACHABLE, VertexOutOfRange,
                      bounded_dijkstra, dijkstra, verify)
@@ -35,11 +35,27 @@ def min_table_scan(eng) -> list:
     return out
 
 
+def assert_min_table(eng) -> None:
+    """The minimum table equals a full scan of the structures, and each
+    vertex's owner index names a structure holding that minimum."""
+    assert eng.min_value == min_table_scan(eng)
+    for v, (best, owner) in enumerate(zip(eng.min_value, eng._min_owner)):
+        if best == inf:
+            assert owner is None
+        else:
+            assert eng._structures[owner].estimate(v) == best
+
+
 def test_every_exported_name_resolves():
     import incsssp
     assert [name for name in incsssp.__all__
             if not hasattr(incsssp, name)] == []
     assert len(set(incsssp.__all__)) == len(incsssp.__all__)
+    # every error class is exported, and no error the package never raises
+    errors = {name for name, obj in vars(incsssp.errors).items()
+              if isinstance(obj, type) and issubclass(obj, Exception)}
+    assert errors <= set(incsssp.__all__)
+    assert "EngineBroken" in errors and "NotAPath" not in errors
 
 
 def candidate_ranges(eng) -> list[tuple[int, Fraction, int]]:
@@ -318,7 +334,7 @@ def test_sandwich_and_min_table_on_random_run(mode, seed):
         truth = dijkstra(eng.graph, 0)
         report = verify(eng, truth.d, eng.guarantee_epsilon, insertion_index=i)
         assert report.clean, report
-    assert min_table_scan(eng) == eng.min_value
+        assert_min_table(eng)
 
 
 @settings(max_examples=60, deadline=None)
@@ -327,9 +343,10 @@ def test_sandwich_and_min_table_on_random_run(mode, seed):
 def test_every_mode_verifies_after_every_insertion(stream, mode, seed,
                                                    raw_epsilon):
     """Every mode keeps the sandwich and the edge invariant, as the exact
-    oracle checks them, after preprocess and after every insertion, on all
-    three stream families.  ``rand`` also runs with the raw ε, whose
-    coarse buckets make its hidden passes lower estimates."""
+    oracle checks them, and a minimum table equal to a full scan, after
+    preprocess and after every insertion, on all three stream families.
+    ``rand`` also runs with the raw ε, whose coarse buckets make its hidden
+    passes lower estimates."""
     eng = IncrementalSSSP(Config(
         n=stream.n, m_budget=stream.budget, max_weight=stream.max_weight,
         mode=mode, seed=seed, raw_epsilon=mode == "rand" and raw_epsilon,
@@ -339,12 +356,31 @@ def test_every_mode_verifies_after_every_insertion(stream, mode, seed,
         report = verify(eng, dijkstra(eng.graph, 0).d, eng.guarantee_epsilon,
                         insertion_index=i)
         assert report.clean, report
+        assert_min_table(eng)
 
     eng.preprocess(stream.initial_edges)
     check(0)
     for i, (_, u, v, w) in enumerate(stream.insertions, 1):
         eng.insert(u, v, w)
         check(i)
+
+
+@pytest.mark.parametrize("mode", ["det", "nosync", "rand"])
+def test_min_table_with_ranges_owning_answers(mode):
+    """The minimum table equals a full scan after every insertion of a run
+    whose raw ε = 3/4 folds no range (short cap 10), so ranges own many of
+    the minima."""
+    n, m, w = 24, 90, 32
+    stream = random_stream(n, m, w, seed=1)
+    eng = make(n=n, m=m, w=w, mode=mode, eps=Fraction(3, 4),
+               raw_epsilon=True, iter_mult=Fraction(1, 10))
+    eng.preprocess(stream.initial_edges)
+    owned = 0
+    for _, u, v, wt in stream.insertions:
+        eng.insert(u, v, wt)
+        assert_min_table(eng)
+        owned += sum(1 for o in eng._min_owner if o)   # index 0: short tree
+    assert owned > 0
 
 
 def test_range_coverage():
@@ -406,8 +442,9 @@ def test_report_path_exact_after_rebuild():
 
 @pytest.mark.parametrize("mode", ["det", "nosync", "rand"])
 def test_discarded_engine_freed_without_cycle_collector(mode):
-    # the decrease listeners must not tie an engine into a reference cycle,
-    # or every discarded engine stays in memory until the collector runs
+    # the tables writing the minimum must not tie an engine into a
+    # reference cycle, or every discarded engine stays in memory until the
+    # collector runs
     gc.disable()
     try:
         # the raw ε = 3/4 at m = 65 folds no range, so one owns vertex 3
@@ -415,10 +452,45 @@ def test_discarded_engine_freed_without_cycle_collector(mode):
                    raw_epsilon=True)
         eng.preprocess([(0, 1, 2), (1, 2, 30)])
         eng.insert(2, 3, 1)
-        assert eng._min_owner[1] is eng.short
-        assert eng._min_owner[3] in eng.ranges
+        assert eng._structures[eng._min_owner[1]] is eng.short
+        assert eng._structures[eng._min_owner[3]] in eng.ranges
         refs = [weakref.ref(x) for x in (eng, eng.short, *eng.ranges)]
         del eng
         assert [ref() for ref in refs] == [None] * len(refs)
     finally:
         gc.enable()
+
+
+def fail(*args):
+    raise RuntimeError("structure failed")
+
+
+@pytest.mark.parametrize("mode", ["det", "nosync", "rand"])
+def test_structure_failure_poisons_the_engine(mode):
+    """A structure raising after the graph took the edge leaves the engine
+    inconsistent, so every later update raises ``EngineBroken``; an edge
+    the graph rejects leaves it usable."""
+    eng = make(m=65, w=32, eps=Fraction(3, 4), mode=mode, raw_epsilon=True)
+    eng.preprocess([(0, 1, 2)])
+    with pytest.raises(DuplicateEdge):
+        eng.insert(0, 1, 5)
+    eng.insert(1, 2, 30)
+    eng.ranges[-1].insert = fail
+    with pytest.raises(RuntimeError, match="structure failed"):
+        eng.insert(2, 3, 1)
+    assert eng.graph.has_edge(2, 3)
+    with pytest.raises(EngineBroken, match=r"insert\(2, 3, 1\) failed"):
+        eng.insert(3, 4, 1)
+    assert not eng.graph.has_edge(3, 4)
+    with pytest.raises(EngineBroken):
+        eng.preprocess([])
+    assert eng.query(2) == 32   # queries still read the last minimum
+
+
+def test_failed_preprocess_poisons_the_engine():
+    eng = make()
+    eng.short.rebuild = fail
+    with pytest.raises(RuntimeError):
+        eng.preprocess([(0, 1, 2)])
+    with pytest.raises(EngineBroken, match="preprocess failed"):
+        eng.insert(1, 2, 1)

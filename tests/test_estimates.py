@@ -5,10 +5,10 @@ from math import inf
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from incsssp import CAP, EstimateTable, Graph, NotAPath, dijkstra
+from incsssp import CAP, EstimateTable, Graph, dijkstra
 from incsssp.intmath import ceil_div
 from incsssp.lazy import relax_limit
-from tests.conftest import plant, random_graph, slack
+from tests.conftest import NotAPath, plant, random_graph, slack
 from tests.reference_lazy import ReferenceTable
 
 

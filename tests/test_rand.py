@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from incsssp import Config, Graph, IncrementalSSSP, RandomizedRange, dijkstra
+from incsssp import (Config, Graph, IncrementalSSSP, RandomizedRange,
+                     dijkstra, random_stream, verify)
 from incsssp.intmath import ceil_cbrt, ceil_frac, ceil_log2
 from tests.conftest import random_graph, streams
 
@@ -418,3 +419,55 @@ def test_skipped_hidden_pass_matches_always_propagating():
 
     replay()
     assert seen["skip"] and seen["run"] and seen["lowered"], seen
+
+
+def test_randomized_ranges_answer_and_verify():
+    """Raw-ε rand replays in which randomized ranges own answers and
+    fixing phases lower estimates: the sync in both tables, the hidden
+    pass in the hidden one.  At ε = 3/4 and m = 150 every range has
+    εδ ≥ 1, so the short tree stops at 2⌈m^{1/3}⌉ = 12.  ``verify`` is
+    clean after every insertion.  The sync must reach every vertex either
+    table lowered since the last phase, which the decrease hooks record;
+    some vertices here were lowered by the visible table alone (stream 3),
+    and after each fixing phase the hidden table lies at or below the
+    visible one everywhere."""
+    n, m, w = 32, 150, 64
+    seen = dict.fromkeys(("owned", "visible_only", "synced", "passed"), 0)
+
+    def checked(r):
+        vis, hid = r.table, r._hidden
+        run, propagate = r.run_fixing_phase, hid.partial_dijkstra
+
+        def run_fixing_phase():
+            seen["visible_only"] += sum(
+                1 for v, (a, h) in enumerate(zip(vis.dhat, hid.dhat))
+                if a < h and v not in r._listener.changed)
+            before = vis.decreases
+            run()
+            seen["synced"] += vis.decreases - before
+            assert all(h <= a for h, a in zip(hid.dhat, vis.dhat))
+
+        def partial_dijkstra(seeds):
+            before = hid.decreases
+            touched = propagate(seeds)
+            seen["passed"] += hid.decreases - before
+            return touched
+        r.run_fixing_phase = run_fixing_phase
+        hid.partial_dijkstra = partial_dijkstra
+
+    for seed in range(4):
+        stream = random_stream(n, m, w, seed=seed)
+        eng = IncrementalSSSP(Config(
+            n=n, m_budget=m, max_weight=w, eps=Fraction(3, 4), mode="rand",
+            seed=seed, raw_epsilon=True, iter_mult=Fraction(1, 10)))
+        assert eng.short.cap == 12
+        for r in eng.ranges:
+            checked(r)
+        eng.preprocess(stream.initial_edges)
+        for i, (_, u, v, wt) in enumerate(stream.insertions, 1):
+            eng.insert(u, v, wt)
+            report = verify(eng, dijkstra(eng.graph, 0).d,
+                            eng.guarantee_epsilon, insertion_index=i)
+            assert report.clean, report
+            seen["owned"] += sum(1 for o in eng._min_owner if o)
+    assert all(seen.values()), seen

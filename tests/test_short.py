@@ -2,9 +2,11 @@ import random
 from math import inf
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from incsssp import Graph, ShortDistanceTree, dijkstra
-from tests.conftest import random_graph
+from tests.conftest import random_graph, streams
+from tests.reference_lazy import ReferenceShortTree
 
 
 def run_insertions(n, m, w_max, cap, seed):
@@ -74,3 +76,33 @@ def test_relaxation_work_bound():
         last_tree = tree
     # each vertex's integer estimate decreases at most cap times
     assert last_tree.table.decreases <= n * cap + m
+
+
+@settings(max_examples=150, deadline=None)
+@given(stream=streams(), cap=st.one_of(st.just(inf), st.integers(1, 400)),
+       preload=st.booleans(), hooked=st.booleans())
+def test_inlined_loop_matches_per_decrease_reference(stream, cap, preload,
+                                                     hooked):
+    """The propagation that writes decreases in place leaves the same
+    estimates, parents, work and decreases after every insertion as one
+    writing each decrease through ``_set``, and, with an ``on_decrease``
+    hook, sends the same notifications."""
+    g = Graph(stream.n, stream.max_weight, budget=stream.budget,
+              initial_edges=stream.initial_edges if preload else ())
+    logs = ([], [])
+    tree = ShortDistanceTree(g, 0, cap)
+    if hooked:
+        tree.table.on_decrease = lambda *a: logs[0].append(a)
+    ref = ReferenceShortTree(
+        tree, on_decrease=(lambda *a: logs[1].append(a)) if hooked else None)
+    insertions = stream.insertions if preload else \
+        [("a", *e) for e in stream.initial_edges] + stream.insertions
+    t = tree.table
+    for _, u, v, w in insertions:
+        g.insert_edge(u, v, w)
+        tree.insert(u, v, w)
+        ref.insert(u, v, w)
+        assert t.dhat == ref.dhat
+        assert t.parent == ref.parent
+        assert (t.work, t.decreases) == (ref.work, ref.decreases)
+        assert logs[0] == logs[1]

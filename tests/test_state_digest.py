@@ -35,6 +35,11 @@ def test_digest_is_stable_and_sees_one_estimate(mode):
     planted = snapshot(eng)
     table.mark_touched((v,), 10 ** 9)   # a touch log entry alone
     assert snapshot(eng) != planted
+    touched = snapshot(eng)
+    owner = eng._min_owner
+    u = next(u for u, o in enumerate(owner) if o is not None)
+    owner[u] = (owner[u] + 1) % len(eng._structures)   # an owner index alone
+    assert snapshot(eng) != touched
 
     def make_planted(stream):
         eng = make(stream)

@@ -22,7 +22,7 @@ It prints three kinds of digest per workload and engine, each a sha256:
   and touch log (``None`` for the short tree, which keeps none), every
   structure's ``counters()``, phase counter ``b``, potential ``phi`` and
   fixing-phase log where it has them, the global minimum values and which
-  structure owns each minimum;
+  structure owns each minimum (its index in ``engine._structures``);
 - ``answers``: the global minimum values after ``preprocess`` and after
   every insertion, which is every answer ``query`` gave;
 - one per structure label (``short[cap]``, ``det[τ]``, ``rand[τ]``): that
@@ -72,11 +72,8 @@ def structure_states(engine) -> dict[str, bytes]:
 
 def snapshot(engine) -> bytes:
     """The state of one engine as bytes; equal bytes, equal state."""
-    index = {id(s): i for i, s in enumerate(engine._structures)}
-    owners = [None if o is None else index[id(o)]
-              for o in engine._min_owner]
     return repr((list(structure_states(engine).items()), engine.min_value,
-                 owners)).encode()
+                 engine._min_owner)).encode()
 
 
 def replay_digest(make_engine, streams) -> dict[str, str]:
