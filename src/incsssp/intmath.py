@@ -19,14 +19,19 @@ def ceil_sqrt(m: int) -> int:
 
 
 def floor_cbrt(m: int) -> int:
+    """⌊m^{1/3}⌋ by integer Newton iteration, exact at any size."""
     if m < 0:
         raise ValueError("negative argument")
-    r = round(m ** (1.0 / 3.0))
-    while r > 0 and r * r * r > m:
-        r -= 1
-    while (r + 1) ** 3 <= m:
-        r += 1
-    return r
+    if m == 0:
+        return 0
+    # start above the root; each step stays at or above ⌊m^{1/3}⌋ (AM–GM)
+    # and falls while above it, so the first step that does not fall ends
+    r = 1 << -(-m.bit_length() // 3)
+    while True:
+        s = (2 * r + m // (r * r)) // 3
+        if s >= r:
+            return r
+        r = s
 
 
 def ceil_cbrt(m: int) -> int:

@@ -15,9 +15,9 @@ minimum.  The hot loops (``EstimateTable.partial_dijkstra``,
 ``ShortDistanceTree._propagate``) write estimate, parent, limit and
 minimum inline, as ``_set`` does, and count work and decreases in locals.
 The one per-decrease call left is the optional ``on_decrease`` hook, which
-only the randomized ranges set: the visible table records the vertices it
-lowered since the last fixing phase, and the hidden table also keeps its
-potential and window slots (``incsssp.rand``).
+only the hidden table of a randomized range sets: it records the vertices
+that table lowered since the last fixing phase and keeps its potential and
+window slots (``incsssp.rand``).
 
 Estimates at or above the table's cap are stored as the CAP sentinel
 (``math.inf``); its bucket is maximal by construction, and a relaxation out
@@ -62,8 +62,8 @@ class DistanceTable:
     every write lowers ``dhat[v]`` before the minimum test, which then
     never fires (so there is no owner list to write).  The optional
     ``on_decrease(vertex, old, new)`` hook (CAP passed as ``math.inf``) is
-    called before each decrease is written; only the randomized ranges
-    set it.
+    called before each decrease is written; only the hidden table of a
+    randomized range sets it.
     """
 
     def __init__(self, graph, source: int, cap, on_decrease=None):
@@ -197,9 +197,11 @@ class EstimateTable(DistanceTable):
     def touched_in_window(self, lo: int, hi: int) -> set[int]:
         """Vertices touched at some step in (lo, hi].
 
-        The one caller, ``det.insert_step``, passes the current step as
-        ``hi``, so no touch lies past the window and the union of its step
-        lists is the set of vertices whose last touch falls in it.
+        Both callers pass the current step as ``hi``, so no touch lies past
+        the window and the union of its step lists is the set of vertices
+        whose last touch falls in it: ``det.insert_step`` reads its batch,
+        and a randomized range's fixing phase reads (0, b], every vertex
+        the visible table lowered in the phase, for its sync.
         """
         log = self._touch_log
         out = set()

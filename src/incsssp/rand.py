@@ -11,6 +11,12 @@ sampled vertices runs on the hidden table only.  Keeping the sampled
 windows hidden is what lets query answers reveal nothing an adaptive
 adversary can use before the next synchronization.
 
+The sync visits only what either table lowered since the last fixing
+phase: the hidden listener's ``changed``, and the visible table's touch log
+of the phase.  ``det.insert_step`` lowers the relaxed head, bucket-crossing
+vertices and queued ones (batch seeds or already touched), all logged.  The
+tables agree wherever the sync lowered one, so the sync logs nothing.
+
 The hidden pass runs only when it can lower something.  Call an edge
 (u, v, w) *tense* when d̂(u) + w < min(d̂(v), cap).  Both relaxation
 branches of ``partial_dijkstra`` need ``cand < d̂(v)`` and ``cand < cap``,
@@ -34,30 +40,15 @@ from math import inf
 import numpy as np
 
 from .det import bounded_dijkstra, insert_step
+from .errors import InvalidConfig
 from .intmath import ceil_cbrt, ceil_frac, floor_cbrt
 from .lazy import EstimateTable
 
 
-class _DecreaseLog:
-    """Decrease listener of the visible table: records which vertices it
-    lowered since the last fixing phase, so the sync step visits only
-    those.  A rebuild assigns both tables the same exact values and clears
-    the record."""
-
-    __slots__ = ("changed",)
-
-    def __init__(self):
-        self.changed: set[int] = set()
-
-    def __call__(self, v, old, new):
-        self.changed.add(v)
-
-
-class _HiddenListener(_DecreaseLog):
-    """Decrease listener of the hidden table: records its decreases as
-    :class:`_DecreaseLog` does (the fixing phase also reads them to find
-    the vertices that may have become tense) and keeps the potential Σ d̂
-    and each vertex's window slot.
+class _HiddenListener:
+    """Decrease listener of the hidden table: records the vertices it
+    lowered since the last fixing phase, and keeps the potential Σ d̂ and
+    each vertex's window slot.
 
     Hidden vertex v lies in window i iff iτ ≤ d̂·M < (i+8)τ, that is iff
     its slot ⌊d̂·M/τ⌋ is in [i, i+8).  Slots past the last window (CAP
@@ -69,10 +60,10 @@ class _HiddenListener(_DecreaseLog):
     when the cyclic garbage collector next runs.
     """
 
-    __slots__ = ("phi", "slots", "cap", "m_cbrt", "tau", "top")
+    __slots__ = ("changed", "phi", "slots", "cap", "m_cbrt", "tau", "top")
 
     def __init__(self, r: "RandomizedRange", n: int, source: int):
-        super().__init__()
+        self.changed: set[int] = set()
         # a new table holds d̂(s) = 0 and CAP, counted as the cap, elsewhere;
         # every later decrease, a rebuild's included, is reported here
         self.phi = (n - 1) * r.cap
@@ -107,23 +98,21 @@ class RandomizedRange:
         m_cbrt = ceil_cbrt(m_budget)
         self.m_cbrt = m_cbrt
         self.B = max(1, floor_cbrt(m_budget))
-        self.delta = Fraction(tau, m_cbrt)
         eps_delta, self.cap = self.granularity_and_cap(tau, eps, m_budget,
                                                        lg_n)
         # potential drops are integers, so ⌈ε·M·τ/4⌉ decides as ε·M·τ/4 does
         self.threshold = ceil_frac(Fraction(eps * m_cbrt * tau, 4))
         self.max_window_index = max(
             0, ceil_frac(2 * m_cbrt + 200 * eps * m_cbrt * lg_n - 8))
+        if self.max_window_index + 8 >= 2 ** 63:   # slots and draws are int64
+            raise InvalidConfig("rand window indices exceed int64")
         self.iterations = max(1, ceil_frac(Fraction(2000 * lg_n) / eps * iter_mult))
         self.rng = rng
-        self.fixing_phases = 0
         self.fixing_log: list[int] = []   # insertion count at each phase
         self.b = 0
         self.insertions_seen = 0
 
-        self._visible_log = _DecreaseLog()
-        self.table = EstimateTable(graph, source, self.cap, eps_delta,
-                                   on_decrease=self._visible_log)
+        self.table = EstimateTable(graph, source, self.cap, eps_delta)
         self._listener = _HiddenListener(self, graph.n, source)
         self._hidden = EstimateTable(graph, source, self.cap, eps_delta,
                                      on_decrease=self._listener)
@@ -144,6 +133,10 @@ class RandomizedRange:
         """Hidden potential Σ d̂, CAP counted as the cap."""
         return self._listener.phi
 
+    @property
+    def fixing_phases(self) -> int:
+        return len(self.fixing_log)
+
     # -- lifecycle -------------------------------------------------------
 
     def rebuild(self, tree: tuple[list, list] | None = None,
@@ -162,19 +155,16 @@ class RandomizedRange:
         self.b = 0
         self.table.reset_phase()
         self._hidden.reset_phase()
-        self._visible_log.changed.clear()
         self._listener.changed.clear()
-        # the hidden table now holds the bounded tree, so no edge is tense;
-        # the out-degrees count the first ``_edges_seen`` graph edges
+        # the hidden table now holds the bounded tree, so no edge is tense
         self._tense: set[int] = set()
-        tails = self.graph.edge_tails
-        self._outdeg = np.bincount(np.array(tails, dtype=np.int64),
-                                   minlength=self.graph.n)
-        self._edges_seen = len(tails)
+        self._outdeg = np.bincount(self.graph.edge_tails, minlength=self.graph.n)
 
     def insert(self, u: int, v: int, w: int) -> None:
         self.b += 1
         self.insertions_seen += 1
+        self._tense.add(u)   # the new edge may be tense
+        self._outdeg[u] += 1
         insert_step(self.table, u, v, w, self.b, sync=True)
         insert_step(self._hidden, u, v, w, self.b, sync=True)
         while self.needs_fixing():
@@ -189,19 +179,15 @@ class RandomizedRange:
 
     def run_fixing_phase(self) -> None:
         ds, hid = self.table, self._hidden
-        ds_changed, hid_changed = self._visible_log.changed, \
-            self._listener.changed
+        hid_changed = self._listener.changed
         # synchronize to the pointwise minimum, parents following the winner
-        for v in ds_changed | hid_changed:
+        for v in ds.touched_in_window(0, self.b) | hid_changed:
             a, h = ds.dhat[v], hid.dhat[v]
             if a < h:
                 hid._set(v, a, ds.parent[v])
             elif h < a:
                 ds._set(v, h, hid.parent[v])
-        dirty = self._tense | hid_changed   # the sync's decreases included
-        dirty.update(self._new_tails())
-        self._tense = self._still_tense(dirty)
-        ds_changed.clear()
+        self._tense = self._still_tense(self._tense | hid_changed)
         hid_changed.clear()
 
         self.phi_snapshot = self.phi   # potential reference point
@@ -209,28 +195,17 @@ class RandomizedRange:
         draws = self.rng.integers(0, self.max_window_index + 1,
                                   size=self.iterations)
         seeds = self._window_union(draws)
-        if self._covers_tense(seeds):
-            hid.partial_dijkstra(seeds.tolist())
+        vertices = seeds.tolist()
+        if self._covers_tense(vertices):
+            hid.partial_dijkstra(vertices)
         else:
             # the pass would lower nothing: charge what it would have
-            hid.work += len(seeds) + int(self._outdeg[seeds].sum())
+            hid.work += len(vertices) + int(self._outdeg[seeds].sum())
 
         self.b = 0
         ds.reset_phase()
         hid.reset_phase()
-        self.fixing_phases += 1
         self.fixing_log.append(self.insertions_seen)
-
-    def _new_tails(self) -> list[int]:
-        """Tails of the graph edges added since the last call, counted into
-        the out-degrees."""
-        tails = self.graph.edge_tails
-        new = tails[self._edges_seen:]
-        self._edges_seen = len(tails)
-        outdeg = memoryview(self._outdeg)   # indexes as ints, not numpy scalars
-        for u in new:
-            outdeg[u] += 1
-        return new
 
     def _still_tense(self, dirty) -> set[int]:
         """The vertices of ``dirty`` with a tense out-edge in the hidden
@@ -250,10 +225,10 @@ class RandomizedRange:
                     break
         return tense
 
-    def _covers_tense(self, seeds) -> bool:
+    def _covers_tense(self, seeds: list[int]) -> bool:
         """Whether a seed of the hidden pass has a tense out-edge."""
         tense = self._tense
-        return bool(tense) and not tense.isdisjoint(seeds.tolist())
+        return bool(tense) and not tense.isdisjoint(seeds)
 
     def _window_union(self, draws):
         """Vertices of the hidden table with d̂ in [iδ, (i+8)δ) for any

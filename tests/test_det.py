@@ -195,12 +195,16 @@ def check_batches(owner, table) -> list[bool]:
     """Check every batch ``table`` gathers against the paper's definition:
     at step b = k·2^j of a phase, the vertices touched at steps
     ((k−1)·2^j, b] since the phase began.  Returns, per batch, whether it
-    holds a vertex not touched at step b itself."""
+    holds a vertex not touched at step b itself.  A ``RandomizedRange``
+    fixing phase also reads the log of its whole phase, steps (0, b], for
+    the sync: that read must return every touch of the phase, and is no
+    batch."""
     touched = defaultdict(set)   # step -> vertices touched at it this phase
     reaches_back = []
     mark = table.mark_touched
     window = table.touched_in_window
     reset = table.reset_phase
+    fixing = []   # non-empty while the owner runs a fixing phase
 
     def recording_mark(vertices, b):
         touched[b].update(vertices)
@@ -208,11 +212,26 @@ def check_batches(owner, table) -> list[bool]:
 
     def checked_window(lo, hi):
         got = window(lo, hi)
+        want = set().union(*(touched[t] for t in range(lo + 1, hi + 1)))
+        if fixing:
+            assert (lo, hi) == (0, owner.b) and got == want
+            return got
         j, k = batch_index(hi)
         assert hi == owner.b and lo == (k - 1) << j
-        assert got == set().union(*(touched[t] for t in range(lo + 1, hi + 1)))
+        assert got == want
         reaches_back.append(bool(got - touched[hi]))
         return got
+
+    if isinstance(owner, RandomizedRange):
+        run = owner.run_fixing_phase
+
+        def flagged_run():
+            fixing.append(True)
+            try:
+                run()
+            finally:
+                fixing.pop()
+        owner.run_fixing_phase = flagged_run
 
     def recording_reset():
         touched.clear()

@@ -12,7 +12,8 @@ from incsssp import (AlreadyPreprocessed, BudgetExceeded, Config,
                      IncrementalSSSP, InvalidConfig, RandomizedRange,
                      Unreachable, UNREACHABLE, VertexOutOfRange,
                      bounded_dijkstra, dijkstra, verify)
-from incsssp.intmath import ceil_cbrt, ceil_frac, ceil_log2, ceil_sqrt
+from incsssp.intmath import (ceil_cbrt, ceil_frac, ceil_log2, ceil_sqrt,
+                             floor_cbrt)
 from incsssp.workloads import random_stream
 from tests.conftest import streams
 
@@ -219,6 +220,32 @@ def test_non_integer_fields_rejected(field, value):
     fields = {"n": 16, "m_budget": 64, "max_weight": 4, field: value}
     with pytest.raises(InvalidConfig):
         IncrementalSSSP(Config(**fields))
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=st.one_of(st.integers(0, 10 ** 6), st.integers(0, 10 ** 400),
+                   st.integers(1, 10 ** 130).map(lambda r: r ** 3 - 1),
+                   st.integers(0, 10 ** 130).map(lambda r: r ** 3)))
+def test_floor_cbrt_exact(m):
+    r = floor_cbrt(m)
+    assert r ** 3 <= m < (r + 1) ** 3
+    assert ceil_cbrt(m) == (r if r ** 3 == m else r + 1)
+
+
+def test_huge_budget_builds_and_answers():
+    """An m budget far past float range derives ⌊m^{1/3}⌋ in integers;
+    n·W = 4 leaves no range, so the short tree answers exactly."""
+    eng = make(n=4, m=10 ** 100, w=1, mode="rand")
+    eng.preprocess([(0, 1, 1)])
+    eng.insert(1, 2, 1)
+    assert [eng.query(v) for v in range(4)] == [0, 1, 2, UNREACHABLE]
+
+
+def test_rand_window_index_past_int64_rejected():
+    # raw ε keeps ranges whose window index M·(2 + 200·ε·⌈lg n⌉) tops int64
+    with pytest.raises(InvalidConfig):
+        IncrementalSSSP(Config(n=4, m_budget=10 ** 100, max_weight=10 ** 200,
+                               mode="rand", raw_epsilon=True))
 
 
 def test_randomized_eps_scaling():

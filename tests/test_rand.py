@@ -50,7 +50,7 @@ def test_cap_formula():
     lg_n = ceil_log2(16)
     assert r.cap == ceil_frac((2 + 200 * lg_n * Fraction(1, 4)) * 8) + 1
     assert r.B == 4 and r.m_cbrt == 4
-    assert r.delta == Fraction(8, 4)
+    assert r.table.gran == Fraction(1, 4) * Fraction(8, 4)   # εδ, δ = τ/M
 
 
 def test_trigger_boundaries():
@@ -109,15 +109,23 @@ def test_no_estimate_change_means_no_potential_drop():
     assert r.phi == phi or r.fixing_phases > fixes
 
 
+def visible_decrease(r, v, value, parent):
+    """Lower d̂(v) in the visible table alone (test-only surgery) and log it
+    in the touch log at a step of the phase, as ``insert_step`` would."""
+    r.table._set(v, value, parent)
+    r.b += 1
+    r.table.mark_touched((v,), r.b)
+
+
 def test_sync_takes_pointwise_minimum_and_drops_phi():
     g = Graph(4, 20)
     g.insert_edge(0, 1, 12)
     r = make_range(g, tau=8, m_budget=30)
     assert r.table.dhat[1] == r._hidden.dhat[1] == 12
-    # diverge by a recorded decrease of the visible table alone: hidden
-    # holds 12, visible 10, and no hidden edge is tense, so only the sync
-    # can lower the hidden estimate
-    r.table._set(1, 10, 0)
+    # diverge by a logged decrease of the visible table alone, as an
+    # insertion step writes one: hidden holds 12, visible 10, and no hidden
+    # edge is tense, so only the sync can lower the hidden estimate
+    visible_decrease(r, 1, 10, 0)
     assert r.phi == potential_scan(r)
     phi_before = r.phi
     r.run_fixing_phase()
@@ -136,7 +144,7 @@ def test_hidden_pass_runs_from_a_vertex_only_the_sync_lowered():
     # iter_mult 1 draws every window, so every finite vertex is a seed
     r = make_range(g, tau=8, m_budget=30, iter_mult=Fraction(1))
     assert r._hidden.dhat[:3] == [0, 12, 17]
-    r.table._set(1, 10, 0)
+    visible_decrease(r, 1, 10, 0)
     r.run_fixing_phase()
     assert r._hidden.dhat[1] == 10 and r._hidden.dhat[2] == 15
     assert r._hidden.parent[2] == 1
@@ -351,12 +359,51 @@ def test_hidden_mirror_tracks_table(stream, seed):
     assert sum(r.fixing_phases for r in eng.ranges) > 0
 
 
+@settings(max_examples=40, deadline=None)
+@given(stream=streams(), seed=st.integers(0, 3))
+def test_visible_touch_log_holds_every_visible_decrease(stream, seed):
+    """The sync reads the visible table's decreases since the last fixing
+    phase from its touch log of steps (0, b].  At every fixing phase that
+    log equals the set a recording ``on_decrease`` on the visible table
+    collected since the last phase or rebuild.  The sync's own decreases
+    leave the two tables equal, so the record restarts after each phase."""
+    eng = IncrementalSSSP(Config(
+        n=stream.n, m_budget=stream.budget, max_weight=stream.max_weight,
+        mode="rand", seed=seed, raw_epsilon=True,
+        iter_mult=Fraction(1, 2000)))
+    assume(eng.ranges)   # a tiny nW folds even the raw-ε ranges
+
+    def recorded(r):
+        assert r.table.on_decrease is None
+        lowered = set()
+        r.table.on_decrease = lambda v, old, new: lowered.add(v)
+        run, rebuild = r.run_fixing_phase, r.rebuild
+
+        def run_fixing_phase():
+            assert r.table.touched_in_window(0, r.b) == lowered
+            run()
+            lowered.clear()
+
+        def rebuild_and_restart(*args):
+            rebuild(*args)
+            lowered.clear()
+        r.run_fixing_phase = run_fixing_phase
+        r.rebuild = rebuild_and_restart
+
+    for r in eng.ranges:
+        recorded(r)
+    eng.preprocess(stream.initial_edges)
+    for _, u, v, w in stream.insertions:
+        eng.insert(u, v, w)
+    assert sum(r.fixing_phases for r in eng.ranges) > 0
+
+
 def hidden_seed_is_tense(r, seeds) -> bool:
     """Brute force: a seed u with an out-edge (u, v, w) of the hidden table
     where d̂(u) + w < min(d̂(v), cap)."""
     dhat = r._hidden.dhat
     return any(dhat[u] + w < min(dhat[v], r.cap)
-               for u in seeds.tolist() for v, w in r.graph.out_edges(u))
+               for u in seeds for v, w in r.graph.out_edges(u))
 
 
 def rand_state(eng):
@@ -427,10 +474,11 @@ def test_randomized_ranges_answer_and_verify():
     pass in the hidden one.  At ε = 3/4 and m = 150 every range has
     εδ ≥ 1, so the short tree stops at 2⌈m^{1/3}⌉ = 12.  ``verify`` is
     clean after every insertion.  The sync must reach every vertex either
-    table lowered since the last phase, which the decrease hooks record;
-    some vertices here were lowered by the visible table alone (stream 3),
-    and after each fixing phase the hidden table lies at or below the
-    visible one everywhere."""
+    table lowered since the last phase: the hidden listener records the
+    hidden table's, and the visible touch log of the phase the visible
+    table's.  Some vertices here were lowered by the visible table alone
+    (stream 3), and after each fixing phase the hidden table lies at or
+    below the visible one everywhere."""
     n, m, w = 32, 150, 64
     seen = dict.fromkeys(("owned", "visible_only", "synced", "passed"), 0)
 
