@@ -13,8 +13,8 @@ Metrics CSV columns, in order:
 ``max_additive_error`` is filled only under --verify; ``wall_time_ns`` is
 always 0 so identical invocations stay byte-identical.
 
-Exit codes: 0 success, 2 verification failure, 3 stream parse error,
-64 command-line usage error.
+Exit codes: 0 success, 1 unreadable file or rejected configuration,
+2 verification failure, 3 stream parse error, 64 command-line usage error.
 """
 
 import argparse
@@ -39,11 +39,6 @@ def rational(text: str) -> Fraction:
         return Fraction(text)
     except ZeroDivisionError as exc:
         raise ValueError(text) from exc
-
-
-def insertion_vertex(text: str) -> tuple:
-    t, v = text.split(":")
-    return int(t), int(v)
 
 
 def _parse_fraction(text: str, line: int) -> Fraction:
@@ -138,9 +133,10 @@ def serialize_stream(stream: InsertionStream) -> str:
 def run(stream: InsertionStream, mode: str = "det", *,
         eps: Fraction | None = None, seed: int = 0, verify_each: bool = False,
         c_b: int | None = None, iter_mult: Fraction = Fraction(1),
-        raw_epsilon: bool = False, inject_corrupt: tuple | None = None):
+        raw_epsilon: bool = False):
     """Replay a stream; returns (exit_code, metrics_rows, summary dict)."""
-    eps = eps if eps is not None else (stream.eps or Fraction(1, 4))
+    if eps is None:
+        eps = Fraction(1, 4) if stream.eps is None else stream.eps
     cfg = Config(n=stream.n, m_budget=stream.budget,
                  max_weight=stream.max_weight, eps=eps, mode=mode, seed=seed,
                  c_b=c_b, iter_mult=iter_mult, raw_epsilon=raw_epsilon)
@@ -159,20 +155,13 @@ def run(stream: InsertionStream, mode: str = "det", *,
             index += 1
             cur = engine.counters()
             max_err = ""
-            if verify_each or inject_corrupt:
+            if verify_each:
                 dist = exact_distances_fast(engine.graph, engine.source)
-                if inject_corrupt and inject_corrupt[0] == index:
-                    cv = inject_corrupt[1]
-                    bad = dist[cv] - 1 if dist[cv] != inf else 0
-                    if bad >= 0:
-                        engine.short.table.dhat[cv] = bad
-                        engine.min_value[cv] = min(engine.min_value[cv], bad)
-                if verify_each:
-                    report = verify(engine, dist, engine.guarantee_epsilon,
-                                    insertion_index=index)
-                    max_err = report.max_additive_error
-                    if not report.clean and failure is None:
-                        failure = report
+                report = verify(engine, dist, engine.guarantee_epsilon,
+                                insertion_index=index)
+                max_err = report.max_additive_error
+                if not report.clean:
+                    failure = report
             rows.append((index, cur["relaxations"] - prev["relaxations"],
                          cur["decreases"] - prev["decreases"],
                          cur["fixing_phases"] - prev["fixing_phases"],
@@ -264,9 +253,6 @@ def main(argv=None) -> int:
                         help="skip internal epsilon rescaling")
     parser.add_argument("--json", action="store_true",
                         help="emit a JSON summary on stdout")
-    parser.add_argument("--inject-corrupt", type=insertion_vertex,
-                        metavar="T:V",
-                        help="debug: corrupt vertex V after insertion T")
     args = parser.parse_args(argv)
 
     try:
@@ -281,14 +267,11 @@ def main(argv=None) -> int:
         print(f"parse error: {exc}", file=sys.stderr)
         return 3
 
-    if args.inject_corrupt and not 0 <= args.inject_corrupt[1] < stream.n:
-        parser.error(f"--inject-corrupt vertex outside [0,{stream.n})")
     try:
         code, rows, summary = run(
             stream, args.mode, eps=args.eps, seed=args.seed,
             verify_each=args.verify, c_b=args.cb_mult,
-            iter_mult=args.iter_mult, raw_epsilon=args.raw_epsilon,
-            inject_corrupt=args.inject_corrupt)
+            iter_mult=args.iter_mult, raw_epsilon=args.raw_epsilon)
     except (IncSSSPError, InvalidConfig) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

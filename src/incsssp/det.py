@@ -31,14 +31,6 @@ from .errors import PhaseFull
 from .lazy import CAP, EstimateTable
 
 
-def batch_index(b: int) -> tuple[int, int]:
-    """Largest j with 2^j | b, and k = b / 2^j."""
-    if b < 1:
-        raise ValueError("batch index requires b >= 1")
-    j = (b & -b).bit_length() - 1
-    return j, b >> j
-
-
 def insert_step(table: EstimateTable, u: int, v: int, w: int, b: int,
                 sync: bool = True) -> set[int]:
     """One insertion-processing step at in-phase index b.
@@ -54,8 +46,8 @@ def insert_step(table: EstimateTable, u: int, v: int, w: int, b: int,
         return table.partial_dijkstra((v,) if relaxed else ())
     if relaxed:
         table.mark_touched((v,), b)
-    j, k = batch_index(b)
-    touched = table.partial_dijkstra(table.touched_in_window((k - 1) << j, b))
+    # b = k·2^j with k odd, so (k−1)·2^j is b with its lowest set bit cleared
+    touched = table.partial_dijkstra(table.touched_in_window(b & (b - 1), b))
     table.mark_touched(touched, b)
     return touched
 

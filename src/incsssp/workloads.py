@@ -217,14 +217,14 @@ def quadratic_error_replay(stream: InsertionStream, sync: bool) -> dict:
     }
 
 
-def adaptive_run(adversary, system, budget: int, *, check: bool = True):
+def adaptive_run(adversary, system, budget: int):
     """Drive ``system`` with events chosen by ``adversary``.
 
     The adversary is a callable receiving only the tuple of answers to its
     past queries and returning the next event; it never sees internal
     state.  Runs until ``budget`` insertions have been applied, verifying
-    against the exact oracle after every insertion (``check=False`` skips
-    this) and returning the per-insertion reports.
+    against the exact oracle after every insertion, and returns the
+    per-insertion reports.
     """
     from .oracle import dijkstra, verify
 
@@ -238,11 +238,9 @@ def adaptive_run(adversary, system, budget: int, *, check: bool = True):
             _, u, v, w = event
             system.insert(u, v, w)
             inserted += 1
-            if check:
-                dist = dijkstra(system.graph, system.source).d
-                reports.append(verify(system, dist,
-                                      system.guarantee_epsilon,
-                                      insertion_index=inserted))
+            dist = dijkstra(system.graph, system.source).d
+            reports.append(verify(system, dist, system.guarantee_epsilon,
+                                  insertion_index=inserted))
         elif kind == "q":
             answers.append(system.query(event[1]))
         elif kind == "p":

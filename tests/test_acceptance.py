@@ -231,17 +231,12 @@ def test_c6_scaling_measurement():
         slopes[mode] = _slope(sizes, counts)
         report.append(f"{mode}: counts {[int(c) for c in counts]} "
                       f"slope {slopes[mode]:.3f}")
-    det_ok = slopes["det"] <= 1.70
-    rand_ok = slopes["rand"] <= 1.55
+    ok = slopes["det"] <= 1.70 and slopes["rand"] <= 1.55
     detail = (f"det slope {slopes['det']:.3f} (<= 1.70), "
               f"rand slope {slopes['rand']:.3f} (<= 1.55)")
-    if det_ok and rand_ok:
-        _passline("C6", True, detail)
-    else:
-        # advisory tolerance: an excess is investigated, not auto-rejected
-        _passline("C6", True, detail + "  [ADVISORY EXCESS, see report]")
+    if not _passline("C6", ok, detail):
         print("\n".join(report))
-    assert slopes["det"] == slopes["det"]   # measurement completed
+    assert ok, detail
 
 
 def test_default_det_chain_work_grows_slower_than_exact():

@@ -1,3 +1,4 @@
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -6,8 +7,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from incsssp import ParseError, parse_stream, random_stream, run, \
-    serialize_stream
+from incsssp import ParseError, exact_distances_fast, parse_stream, \
+    random_stream, run, serialize_stream
+from incsssp.cli import main
 from incsssp.workloads import InsertionStream
 from tests.conftest import cli_env
 
@@ -92,12 +94,26 @@ def test_run_verify_clean():
     assert summary["violations"] == 0
 
 
-def test_run_corruption_detected():
+@pytest.fixture
+def vertex_3_farther(monkeypatch):
+    """The CLI's oracle reports vertex 3 one step farther than it is, so
+    an exact estimate of it reads as one below its true distance."""
+    exact = exact_distances_fast
+
+    def farther(graph, source):
+        dist = exact(graph, source)
+        dist[3] += 1
+        return dist
+
+    monkeypatch.setattr("incsssp.cli.exact_distances_fast", farther)
+
+
+def test_run_corruption_detected(vertex_3_farther):
     stream = random_stream(16, 60, 5, seed=2)
-    code, rows, summary = run(stream, "det", verify_each=True,
-                              inject_corrupt=(30, 1))
+    code, rows, summary = run(stream, "det", verify_each=True)
     assert code == 2
-    assert "vertex" in summary["first_violation"]
+    assert "vertex 3 " in summary["first_violation"]
+    assert len(rows) == summary["insertions"] < 60
 
 
 def cli(*args, stdin=None):
@@ -126,10 +142,10 @@ def test_cli_parse_error_exit_three(tmp_path):
     assert out.returncode == 3
 
 
-def test_cli_corrupt_exit_two_lists_vertex(stream_file):
-    out = cli(str(stream_file), "--verify", "--inject-corrupt", "20:3")
-    assert out.returncode == 2
-    assert "vertex 3" in out.stderr
+def test_cli_corrupt_exit_two_lists_vertex(stream_file, vertex_3_farther,
+                                           capsys):
+    assert main([str(stream_file), "--verify"]) == 2
+    assert "vertex 3 " in capsys.readouterr().err
 
 
 def test_cli_usage_error_exit_64(stream_file):
@@ -138,13 +154,32 @@ def test_cli_usage_error_exit_64(stream_file):
 
 
 @pytest.mark.parametrize("args", [
-    ("--eps", "abc"), ("--eps", "1/0"), ("--iter-mult", "x"),
-    ("--inject-corrupt", "zz"), ("--inject-corrupt", "20"),
-    ("--verify", "--inject-corrupt", "20:16")])
+    ("--eps", "abc"), ("--eps", "1/0"), ("--iter-mult", "x")])
 def test_cli_malformed_option_exit_64(stream_file, args):
     out = cli(str(stream_file), *args)
     assert out.returncode == 64, out.stderr
     assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("header, args", [(" eps=0", ()),
+                                          ("", ("--eps", "0"))],
+                         ids=["header", "flag"])
+def test_cli_zero_eps_exit_one(tmp_path, capsys, header, args):
+    p = tmp_path / "stream.txt"
+    p.write_text(f"n=4 W=10 budget=6{header}\na 0 1 3\n")
+    assert main([str(p), *args]) == 1
+    assert "eps must lie in (0, 1)" in capsys.readouterr().err
+
+
+def test_readme_usage_names_every_cli_flag():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    usage = readme.read_text().split("## CLI", 1)[1].split("```")[1]
+    help_text = cli("--help").stdout
+
+    def flags(text):
+        return set(re.findall(r"--[a-z][a-z-]*", text))
+
+    assert flags(usage) == flags(help_text) - {"--help"}
 
 
 def test_cli_byte_identical_metrics(stream_file, tmp_path):

@@ -8,27 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from incsssp import (Config, DeterministicRange, Graph, IncrementalSSSP,
-                     PhaseFull, RandomizedRange, batch_index,
-                     bounded_dijkstra, dijkstra)
+                     PhaseFull, RandomizedRange, bounded_dijkstra,
+                     dijkstra)
 from incsssp.intmath import ceil_log2
 from incsssp.lazy import EstimateTable
 from tests.conftest import random_graph, slack, streams
-
-
-def test_batch_index_values():
-    assert batch_index(4) == (2, 1)
-    assert batch_index(6) == (1, 3)
-    assert batch_index(7) == (0, 7)
-    assert batch_index(1) == (0, 1)
-    assert batch_index(8) == (3, 1)
-
-
-def test_batch_index_reconstructs():
-    for b in range(1, 200):
-        j, k = batch_index(b)
-        assert k * (1 << j) == b
-        assert b % (1 << j) == 0
-        assert j == 0 or b % (1 << (j + 1)) != 0
 
 
 def grow_range(n, m, w_max, seed, gran=Fraction(2), B=8, cap=10 ** 6,
@@ -216,7 +200,9 @@ def check_batches(owner, table) -> list[bool]:
         if fixing:
             assert (lo, hi) == (0, owner.b) and got == want
             return got
-        j, k = batch_index(hi)
+        # hi = k·2^j with j maximal; the window starts at (k−1)·2^j
+        j = max(j for j in range(hi.bit_length()) if hi % (1 << j) == 0)
+        k = hi >> j
         assert hi == owner.b and lo == (k - 1) << j
         assert got == want
         reaches_back.append(bool(got - touched[hi]))

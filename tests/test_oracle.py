@@ -34,19 +34,6 @@ def test_scipy_path_agrees_with_reference(seed):
     assert dijkstra(g, 0).d == exact_distances_fast(g, 0)
 
 
-def test_bellman_self_check_runs():
-    g = random_graph(10, 30, 5, seed=1)
-    dijkstra(g, 0, check=True)
-
-
-def test_bounded_oracle():
-    g = Graph(3, 9)
-    g.insert_edge(0, 1, 4)
-    g.insert_edge(1, 2, 4)
-    truth = dijkstra(g, 0, bound=6)
-    assert truth.d == [0, 4, inf]
-
-
 def replayed_engine(seed=0, n=24, m=120, w=8):
     stream = random_stream(n, m, w, seed=seed)
     eng = IncrementalSSSP(Config(n=n, m_budget=m, max_weight=w,
@@ -81,7 +68,7 @@ def test_fault_injection_caught_as_lower_violation():
     victim = next(v for v in range(eng.graph.n)
                   if 0 < truth.d[v] < inf)
     eng.min_value[victim] = truth.d[victim] - 1
-    report = verify(eng, truth.d, eng.guarantee_epsilon, audit=False)
+    report = verify(eng, truth.d, eng.guarantee_epsilon)
     assert [v for (v, _, _) in report.lower_violations] == [victim]
 
 
@@ -90,7 +77,7 @@ def test_upper_violation_detected():
     truth = dijkstra(eng.graph, 0)
     victim = next(v for v in range(eng.graph.n) if 0 < truth.d[v] < inf)
     eng.min_value[victim] = truth.d[victim] * 10
-    report = verify(eng, truth.d, eng.guarantee_epsilon, audit=False)
+    report = verify(eng, truth.d, eng.guarantee_epsilon)
     assert any(v == victim for (v, _, _, _) in report.upper_violations)
 
 
@@ -190,7 +177,7 @@ def test_scipy_path_exact_past_2_53(big):
 def test_lower_violation_one_below_caught_at_big_weights(big):
     eng, dist, _ = big
     eng.min_value[2] = dist[2] - 1
-    report = verify(eng, dist, eng.guarantee_epsilon, audit=False)
+    report = verify(eng, dist, eng.guarantee_epsilon)
     assert report.lower_violations == [(2, dist[2] - 1, dist[2])]
 
 
@@ -199,9 +186,9 @@ def test_upper_violation_one_past_bound_caught_at_big_weights(big):
     one = 1 + eng.guarantee_epsilon
     bound = dist[2] * one.numerator // one.denominator   # ⌊(1+ε)·d⌋
     eng.min_value[2] = bound
-    assert verify(eng, dist, eng.guarantee_epsilon, audit=False).clean
+    assert verify(eng, dist, eng.guarantee_epsilon).clean
     eng.min_value[2] = bound + 1
-    report = verify(eng, dist, eng.guarantee_epsilon, audit=False)
+    report = verify(eng, dist, eng.guarantee_epsilon)
     assert report.upper_violations == [
         (2, bound + 1, dist[2], Fraction(bound + 1, dist[2]))]
     assert report.max_ratio == Fraction(bound + 1, dist[2])
@@ -273,7 +260,7 @@ def test_verify_matches_fraction_reference(stream, scale, edits):
             bound = dist[v] * one.numerator // one.denominator
             q[v] = bound + (kind == "past_bound")
     eng.min_value[:] = q
-    report = verify(eng, dist, eps, audit=False)
+    report = verify(eng, dist, eps)
     assert (report.lower_violations, report.upper_violations,
             report.max_ratio) == reference_sandwich(q, dist, eps)
 

@@ -189,7 +189,7 @@ def test_paired_runs_agree_before_second_fixing_phase():
                 _log.append((_eng.insertions_used, _eng.query(ev[1])))
             return ev
 
-        adaptive_run(recording, eng, budget=budget, check=False)
+        adaptive_run(recording, eng, budget=budget)
         second_phase = [r.fixing_log[1] for r in eng.ranges
                         if len(r.fixing_log) >= 2]
         divergence_floor = min(second_phase) if second_phase else budget + 1
