@@ -13,13 +13,13 @@ of buckets.
 
 from fractions import Fraction
 
-from incsssp import QuadraticErrorParams, quadratic_error_stream, phase_error_bound
+from incsssp import quadratic_error_stream, phase_error_bound
 from incsssp.workloads import quadratic_error_replay
 
 print(f"{'B':>4} {'nosync end error':>17} {'quadratic target':>17} "
       f"{'sync worst audit':>17} {'phase bound':>12}")
 for B in (16, 32, 64):
-    stream = quadratic_error_stream(QuadraticErrorParams(B, Fraction(2)))
+    stream = quadratic_error_stream(B)
     eps_delta = stream.meta["eps_delta_scaled"]
     base = quadratic_error_replay(stream, sync=False)
     syn = quadratic_error_replay(stream, sync=True)
@@ -29,7 +29,7 @@ for B in (16, 32, 64):
           f"{max(syn['audits']):>17} {float(bound):>12.0f}")
 
 B = 16
-stream = quadratic_error_stream(QuadraticErrorParams(B, Fraction(2)))
+stream = quadratic_error_stream(B)
 base = quadratic_error_replay(stream, sync=False)
 print(f"\nsink trajectory under nosync (B={B}):")
 print(f"{'step':>5} {'estimate':>9} {'truth':>6} {'error':>6}")

@@ -19,8 +19,8 @@ from .short import ShortDistanceTree
 from .oracle import (ExactDistances, VerifyReport, brute_force_distances,
                      dijkstra, exact_distances_fast, phase_error_audit,
                      phase_error_bound, verify)
-from .workloads import (QuadraticErrorParams, InsertionStream, adaptive_run,
-                        quadratic_error_stream, random_stream)
+from .workloads import (InsertionStream, adaptive_run, quadratic_error_stream,
+                        random_stream)
 from .cli import parse_stream, serialize_stream, run
 
 __all__ = [
@@ -33,6 +33,6 @@ __all__ = [
     "RandomizedRange", "ShortDistanceTree",
     "ExactDistances", "VerifyReport", "brute_force_distances", "dijkstra",
     "exact_distances_fast", "phase_error_audit", "phase_error_bound", "verify",
-    "QuadraticErrorParams", "InsertionStream", "adaptive_run", "quadratic_error_stream",
+    "InsertionStream", "adaptive_run", "quadratic_error_stream",
     "random_stream", "parse_stream", "serialize_stream", "run",
 ]

@@ -9,15 +9,16 @@ estimates between phases.  All ranges of one engine share a phase
 boundary, so the engine runs one bounded Dijkstra to the largest cap and
 every range assigns the distances below its own cap from it.
 
-At a shared boundary a range visits only the vertices whose distance or
-parent changed since the previous shared tree.  Right after a rebuild a range holds that tree
-exactly below its cap.  Until the next one, every estimate it lowers
-becomes the weight of a real path, never below the vertex's true distance
-at the next boundary.  A vertex whose distance did not change between the
-two trees was therefore never lowered: it still holds the value and parent
-the previous rebuild gave it (or CAP, if its distance is still at least
-the cap), and unless its tree parent changed the full scan would write
-nothing to it.
+A rebuild visits only the vertices its tree names: the ones a range's
+construction-time Dijkstra settled, or at a shared boundary those whose
+distance or parent changed since the previous shared tree.  Right after a
+rebuild a range holds that tree exactly below its cap.  Until the next
+one, every estimate it lowers becomes the weight of a real path, never
+below the vertex's true distance at the next boundary.  A vertex whose
+distance did not change between the two trees was therefore never
+lowered: it still holds the value and parent the previous rebuild gave it
+(or CAP, if its distance is still at least the cap), and unless its tree
+parent changed a visit would write nothing to it.
 
 A baseline mode replaces the batch with just the head of the inserted edge
 (when its relaxation fired), reproducing the per-edge propagation scheme
@@ -27,7 +28,7 @@ this design improves on; it exists for contrast experiments only.
 import heapq
 from fractions import Fraction
 
-from .errors import PhaseFull
+from .errors import InvalidConfig, PhaseFull
 from .lazy import CAP, EstimateTable
 
 
@@ -52,19 +53,23 @@ def insert_step(table: EstimateTable, u: int, v: int, w: int, b: int,
     return touched
 
 
-def bounded_dijkstra(graph, source: int, cap: int) -> tuple[list, list]:
+def bounded_dijkstra(graph, source: int,
+                     cap: int) -> tuple[list, list, list]:
     """Exact distances from ``source``, abandoning keys ≥ cap.
 
-    Returns (dist, parent) with out-of-range vertices at CAP.  Ties broken
-    by vertex id for reproducible parents.  Vertices are settled in
-    nondecreasing (distance, id) order, so the entries below any lower cap
-    equal those of a run capped there: one run to the largest cap serves
-    every structure.
+    Returns (dist, parent, settled) with out-of-range vertices at CAP and
+    ``settled`` the reached vertices in settle order, the source first.
+    Ties broken by vertex id for reproducible parents.  Vertices are
+    settled in nondecreasing (distance, id) order, so the entries below any
+    lower cap equal those of a run capped there: one run to the largest cap
+    serves every structure.
     """
     n = graph.n
     dist = [CAP] * n
     parent = [None] * n
     dist[source] = 0
+    settled = []
+    settle = settled.append
     adj = graph._adj
     heap = [(0, source)]
     push = heapq.heappush
@@ -75,20 +80,21 @@ def bounded_dijkstra(graph, source: int, cap: int) -> tuple[list, list]:
         # last one matches dist[u]: each vertex is settled exactly once
         if d > dist[u]:
             continue
+        settle(u)
         for v, w in adj[u]:
             nd = d + w
             if nd < cap and nd < dist[v]:
                 dist[v] = nd
                 parent[v] = u
                 push(heap, (nd, v))
-    return dist, parent
+    return dist, parent, settled
 
 
-def tree_diff(old: tuple[list, list], new: tuple[list, list]) -> list[int]:
+def tree_diff(old: tuple, new: tuple) -> list[int]:
     """Vertices, in increasing order, whose distance or parent differs
     between two :func:`bounded_dijkstra` results."""
-    old_dist, old_parent = old
-    new_dist, new_parent = new
+    old_dist, old_parent, _ = old
+    new_dist, new_parent, _ = new
     return [v for v in range(len(new_dist))
             if new_dist[v] != old_dist[v] or new_parent[v] != old_parent[v]]
 
@@ -99,13 +105,13 @@ class DeterministicRange:
     Estimates are kept up to ``cap`` and reported as unreachable beyond it.
     The owner must call :meth:`rebuild` once the phase is full; an insertion
     into a full phase raises :class:`PhaseFull`.  An owner holding several
-    ranges passes each one the same :func:`bounded_dijkstra` result.
+    ranges passes each one the same tree.
     """
 
     def __init__(self, graph, source: int, tau: int, eps_delta: Fraction,
                  phase_length: int, cap: int, sync: bool = True):
         if phase_length < 1:
-            raise ValueError("phase length must be >= 1")
+            raise InvalidConfig("phase length must be >= 1")
         self.graph = graph
         self.source = source
         self.tau = tau
@@ -116,7 +122,7 @@ class DeterministicRange:
         self.b = 0
         self.rebuilds = 0
         self.table = EstimateTable(graph, source, cap, eps_delta)
-        self.rebuild()
+        self.rebuild(bounded_dijkstra(graph, source, cap))
 
     def insert(self, u: int, v: int, w: int) -> set[int]:
         if self.b >= self.B:
@@ -127,21 +133,20 @@ class DeterministicRange:
     def phase_full(self) -> bool:
         return self.b >= self.B
 
-    def rebuild(self, tree: tuple[list, list] | None = None,
-                changed: list[int] | None = None) -> None:
+    def rebuild(self, tree: tuple[list, list, list]) -> None:
         """Restore exact estimates (clamped at cap) and reset the phase.
 
-        ``tree`` is a shared ``(dist, parent)`` from :func:`bounded_dijkstra`
-        on the current graph, run to at least this range's cap; without it
-        the range runs its own.  ``changed``, when given with ``tree``, is
-        the :func:`tree_diff` of the tree of this range's previous rebuild
-        and ``tree``, and only those vertices are visited.  The rebuild is
-        charged ``edge_count + n`` work either way.
+        ``tree`` is ``(dist, parent, visit)``: the distances and parents
+        of a :func:`bounded_dijkstra` on the current graph, run to at least
+        this range's cap, and the vertices to visit, each once.  ``visit``
+        must hold every vertex whose entry differs from what the range
+        holds: the settled list of that Dijkstra when the range was just
+        built on this graph, or the :func:`tree_diff` against the tree of
+        its previous rebuild.  The rebuild is charged ``edge_count + n``
+        work whatever it visits.
         """
-        if tree is None:
-            tree = bounded_dijkstra(self.graph, self.source, self.cap)
         self.table.work += self.graph.edge_count + self.graph.n
-        self.table.assign_exact(*tree, changed)
+        self.table.assign_exact(*tree)
         self.b = 0
         self.table.reset_phase()
         self.rebuilds += 1

@@ -26,9 +26,11 @@ graphs of a few thousand vertices every default-ε ``rand`` range is folded.
 
 The short tree and every range, deterministic or randomized, give one
 protocol (``table``, ``cap``, ``estimate``, ``insert``, ``phase_full``,
-``rebuild(tree, changed)``, ``counters``; ranges also ``audit_tables``),
-so the engine never asks which kind a structure is.  Exact
-(re)initialization runs one bounded Dijkstra to the largest cap, shared by
+``rebuild(tree)``, ``counters``; ranges also ``audit_tables``), so the
+engine never asks which kind a structure is.  ``tree`` is
+``(dist, parent, visit)``.  Each structure is built from a bounded Dijkstra
+of its own on the still empty graph, which visits only the source.  Exact
+re-initialization runs one bounded Dijkstra to the largest cap, shared by
 every structure it serves: at ``preprocess`` all of them, before an
 insertion every structure whose phase is full (only deterministic ranges
 fill, together).  Each visits only the vertices whose distance or parent
@@ -233,17 +235,18 @@ class IncrementalSSSP:
             raise BudgetExceeded("initial edges exceed the declared budget")
         self.graph.load_initial(edges)
         try:
-            tree, changed = self._next_tree()
+            tree = self._next_tree()
             for s in self._structures:
-                s.rebuild(tree, changed)
+                s.rebuild(tree)
         except BaseException as exc:
             self._poison("preprocess", exc)
             raise
         self._preprocessed = True
 
-    def _next_tree(self) -> tuple[tuple[list, list], list[int]]:
-        """The shared bounded Dijkstra on the current graph, and the
-        vertices whose entry differs from the previous one.
+    def _next_tree(self) -> tuple[list, list, list]:
+        """``(dist, parent, visit)``: the shared bounded Dijkstra on the
+        current graph, and the vertices whose entry differs from the
+        previous one.
 
         Every structure rebuilt at a boundary was rebuilt at the previous
         one too (or, before the first, built on the empty graph), so each
@@ -254,7 +257,7 @@ class IncrementalSSSP:
         tree = det.bounded_dijkstra(self.graph, self.source, self._tree_cap)
         changed = det.tree_diff(self._tree, tree)
         self._tree = tree
-        return tree, changed
+        return tree[0], tree[1], changed
 
     def insert(self, u: int, v: int, w: int) -> None:
         """Insert one edge and bring every structure up to date.
@@ -274,11 +277,10 @@ class IncrementalSSSP:
             tree = None
             for s in self._structures:
                 if s.phase_full():
-                    if tree is None:
-                        # deterministic ranges share B and b, so they fill
-                        # together and the largest cap is needed anyway
-                        tree, changed = self._next_tree()
-                    s.rebuild(tree, changed)
+                    # deterministic ranges share B and b, so they fill
+                    # together and the largest cap is needed anyway
+                    tree = tree or self._next_tree()
+                    s.rebuild(tree)
                 s.insert(u, v, w)
         except BaseException as exc:
             self._poison(f"insert({u}, {v}, {w})", exc)

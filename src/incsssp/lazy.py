@@ -41,6 +41,8 @@ import heapq
 from fractions import Fraction
 from math import inf
 
+from .errors import InvalidConfig
+
 CAP = inf
 
 
@@ -68,6 +70,8 @@ class DistanceTable:
 
     def __init__(self, graph, source: int, cap, on_decrease=None):
         n = graph.n
+        if not 0 <= source < n:
+            raise InvalidConfig(f"source {source} outside [0,{n})")
         self.graph = graph
         self.source = source
         self.cap = cap
@@ -101,22 +105,20 @@ class DistanceTable:
             self.min_value[v] = value
             self.min_owner[v] = self.owner_index
 
-    def assign_exact(self, dist, parents, vertices=None) -> list[int]:
-        """Overwrite with exact distances (clamped at cap) and tree parents.
+    def assign_exact(self, dist, parents, vertices) -> list[int]:
+        """Overwrite ``vertices`` with exact distances (clamped at cap) and
+        tree parents.
 
         Exact distances never exceed current estimates, so this is a pure
         sequence of decreases plus parent refreshes.  ``dist`` may come from
         a run to a higher cap; entries at or above this table's cap (CAP
-        included) are skipped.  ``vertices``, when given, lists in
-        increasing order the only vertices to visit; without it every
-        vertex is.  Decreases are written here, not through ``_set``, in
-        increasing vertex order; returns the lowered vertices.
+        included) are skipped.  ``vertices`` lists each vertex to visit
+        once; the order changes nothing, since a visit writes only that
+        vertex's entries and the hidden listener's potential is a sum.
+        Decreases are written here, not through ``_set``; returns the
+        lowered vertices.
         """
         cap = self.cap
-        if vertices is None:
-            visit = [v for v, d in enumerate(dist) if d < cap]
-        else:
-            visit = [v for v in vertices if dist[v] < cap]
         dhat = self.dhat
         parent = self.parent
         source = self.source
@@ -124,8 +126,10 @@ class DistanceTable:
         index = self.owner_index
         notify = self.on_decrease
         lowered = []
-        for v in visit:
+        for v in vertices:
             d = dist[v]
+            if d >= cap:
+                continue
             old = dhat[v]
             if d < old:
                 if notify is not None:
@@ -148,7 +152,7 @@ class EstimateTable(DistanceTable):
     def __init__(self, graph, source: int, cap: int, gran: Fraction,
                  on_decrease=None):
         if gran <= 0:
-            raise ValueError("granularity must be positive")
+            raise InvalidConfig("granularity must be positive")
         super().__init__(graph, source, cap, on_decrease)
         n = graph.n
         self.gran = gran
@@ -168,7 +172,7 @@ class EstimateTable(DistanceTable):
         self.lim[v] = (-(-value * den // num) - 1) * num // den
         DistanceTable._set(self, v, value, parent)
 
-    def assign_exact(self, dist, parents, vertices=None) -> list[int]:
+    def assign_exact(self, dist, parents, vertices) -> list[int]:
         """As :meth:`DistanceTable.assign_exact`, keeping ``lim`` in step."""
         lowered = super().assign_exact(dist, parents, vertices)
         lim = self.lim

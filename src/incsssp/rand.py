@@ -92,6 +92,8 @@ class RandomizedRange:
 
     def __init__(self, graph, source: int, tau: int, eps: Fraction,
                  m_budget: int, lg_n: int, rng, iter_mult: Fraction = Fraction(1)):
+        if eps <= 0:
+            raise InvalidConfig("eps must be positive")
         self.graph = graph
         self.source = source
         self.tau = tau
@@ -116,7 +118,7 @@ class RandomizedRange:
         self._listener = _HiddenListener(self, graph.n, source)
         self._hidden = EstimateTable(graph, source, self.cap, eps_delta,
                                      on_decrease=self._listener)
-        self.rebuild()
+        self.rebuild(bounded_dijkstra(graph, source, self.cap))
 
     @staticmethod
     def granularity_and_cap(tau: int, eps: Fraction, m_budget: int,
@@ -139,18 +141,13 @@ class RandomizedRange:
 
     # -- lifecycle -------------------------------------------------------
 
-    def rebuild(self, tree: tuple[list, list] | None = None,
-                changed: list[int] | None = None) -> None:
-        """Exact initialization; counts as a fixing phase with no sampling.
-
-        ``tree`` is a shared :func:`bounded_dijkstra` result run to at least
-        this cap; without it the range runs its own.  ``changed`` as for
-        ``DeterministicRange.rebuild``.
+    def rebuild(self, tree: tuple[list, list, list]) -> None:
+        """Exact initialization of both tables from ``tree``, a
+        ``(dist, parent, visit)`` as for ``DeterministicRange.rebuild``;
+        it starts a new phase but is not a fixing phase and draws nothing.
         """
-        if tree is None:
-            tree = bounded_dijkstra(self.graph, self.source, self.cap)
-        self.table.assign_exact(*tree, changed)
-        self._hidden.assign_exact(*tree, changed)
+        self.table.assign_exact(*tree)
+        self._hidden.assign_exact(*tree)
         self.phi_snapshot = self.phi
         self.b = 0
         self.table.reset_phase()

@@ -23,17 +23,13 @@ class ShortDistanceTree:
         self.cap = cap
         # a plain table: exact relaxation has no bucket limits to keep
         self.table = DistanceTable(graph, source, cap)
-        self.rebuild()
+        self.rebuild(bounded_dijkstra(graph, source, cap))
 
-    def rebuild(self, tree: tuple[list, list] | None = None,
-                changed: list[int] | None = None) -> None:
-        """Exact distances below the cap, from ``tree`` (a shared
-        :func:`bounded_dijkstra` result run to at least this cap) or a run
-        of its own; ``changed`` as for ``DeterministicRange.rebuild``."""
-        if tree is None:
-            tree = bounded_dijkstra(self.graph, self.source, self.cap)
+    def rebuild(self, tree: tuple[list, list, list]) -> None:
+        """Exact distances below the cap from ``tree``, a
+        ``(dist, parent, visit)`` as for ``DeterministicRange.rebuild``."""
         self.table.work += self.graph.edge_count + self.graph.n
-        self.table.assign_exact(*tree, changed)
+        self.table.assign_exact(*tree)
 
     def insert(self, u: int, v: int, w: int) -> None:
         """Process one edge insertion, keeping sub-cap distances exact."""
@@ -52,15 +48,15 @@ class ShortDistanceTree:
         """Dijkstra from ``start``, whose estimate was just lowered.
 
         Each decrease is written here as ``DistanceTable._set`` writes it,
-        minimum table included, with no call unless ``on_decrease`` is set;
-        work and decreases are counted in locals and added once.
+        minimum table included, with no call: only a randomized range's
+        hidden table sets ``on_decrease``.  Work and decreases are counted
+        in locals and added once.
         """
         t = self.table
         dhat = t.dhat
         parent = t.parent
         min_value, min_owner = t.min_value, t.min_owner
         index = t.owner_index
-        notify = t.on_decrease
         adj = self.graph._adj
         cap = self.cap
         heap = [(dhat[start], start)]
@@ -76,8 +72,6 @@ class ShortDistanceTree:
             for v, w in edges:
                 nd = d + w
                 if nd < cap and nd < dhat[v]:
-                    if notify is not None:
-                        notify(v, dhat[v], nd)
                     dhat[v] = nd
                     parent[v] = u
                     decreases += 1

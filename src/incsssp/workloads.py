@@ -75,37 +75,24 @@ def random_stream(n: int, m: int, max_weight: int, seed: int,
                            events=events, meta={"seed": seed})
 
 
-@dataclass(frozen=True)
-class QuadraticErrorParams:
-    phase_edges: int                      # B: red insertions number B−1
-    eps_delta_unit: Fraction = Fraction(2)
-
-
-def quadratic_error_stream(params: QuadraticErrorParams) -> InsertionStream:
-    """Quadratic-error adversarial instance for one phase of B−1 insertions.
+def quadratic_error_stream(phase_edges: int) -> InsertionStream:
+    """Quadratic-error adversarial instance for one phase of B−1 insertions,
+    B = ``phase_edges``, at granularity εδ = 2.
 
     Shortcut f_i into segment i's endpoint costs i·(1+εδ/2)·B/2 + i + 1 and
     the hub edge lowering position j−1 of segment i costs
-    ω(f_i) − (B/2−j+1)·(1+εδ/2) − 1; everything is scaled by the
-    denominator of εδ/2 so weights are integers (uniform scaling leaves
-    shortest paths unchanged).  The estimate-freezing behaviour of the
-    baseline mode is alignment-sensitive under the bucket relaxation test;
-    it is certified for eps_delta_unit = 2 (the ``freeze_certified`` meta
-    flag).
+    ω(f_i) − (B/2−j+1)·(1+εδ/2) − 1, reached through a weight-1 stub where
+    that keeps the segment's estimates even; every other edge weighs 1.
+    The estimate freezing of the baseline mode is alignment-sensitive
+    under the bucket relaxation test, and this alignment freezes it.
     """
-    B = params.phase_edges
-    g = Fraction(params.eps_delta_unit)
+    B = phase_edges
     if B < 4 or B % 2:
         raise InvalidParams("phase_edges must be an even integer >= 4")
-    if g <= 0:
-        raise InvalidParams("eps_delta_unit must be positive")
-    half = g / 2
-    S, hn = half.denominator, half.numerator   # scale and scaled εδ/2
     H = B // 2
-    step = S + hn                              # scaled (1 + εδ/2)
 
     def wf(i: int) -> int:
-        return i * step * H + (i + 1) * S
+        return 2 * i * H + i + 1
 
     # id layout: source, hubs a_1..a_H, segments row-major, stubs on demand
     source = 0
@@ -116,46 +103,29 @@ def quadratic_error_stream(params: QuadraticErrorParams) -> InsertionStream:
         seg[i] = list(range(nxt, nxt + H + 1))  # positions 0..H; seg[i][H] = x_i
         nxt += H + 1
 
-    # stub parity fix: estimates along a segment sit at c_i + wf(i) − k·step − S
-    # with c_i = S·(1+β_i); β_i keeps them off the bucket boundaries
-    two_hn = 2 * hn
-    beta = {}
-    certified = True
-    for i in range(1, H + 1):
-        choice = None
-        for b in (0, 1):
-            if not (1 <= (wf(i) + S * b) % two_hn <= hn):
-                choice = b
-                break
-        if choice is None:
-            choice = 0
-            certified = False
-        beta[i] = choice
-    if S != 1 or hn != 1:
-        # the bucket-boundary pattern shifts along segments, or connector
-        # undercuts span more than one bucket: freezing is not guaranteed
-        certified = False
-
     initial = []
     for i in range(1, H + 1):
         vs = seg[i]
         for p in range(H):
-            initial.append((vs[p], vs[p + 1], S))
+            initial.append((vs[p], vs[p + 1], 1))
         initial.append((source, vs[H], wf(i)))          # shortcut f_i
     for k in range(1, H + 1):
         p = H - k                                       # position lowered at step k
         for i in range(1, H + 1):
-            w_low = wf(i) - k * step - S
-            if beta[i]:
+            w_low = wf(i) - 2 * k - 1
+            # estimates along segment i sit at wf(i) + β_i − 2k, where
+            # β_i = 1 iff the segment's hub edges pass a stub: it keeps
+            # them even
+            if wf(i) % 2:
                 stub = nxt
                 nxt += 1
-                initial.append((hub[k], stub, S))
+                initial.append((hub[k], stub, 1))
                 initial.append((stub, seg[i][p], w_low))
             else:
                 initial.append((hub[k], seg[i][p], w_low))
 
-    events = [("a", source, hub[k], S) for k in range(1, H + 1)]
-    events += [("a", seg[i][H], seg[i + 1][0], S) for i in range(1, H)]
+    events = [("a", source, hub[k], 1) for k in range(1, H + 1)]
+    events += [("a", seg[i][H], seg[i + 1][0], 1) for i in range(1, H)]
 
     n = nxt
     sink = seg[H][H]
@@ -163,11 +133,9 @@ def quadratic_error_stream(params: QuadraticErrorParams) -> InsertionStream:
     budget = len(initial) + len(events)
     meta = {
         "sink": sink,
-        "scale": S,
-        "eps_delta_scaled": two_hn,
+        "eps_delta_scaled": 2,
         "initial_sink_distance": wf(H),
-        "final_sink_distance": S * (H * H + H + 1),
-        "freeze_certified": certified,
+        "final_sink_distance": H * H + H + 1,
         "phase_edges": B,
     }
     return InsertionStream(n=n, max_weight=max_w, budget=budget,

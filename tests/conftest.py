@@ -6,8 +6,8 @@ import pytest
 from hypothesis import strategies as st
 
 import incsssp
-from incsssp import (Graph, InsertionStream, QuadraticErrorParams,
-                     quadratic_error_stream, random_stream)
+from incsssp import (Graph, InsertionStream, quadratic_error_stream,
+                     random_stream)
 from incsssp.lazy import relax_limit
 
 
@@ -102,8 +102,7 @@ def streams(draw, families=("random", "quadratic", "chain")):
         return random_stream(n, m, draw(st.integers(1, 16)),
                              seed=draw(st.integers(0, 2 ** 16)))
     if family == "quadratic":
-        return quadratic_error_stream(QuadraticErrorParams(
-            draw(st.sampled_from([4, 6, 8, 12]))))
+        return quadratic_error_stream(draw(st.sampled_from([4, 6, 8, 12])))
     return chain_shortcut_stream(draw(st.integers(3, 48)))
 
 

@@ -109,11 +109,10 @@ class ReferenceTable:
 
 class ReferenceShortTree:
     """The exact short tree's insertion as written before its loop wrote
-    decreases in place: every decrease goes through ``_set``, which calls
-    ``on_decrease`` after writing, and work is counted per edge.  Starts
-    from a copy of ``tree``'s state."""
+    decreases in place: every decrease goes through ``_set``, and work is
+    counted per edge.  Starts from a copy of ``tree``'s state."""
 
-    def __init__(self, tree, on_decrease=None):
+    def __init__(self, tree):
         t = tree.table
         self.graph = tree.graph
         self.cap = tree.cap
@@ -121,15 +120,11 @@ class ReferenceShortTree:
         self.parent = list(t.parent)
         self.work = t.work
         self.decreases = t.decreases
-        self.on_decrease = on_decrease
 
     def _set(self, v: int, value: int, parent) -> None:
-        old = self.dhat[v]
         self.dhat[v] = value
         self.parent[v] = parent
         self.decreases += 1
-        if self.on_decrease is not None:
-            self.on_decrease(v, old, value)
 
     def insert(self, u: int, v: int, w: int) -> None:
         self.work += 1

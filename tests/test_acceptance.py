@@ -14,8 +14,8 @@ from math import inf
 import numpy as np
 import pytest
 
-from incsssp import (Config, EstimateTable, Graph, QuadraticErrorParams,
-                     IncrementalSSSP, ShortDistanceTree, adaptive_run,
+from incsssp import (Config, EstimateTable, Graph, IncrementalSSSP,
+                     ShortDistanceTree, adaptive_run,
                      exact_distances_fast, quadratic_error_stream,
                      phase_error_audit, phase_error_bound, random_stream,
                      serialize_stream, verify)
@@ -43,6 +43,7 @@ def replay_and_audit(stream, cfg, *, path_every=75):
         "path_failures": 0,
         "paths_checked": 0,
         "insertions": 0,
+        "range_owned": 0,   # insertions after which a range owns a minimum
     }
     is_det = cfg.mode == "det"
     bounds = {id(r): phase_error_bound(r.B, r.eps_delta)
@@ -63,6 +64,8 @@ def replay_and_audit(stream, cfg, *, path_every=75):
             for r in eng.ranges:
                 if phase_error_audit(r, dist) > bounds[id(r)]:
                     out["phase_audit_violations"] += 1
+        # the short tree is structure 0, and an unreached vertex has None
+        out["range_owned"] += any(eng._min_owner)
         scap = eng.short.cap
         for x in range(n):
             if dist[x] < scap and eng.short.estimate(x) != dist[x]:
@@ -104,17 +107,20 @@ def c1_corpus():
     return results
 
 
+def c7_replay(seed, W=64):
+    """One C7 run: ``random_stream(128, 1000, W)`` #5000+seed through a
+    rand engine at raw ε = 1/4 and iter_mult 1/100."""
+    n, m = 128, 1000
+    stream = random_stream(n, m, W, seed=5000 + seed)
+    cfg = Config(n=n, m_budget=m, max_weight=W, eps=Fraction(1, 4),
+                 mode="rand", seed=seed, raw_epsilon=True,
+                 iter_mult=Fraction(1, 100))
+    return replay_and_audit(stream, cfg, path_every=200)
+
+
 @pytest.fixture(scope="session")
 def c7_corpus():
-    n, m, W = 128, 1000, 64
-    results = []
-    for seed in range(100):
-        stream = random_stream(n, m, W, seed=5000 + seed)
-        cfg = Config(n=n, m_budget=m, max_weight=W, eps=Fraction(1, 4),
-                     mode="rand", seed=seed, raw_epsilon=True,
-                     iter_mult=Fraction(1, 100))
-        results.append(replay_and_audit(stream, cfg, path_every=200))
-    return results
+    return [c7_replay(seed) for seed in range(100)]
 
 
 # ------------------------------------------------------------------ criteria
@@ -177,7 +183,7 @@ def test_c5_quadratic_error_contrast():
     ok = True
     details = []
     for B in (16, 32, 64):
-        stream = quadratic_error_stream(QuadraticErrorParams(B, Fraction(2)))
+        stream = quadratic_error_stream(B)
         eps_delta = stream.meta["eps_delta_scaled"]
         base = quadratic_error_replay(stream, sync=False)
         syn = quadratic_error_replay(stream, sync=True)
@@ -273,6 +279,23 @@ def test_c7_randomized_correctness(c7_corpus):
         f"100 seeded runs, {total} verified insertions against the internal "
         f"guarantee bound, {bad} violations, {breaches} invariant breaches "
         f"(the high-probability bound itself is not certified)")
+    assert ok
+
+
+def test_c7_ranges_answer_at_high_weight():
+    """At C7's W = 64 the short tree's cap (11,265) passes every distance,
+    so no randomized range ever answers.  At W = 2^14 the same streams and
+    configuration answer from the ranges, with every check clean."""
+    results = [c7_replay(seed, W=2 ** 14) for seed in range(8)]
+    checks = ("sandwich_violations", "invariant_breaches",
+              "phase_audit_violations", "short_mismatches", "path_failures")
+    failed = sum(r[k] for r in results for k in checks)
+    owned = [r["range_owned"] for r in results]
+    ok = failed == 0 and all(owned)
+    assert _passline(
+        "C7 at W = 2^14", ok,
+        f"8 seeded runs, {failed} failed checks; insertions after which a "
+        f"randomized range owns a minimum, per run: {owned}")
     assert ok
 
 

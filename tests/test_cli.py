@@ -196,8 +196,8 @@ def test_cli_byte_identical_metrics(stream_file, tmp_path):
 
 def test_cli_initial_edges_round_trip_and_verify(tmp_path):
     # a stream with a pre-existing graph (initial edges) replays verified
-    from incsssp import QuadraticErrorParams, quadratic_error_stream
-    stream = quadratic_error_stream(QuadraticErrorParams(8))
+    from incsssp import quadratic_error_stream
+    stream = quadratic_error_stream(8)
     p = tmp_path / "fig1.txt"
     p.write_text(serialize_stream(stream))
     reparsed = parse_stream(p.read_text())

@@ -34,7 +34,7 @@ def grow_range(n, m, w_max, seed, gran=Fraction(2), B=8, cap=10 ** 6,
         seen.add((u, v))
         w = rng.randint(1, w_max)
         if r.phase_full():
-            r.rebuild()
+            r.rebuild(bounded_dijkstra(r.graph, 0, r.cap))
         g.insert_edge(u, v, w)
         r.insert(u, v, w)
         inserted += 1
@@ -70,7 +70,7 @@ def test_phase_full_raises():
     g.insert_edge(2, 3, 1)
     with pytest.raises(PhaseFull):
         r.insert(2, 3, 1)
-    r.rebuild()
+    r.rebuild(bounded_dijkstra(r.graph, 0, r.cap))
     r.insert(2, 3, 1)
     assert r.b == 1
 
@@ -164,7 +164,7 @@ def test_entry_count_bound_per_decrease():
             continue
         seen.add((u, v))
         if r.phase_full():
-            r.rebuild()
+            r.rebuild(bounded_dijkstra(r.graph, 0, r.cap))
             memberships = {v: 0 for v in range(20)}
             touches = {v: 0 for v in range(20)}
         w = rng.randint(1, 6)
@@ -254,7 +254,7 @@ def test_batch_is_union_of_window_touch_lists():
         seen.add((u, v))
         w = rng.randint(1, 16)
         if det_r.phase_full():
-            det_r.rebuild()
+            det_r.rebuild(bounded_dijkstra(det_r.graph, 0, det_r.cap))
         g.insert_edge(u, v, w)
         det_r.insert(u, v, w)
         rand_r.insert(u, v, w)
@@ -305,9 +305,10 @@ def test_bounded_dijkstra_abandons_at_cap():
     g.insert_edge(0, 1, 3)
     g.insert_edge(1, 2, 3)
     g.insert_edge(2, 3, 3)
-    dist, parent = bounded_dijkstra(g, 0, cap=7)
+    dist, parent, settled = bounded_dijkstra(g, 0, cap=7)
     assert dist == [0, 3, 6, inf]
     assert parent[2] == 1 and parent[3] is None
+    assert settled == [0, 1, 2]
 
 
 # -- one shared Dijkstra per phase boundary ----------------------------------
@@ -324,7 +325,7 @@ def reference_assign(table, dist, parents):
 
 
 def reference_exact(graph, source, table):
-    dist, parent = bounded_dijkstra(graph, source, table.cap)
+    dist, parent, _ = bounded_dijkstra(graph, source, table.cap)
     table.work += graph.edge_count + graph.n
     reference_assign(table, dist, parent)
 

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from incsssp import (AlreadyPreprocessed, BudgetExceeded, Config,
-                     DeterministicRange, DuplicateEdge, EngineBroken, Graph,
-                     IncrementalSSSP, InvalidConfig, RandomizedRange,
-                     Unreachable, UNREACHABLE, VertexOutOfRange,
-                     bounded_dijkstra, dijkstra, verify)
+                     DeterministicRange, DuplicateEdge, EngineBroken,
+                     EstimateTable, Graph, IncrementalSSSP, InvalidConfig,
+                     RandomizedRange, ShortDistanceTree, Unreachable,
+                     UNREACHABLE, VertexOutOfRange, bounded_dijkstra,
+                     dijkstra, verify)
 from incsssp.intmath import (ceil_cbrt, ceil_frac, ceil_log2, ceil_sqrt,
                              floor_cbrt)
 from incsssp.workloads import random_stream
@@ -174,7 +175,7 @@ def test_range_with_sub_unit_granularity_is_the_exact_tree(
     for _, u, v, w in stream.insertions:
         g.insert_edge(u, v, w)
         if r.phase_full():
-            r.rebuild()
+            r.rebuild(bounded_dijkstra(r.graph, 0, r.cap))
         r.insert(u, v, w)
         exact = bounded_dijkstra(g, 0, r.cap)[0]
         assert all(t.dhat == exact for t in tables)
@@ -220,6 +221,30 @@ def test_non_integer_fields_rejected(field, value):
     fields = {"n": 16, "m_budget": 64, "max_weight": 4, field: value}
     with pytest.raises(InvalidConfig):
         IncrementalSSSP(Config(**fields))
+
+
+def rand_range(g, source=0, eps=Fraction(1, 4)):
+    return RandomizedRange(g, source, 32, eps, 64, 2,
+                           np.random.Generator(np.random.PCG64(0)))
+
+
+@pytest.mark.parametrize("build", [
+    lambda g: DeterministicRange(g, 0, 1, Fraction(1), phase_length=0,
+                                 cap=100),
+    lambda g: EstimateTable(g, 0, 100, Fraction(0)),
+    lambda g: rand_range(g, eps=Fraction(0)),
+    lambda g: DeterministicRange(g, 4, 1, Fraction(1), phase_length=2,
+                                 cap=100),
+    lambda g: EstimateTable(g, -1, 100, Fraction(1)),
+    lambda g: ShortDistanceTree(g, -1, 100),
+    lambda g: rand_range(g, source=4),
+], ids=["phase_length", "gran", "rand_eps", "det_source", "table_source",
+        "short_source", "rand_source"])
+def test_structures_reject_bad_arguments(build):
+    """The exported structures raise the package's typed error on a bad
+    argument; a source outside [0, n) is caught once, by the table."""
+    with pytest.raises(InvalidConfig):
+        build(Graph(4, 8))
 
 
 @settings(max_examples=300, deadline=None)
@@ -454,7 +479,7 @@ def test_report_path_exact_after_rebuild():
     for (_, u, v, w) in stream.events:
         eng.insert(u, v, w)
     for r in eng.ranges:
-        r.rebuild()
+        r.rebuild(bounded_dijkstra(r.graph, 0, r.cap))
     # rebuild leaves range estimates exact; a path owned by a range after
     # rebuild has exactly the true weight
     truth = dijkstra(eng.graph, 0)

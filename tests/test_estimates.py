@@ -250,7 +250,7 @@ def test_lower_bound_safety():
     g = random_graph(14, 50, 6, seed=11)
     truth = dijkstra(g, 0)
     t = make_table(g, cap=10 ** 6, gran=Fraction(3))
-    t.assign_exact(truth.d, truth.tree_parent)
+    t.assign_exact(truth.d, truth.tree_parent, range(g.n))
     rng = random.Random(5)
     for _ in range(30):
         u = rng.randrange(14)
@@ -335,7 +335,7 @@ def test_slack_nonpositive_on_exact_estimates():
     g = random_graph(10, 35, 4, seed=2)
     truth = dijkstra(g, 0)
     t = make_table(g, cap=10 ** 6)
-    t.assign_exact(truth.d, truth.tree_parent)
+    t.assign_exact(truth.d, truth.tree_parent, range(g.n))
     # walk any real tree path: exact estimates witness no positive error
     for v in range(10):
         if truth.d[v] == inf or v == 0:

@@ -80,21 +80,15 @@ def test_relaxation_work_bound():
 
 @settings(max_examples=150, deadline=None)
 @given(stream=streams(), cap=st.one_of(st.just(inf), st.integers(1, 400)),
-       preload=st.booleans(), hooked=st.booleans())
-def test_inlined_loop_matches_per_decrease_reference(stream, cap, preload,
-                                                     hooked):
+       preload=st.booleans())
+def test_inlined_loop_matches_per_decrease_reference(stream, cap, preload):
     """The propagation that writes decreases in place leaves the same
     estimates, parents, work and decreases after every insertion as one
-    writing each decrease through ``_set``, and, with an ``on_decrease``
-    hook, sends the same notifications."""
+    writing each decrease through ``_set``."""
     g = Graph(stream.n, stream.max_weight, budget=stream.budget,
               initial_edges=stream.initial_edges if preload else ())
-    logs = ([], [])
     tree = ShortDistanceTree(g, 0, cap)
-    if hooked:
-        tree.table.on_decrease = lambda *a: logs[0].append(a)
-    ref = ReferenceShortTree(
-        tree, on_decrease=(lambda *a: logs[1].append(a)) if hooked else None)
+    ref = ReferenceShortTree(tree)
     insertions = stream.insertions if preload else \
         [("a", *e) for e in stream.initial_edges] + stream.insertions
     t = tree.table
@@ -105,4 +99,3 @@ def test_inlined_loop_matches_per_decrease_reference(stream, cap, preload,
         assert t.dhat == ref.dhat
         assert t.parent == ref.parent
         assert (t.work, t.decreases) == (ref.work, ref.decreases)
-        assert logs[0] == logs[1]

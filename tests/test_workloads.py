@@ -4,7 +4,7 @@ from math import inf
 
 import pytest
 
-from incsssp import (Config, QuadraticErrorParams, Graph, IncrementalSSSP,
+from incsssp import (Config, Graph, IncrementalSSSP,
                      InvalidParams, TooDense, adaptive_run, dijkstra,
                      quadratic_error_stream, phase_error_bound, random_stream, verify)
 from incsssp.workloads import quadratic_error_replay
@@ -40,7 +40,7 @@ def test_too_dense():
 
 
 def test_caption_weight_formula_b4():
-    s = quadratic_error_stream(QuadraticErrorParams(4, Fraction(2)))
+    s = quadratic_error_stream(4)
     shortcut_weights = sorted(w for (u, v, w) in s.initial_edges if u == 0)
     assert shortcut_weights[0] == 6                      # i=1: 1·(1+1)·2+2
     assert shortcut_weights[1] == 11                     # i=2: 2·(1+1)·2+3
@@ -49,7 +49,7 @@ def test_caption_weight_formula_b4():
 
 def test_initial_sink_distance_matches_oracle():
     for B in (4, 8, 16):
-        s = quadratic_error_stream(QuadraticErrorParams(B, Fraction(2)))
+        s = quadratic_error_stream(B)
         g0 = Graph(s.n, s.max_weight, initial_edges=s.initial_edges)
         truth = dijkstra(g0, 0)
         assert truth.d[s.meta["sink"]] == s.meta["initial_sink_distance"]
@@ -57,30 +57,21 @@ def test_initial_sink_distance_matches_oracle():
 
 def test_final_sink_distance_matches_oracle():
     for B in (4, 8, 16):
-        s = quadratic_error_stream(QuadraticErrorParams(B, Fraction(2)))
+        s = quadratic_error_stream(B)
         truth = dijkstra(s.build_graph(), 0)
         assert truth.d[s.meta["sink"]] == s.meta["final_sink_distance"]
         assert s.meta["final_sink_distance"] == (B * B) // 4 + B // 2 + 1
 
 
-def test_scaled_weights_are_positive_integers():
-    s = quadratic_error_stream(QuadraticErrorParams(8, Fraction(2, 3)))
-    for (u, v, w) in s.initial_edges + [e[1:] for e in s.events]:
-        assert isinstance(w, int) and w >= 1
-
-
 def test_invalid_params():
     with pytest.raises(InvalidParams):
-        quadratic_error_stream(QuadraticErrorParams(3))
+        quadratic_error_stream(3)
     with pytest.raises(InvalidParams):
-        quadratic_error_stream(QuadraticErrorParams(2))
-    with pytest.raises(InvalidParams):
-        quadratic_error_stream(QuadraticErrorParams(8, Fraction(0)))
+        quadratic_error_stream(2)
 
 
 def test_baseline_freezes_while_truth_drops():
-    s = quadratic_error_stream(QuadraticErrorParams(16, Fraction(2)))
-    assert s.meta["freeze_certified"]
+    s = quadratic_error_stream(16)
     out = quadratic_error_replay(s, sync=False)
     frozen = s.meta["initial_sink_distance"]
     assert all(e == frozen for e in out["sink_estimates"])
@@ -91,7 +82,7 @@ def test_baseline_freezes_while_truth_drops():
 
 
 def test_sync_mode_stays_within_phase_bound():
-    s = quadratic_error_stream(QuadraticErrorParams(16, Fraction(2)))
+    s = quadratic_error_stream(16)
     out = quadratic_error_replay(s, sync=True)
     bound = phase_error_bound(s.meta["phase_edges"],
                               Fraction(s.meta["eps_delta_scaled"]))
