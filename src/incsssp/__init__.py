@@ -11,7 +11,7 @@ from .errors import (AlreadyPreprocessed, BudgetExceeded, DuplicateEdge,
                      EngineBroken, IncSSSPError, InvalidConfig, InvalidParams,
                      ParseError, PhaseFull, TooDense, Unreachable,
                      VertexOutOfRange, WeightOutOfRange)
-from .graph import Edge, Graph
+from .graph import Graph
 from .lazy import CAP, EstimateTable
 from .det import DeterministicRange, bounded_dijkstra
 from .rand import RandomizedRange
@@ -28,7 +28,7 @@ __all__ = [
     "AlreadyPreprocessed", "BudgetExceeded", "DuplicateEdge", "EngineBroken",
     "IncSSSPError", "InvalidConfig", "InvalidParams", "ParseError", "PhaseFull",
     "TooDense", "Unreachable", "VertexOutOfRange", "WeightOutOfRange",
-    "Edge", "Graph", "CAP", "EstimateTable",
+    "Graph", "CAP", "EstimateTable",
     "DeterministicRange", "bounded_dijkstra",
     "RandomizedRange", "ShortDistanceTree",
     "ExactDistances", "VerifyReport", "brute_force_distances", "dijkstra",

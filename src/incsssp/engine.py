@@ -38,7 +38,8 @@ changed since the previous shared tree.
 
 An update validates in the graph before changing it.  If a structure then
 raises, the structures may hold part of the update, so the engine marks
-itself broken and every later update raises ``EngineBroken``.
+itself broken and every later update, query and path report raises
+``EngineBroken``.
 """
 
 from dataclasses import dataclass
@@ -57,6 +58,18 @@ from .rand import RandomizedRange
 from .short import ShortDistanceTree
 
 UNREACHABLE = inf
+
+
+class _Broken:
+    """A broken engine's minimum table: reading any entry raises
+    ``EngineBroken``, so a valid query pays no test for it."""
+
+    def __init__(self, reason: str):
+        self.reason = reason
+
+    def __getitem__(self, v):
+        raise EngineBroken(self.reason)
+
 
 MODES = ("det", "rand", "nosync")
 
@@ -266,8 +279,9 @@ class IncrementalSSSP:
         every structure untouched.  A structure whose phase is full is
         rebuilt first, from one bounded Dijkstra shared by all of them.
         If a structure raises once the edge is in the graph, the engine is
-        broken: the exception propagates, and every later ``insert`` or
-        ``preprocess`` raises :class:`EngineBroken`.
+        broken: the exception propagates, and every later call of
+        ``insert``, ``preprocess``, ``query`` or ``report_path`` raises
+        :class:`EngineBroken`.
         """
         if self._broken is not None:
             raise EngineBroken(self._broken)
@@ -288,12 +302,13 @@ class IncrementalSSSP:
 
     def _poison(self, what: str, exc: BaseException) -> None:
         """Mark the engine broken: ``what`` failed with ``exc`` after
-        changing the graph, so the structures may hold part of it.  Only
-        the message is kept, since the exception's frames would tie the
-        engine into a reference cycle."""
+        changing the graph, so the structures, and the minimum table they
+        write, may hold part of it.  Only the message is kept, since the
+        exception's frames would tie the engine into a reference cycle."""
         self._broken = (f"{what} failed after changing the graph "
                         f"({type(exc).__name__}: {exc}); the engine is "
                         f"inconsistent")
+        self.min_value = _Broken(self._broken)
 
     # -- queries --------------------------------------------------------------
 

@@ -3,19 +3,11 @@
 Vertices are plain integer ids in [0, n).  Edges carry integer weights in
 [1, W], the graph stays simple (no parallel edges), and nothing is ever
 removed.  Edges are kept in arrival order, initial edges first, so runs
-can be replayed bit-for-bit.
+can be replayed bit-for-bit.  Propagation scans ``_adj[u]``, u's
+``(head, weight)`` pairs; audits read the flat edge arrays.
 """
 
-from dataclasses import dataclass
-
 from .errors import BudgetExceeded, DuplicateEdge, VertexOutOfRange, WeightOutOfRange
-
-
-@dataclass(frozen=True)
-class Edge:
-    tail: int
-    head: int
-    weight: int
 
 
 class Graph:
@@ -50,7 +42,7 @@ class Graph:
         self._initial_count = 0
         self.load_initial(initial_edges)
 
-    def _check(self, u: int, v: int, w: int) -> None:
+    def _add(self, u: int, v: int, w: int) -> None:
         if not (isinstance(u, int) and 0 <= u < self.n
                 and isinstance(v, int) and 0 <= v < self.n):
             raise VertexOutOfRange(f"edge ({u},{v}) outside [0,{self.n})")
@@ -60,9 +52,6 @@ class Graph:
             raise DuplicateEdge(f"edge ({u},{v}) already present")
         if self.budget is not None and self.edge_count >= self.budget:
             raise BudgetExceeded(f"edge budget {self.budget} exhausted")
-
-    def _add(self, u: int, v: int, w: int) -> None:
-        self._check(u, v, w)
         self._adj[u].append((v, w))
         self._weights[(u, v)] = w
         self.edge_tails.append(u)
@@ -73,19 +62,14 @@ class Graph:
     def edge_count(self) -> int:
         return len(self.edge_tails)
 
-    def _edges(self, lo: int, hi: int) -> list[Edge]:
-        return list(map(Edge, self.edge_tails[lo:hi], self.edge_heads[lo:hi],
-                        self.edge_weights[lo:hi]))
-
     @property
-    def initial_edges(self) -> list[Edge]:
-        """The edges installed before any insertion (a fresh list)."""
-        return self._edges(0, self._initial_count)
-
-    @property
-    def insertion_log(self) -> list[Edge]:
-        """The inserted edges, in insertion order (a fresh list)."""
-        return self._edges(self._initial_count, self.edge_count)
+    def insertion_log(self) -> list[tuple[int, int, int]]:
+        """The inserted edges as ``(u, v, w)``, in insertion order (a fresh
+        list); the benchmark's scipy baseline counts them
+        (``bench/engines.py``)."""
+        lo = self._initial_count
+        return list(zip(self.edge_tails[lo:], self.edge_heads[lo:],
+                        self.edge_weights[lo:]))
 
     def load_initial(self, edges) -> None:
         """Install pre-existing edges, all or none; only valid before any
@@ -107,19 +91,9 @@ class Graph:
             raise
         self._initial_count = self.edge_count
 
-    def insert_edge(self, u: int, v: int, w: int) -> int:
-        """Insert edge (u, v, w); returns its 1-based insertion index."""
+    def insert_edge(self, u: int, v: int, w: int) -> None:
+        """Insert edge (u, v, w) after the initial edges."""
         self._add(u, v, w)
-        return self.edge_count - self._initial_count
-
-    def out_edges(self, u: int) -> list[tuple[int, int]]:
-        """Out-neighborhood of u as (head, weight) pairs, in insertion order."""
-        if not (isinstance(u, int) and 0 <= u < self.n):
-            raise VertexOutOfRange(f"vertex {u} outside [0,{self.n})")
-        return list(self._adj[u])
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return (u, v) in self._weights
 
     def weight_of(self, u: int, v: int) -> int | None:
         return self._weights.get((u, v))

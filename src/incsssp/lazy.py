@@ -70,7 +70,7 @@ class DistanceTable:
 
     def __init__(self, graph, source: int, cap, on_decrease=None):
         n = graph.n
-        if not 0 <= source < n:
+        if not (isinstance(source, int) and 0 <= source < n):
             raise InvalidConfig(f"source {source} outside [0,{n})")
         self.graph = graph
         self.source = source
@@ -151,8 +151,8 @@ class EstimateTable(DistanceTable):
 
     def __init__(self, graph, source: int, cap: int, gran: Fraction,
                  on_decrease=None):
-        if gran <= 0:
-            raise InvalidConfig("granularity must be positive")
+        if not (isinstance(gran, (int, Fraction)) and gran > 0):
+            raise InvalidConfig("granularity must be a positive int or Fraction")
         super().__init__(graph, source, cap, on_decrease)
         n = graph.n
         self.gran = gran

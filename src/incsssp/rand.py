@@ -92,8 +92,11 @@ class RandomizedRange:
 
     def __init__(self, graph, source: int, tau: int, eps: Fraction,
                  m_budget: int, lg_n: int, rng, iter_mult: Fraction = Fraction(1)):
-        if eps <= 0:
-            raise InvalidConfig("eps must be positive")
+        if not (isinstance(m_budget, int) and m_budget >= 1):
+            raise InvalidConfig("m_budget must be an int >= 1")
+        if not all(isinstance(x, (int, Fraction)) and x > 0
+                   for x in (eps, iter_mult)):
+            raise InvalidConfig("eps and iter_mult must be positive rationals")
         self.graph = graph
         self.source = source
         self.tau = tau
@@ -155,13 +158,11 @@ class RandomizedRange:
         self._listener.changed.clear()
         # the hidden table now holds the bounded tree, so no edge is tense
         self._tense: set[int] = set()
-        self._outdeg = np.bincount(self.graph.edge_tails, minlength=self.graph.n)
 
     def insert(self, u: int, v: int, w: int) -> None:
         self.b += 1
         self.insertions_seen += 1
         self._tense.add(u)   # the new edge may be tense
-        self._outdeg[u] += 1
         insert_step(self.table, u, v, w, self.b, sync=True)
         insert_step(self._hidden, u, v, w, self.b, sync=True)
         while self.needs_fixing():
@@ -191,13 +192,13 @@ class RandomizedRange:
 
         draws = self.rng.integers(0, self.max_window_index + 1,
                                   size=self.iterations)
-        seeds = self._window_union(draws)
-        vertices = seeds.tolist()
+        vertices = self._window_union(draws).tolist()
         if self._covers_tense(vertices):
             hid.partial_dijkstra(vertices)
         else:
             # the pass would lower nothing: charge what it would have
-            hid.work += len(vertices) + int(self._outdeg[seeds].sum())
+            adj = self.graph._adj
+            hid.work += len(vertices) + sum(len(adj[u]) for u in vertices)
 
         self.b = 0
         ds.reset_phase()

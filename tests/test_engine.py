@@ -223,9 +223,9 @@ def test_non_integer_fields_rejected(field, value):
         IncrementalSSSP(Config(**fields))
 
 
-def rand_range(g, source=0, eps=Fraction(1, 4)):
-    return RandomizedRange(g, source, 32, eps, 64, 2,
-                           np.random.Generator(np.random.PCG64(0)))
+def rand_range(g, source=0, eps=Fraction(1, 4), m_budget=64, **kw):
+    return RandomizedRange(g, source, 32, eps, m_budget, 2,
+                           np.random.Generator(np.random.PCG64(0)), **kw)
 
 
 @pytest.mark.parametrize("build", [
@@ -238,8 +238,14 @@ def rand_range(g, source=0, eps=Fraction(1, 4)):
     lambda g: EstimateTable(g, -1, 100, Fraction(1)),
     lambda g: ShortDistanceTree(g, -1, 100),
     lambda g: rand_range(g, source=4),
+    lambda g: rand_range(g, m_budget=0),
+    lambda g: rand_range(g, iter_mult=-1),
+    lambda g: rand_range(g, eps=0.25),
+    lambda g: EstimateTable(g, 0, 100, 0.5),
+    lambda g: ShortDistanceTree(g, 1.5, 100),
 ], ids=["phase_length", "gran", "rand_eps", "det_source", "table_source",
-        "short_source", "rand_source"])
+        "short_source", "rand_source", "rand_m_budget", "rand_iter_mult",
+        "float_eps", "float_gran", "float_source"])
 def test_structures_reject_bad_arguments(build):
     """The exported structures raise the package's typed error on a bad
     argument; a source outside [0, n) is caught once, by the table."""
@@ -520,23 +526,27 @@ def fail(*args):
 @pytest.mark.parametrize("mode", ["det", "nosync", "rand"])
 def test_structure_failure_poisons_the_engine(mode):
     """A structure raising after the graph took the edge leaves the engine
-    inconsistent, so every later update raises ``EngineBroken``; an edge
-    the graph rejects leaves it usable."""
+    inconsistent, so every later update, query and path report raises
+    ``EngineBroken``; an edge the graph rejects leaves it usable."""
     eng = make(m=65, w=32, eps=Fraction(3, 4), mode=mode, raw_epsilon=True)
     eng.preprocess([(0, 1, 2)])
     with pytest.raises(DuplicateEdge):
         eng.insert(0, 1, 5)
     eng.insert(1, 2, 30)
+    assert eng.query(2) == 32
     eng.ranges[-1].insert = fail
     with pytest.raises(RuntimeError, match="structure failed"):
         eng.insert(2, 3, 1)
-    assert eng.graph.has_edge(2, 3)
+    assert eng.graph.weight_of(2, 3) == 1
     with pytest.raises(EngineBroken, match=r"insert\(2, 3, 1\) failed"):
         eng.insert(3, 4, 1)
-    assert not eng.graph.has_edge(3, 4)
+    assert eng.graph.weight_of(3, 4) is None
     with pytest.raises(EngineBroken):
         eng.preprocess([])
-    assert eng.query(2) == 32   # queries still read the last minimum
+    with pytest.raises(EngineBroken):   # the minimum may hold part of it
+        eng.query(2)
+    with pytest.raises(EngineBroken):
+        eng.report_path(2)
 
 
 def test_failed_preprocess_poisons_the_engine():
@@ -546,3 +556,5 @@ def test_failed_preprocess_poisons_the_engine():
         eng.preprocess([(0, 1, 2)])
     with pytest.raises(EngineBroken, match="preprocess failed"):
         eng.insert(1, 2, 1)
+    with pytest.raises(EngineBroken, match="preprocess failed"):
+        eng.query(0)

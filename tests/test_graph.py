@@ -1,14 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from incsssp import (BudgetExceeded, DuplicateEdge, Edge, Graph,
+from incsssp import (BudgetExceeded, DuplicateEdge, Graph,
                      VertexOutOfRange, WeightOutOfRange)
-
-
-def test_first_insertion_gets_index_one():
-    g = Graph(3, 10)
-    assert g.insert_edge(0, 1, 5) == 1
-    assert g.out_edges(0) == [(1, 5)]
 
 
 def test_duplicate_edge_rejected():
@@ -39,10 +33,7 @@ def test_vertex_bounds():
         g.insert_edge(0.0, 1, 1)
     with pytest.raises(VertexOutOfRange):
         g.insert_edge(0, 1.0, 1)
-    with pytest.raises(VertexOutOfRange):
-        g.out_edges(3)
-    with pytest.raises(VertexOutOfRange):
-        g.out_edges(1.0)
+    assert g.edge_count == 0
 
 
 @pytest.mark.parametrize("n, max_weight, error", [
@@ -66,12 +57,16 @@ def test_zero_budget_admits_no_edge():
         g.insert_edge(0, 1, 1)
 
 
-def test_out_edges_in_insertion_order():
-    g = Graph(3, 10)
-    g.insert_edge(0, 1, 5)
+def test_edges_kept_in_arrival_order():
+    g = Graph(3, 10, initial_edges=[(2, 0, 4)])
+    assert g.insert_edge(0, 1, 5) is None
     g.insert_edge(0, 2, 3)
-    assert g.out_edges(0) == [(1, 5), (2, 3)]
-    assert g.out_edges(1) == []
+    assert g._adj == [[(1, 5), (2, 3)], [], [(0, 4)]]
+    assert (g.edge_tails, g.edge_heads, g.edge_weights) == \
+        ([2, 0, 0], [0, 1, 2], [4, 5, 3])
+    assert g.insertion_log == [(0, 1, 5), (0, 2, 3)]
+    assert (g.weight_of(0, 2), g.weight_of(2, 0), g.weight_of(1, 0)) == \
+        (3, 4, None)
 
 
 def test_budget_enforced():
@@ -103,11 +98,12 @@ def test_rejected_initial_list_installs_none_of_it(bad, error):
     g = Graph(4, 10, initial_edges=[(3, 0, 5)])
     with pytest.raises(error):
         g.load_initial([(0, 1, 3), (1, 2, 3), (0, 2, 7), bad])
-    assert g.edge_count == 1 and g.initial_edges == [Edge(3, 0, 5)]
-    assert [g.out_edges(u) for u in range(4)] == [[], [], [], [(0, 5)]]
-    assert not g.has_edge(0, 1) and not g.has_edge(1, 2)
+    assert (g.edge_tails, g.edge_heads, g.edge_weights) == ([3], [0], [5])
+    assert g._adj == [[], [], [], [(0, 5)]]
+    assert g.weight_of(0, 1) is None and g.weight_of(1, 2) is None
     g.load_initial([(0, 1, 3), (1, 2, 3)])
-    assert g.insert_edge(2, 3, 1) == 1
+    g.insert_edge(2, 3, 1)
+    assert g.insertion_log == [(2, 3, 1)]
 
 
 edge_lists = st.lists(
@@ -119,8 +115,8 @@ edge_lists = st.lists(
 def test_log_length_matches_adjacency(edges):
     g = Graph(6, 9)
     for (u, v, w) in edges:
-        if u == v or g.has_edge(u, v):
+        if u == v or g.weight_of(u, v) is not None:
             continue
         g.insert_edge(u, v, w)
-    total = sum(len(g.out_edges(u)) for u in range(6))
-    assert len(g.insertion_log) == total - len(g.initial_edges)
+    total = sum(len(g._adj[u]) for u in range(6))
+    assert len(g.insertion_log) == total == g.edge_count

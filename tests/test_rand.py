@@ -215,7 +215,7 @@ def edge_invariant_holds(g, table, cap):
         du = table.dhat[u]
         if du == inf:
             continue
-        for (v, w) in g.out_edges(u):
+        for (v, w) in g._adj[u]:
             if min(table.dhat[v], cap) > du + w + eps_delta:
                 return False
     return True
@@ -403,7 +403,7 @@ def hidden_seed_is_tense(r, seeds) -> bool:
     where d̂(u) + w < min(d̂(v), cap)."""
     dhat = r._hidden.dhat
     return any(dhat[u] + w < min(dhat[v], r.cap)
-               for u in seeds for v, w in r.graph.out_edges(u))
+               for u in seeds for v, w in r.graph._adj[u])
 
 
 def rand_state(eng):

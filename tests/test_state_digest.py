@@ -4,7 +4,7 @@ import pytest
 
 from incsssp import Config, IncrementalSSSP, random_stream
 from tests.conftest import plant
-from tools.state_digest import c7_runs, replay_digest, snapshot
+from tools.state_digest import c1_runs, c7_runs, replay_digest, snapshot
 
 
 def builder(mode):
@@ -83,3 +83,16 @@ def test_digests_split_by_structure():
     assert {"state", "answers", f"rand[{top.tau}]"} < base.keys()
     assert {k for k in base if base[k] != changed[k]} == \
         {"state", f"rand[{top.tau}]"}
+
+
+def test_c1w14_ranges_own_answers():
+    """The c1w14 workload's streams end with a deterministic range owning
+    some minimum, so its digests cover range-owned answers; the c1 ones
+    at W = 64 never get there."""
+    for W, owns in ((2 ** 14, True), (64, False)):
+        for _, make, [stream] in c1_runs(4, W=W):
+            eng = make(stream)
+            eng.preprocess(stream.initial_edges)
+            for _, u, v, w in stream.insertions:
+                eng.insert(u, v, w)
+            assert any(eng._min_owner) == owns   # the short tree is 0

@@ -7,7 +7,8 @@
 Replays the streams of the bench workloads (``bench/streams.py``) through
 the ``det``, ``det_c1`` and ``rand`` configurations of ``bench/engines.py``,
 the C1 acceptance configurations (``random_stream(128, 1500, 64)``, det
-mode, ε ∈ {1/4, 1/10} × c_B ∈ {1, default}) and the C7 ones
+mode, ε ∈ {1/4, 1/10} × c_B ∈ {1, default}), the same at W = 2^14
+(``c1w14``, where deterministic ranges own answers) and the C7 ones
 (``random_stream(128, 1000, 64)``, rand mode, ε = 1/4 raw, iter_mult =
 1/100), through the package in ``--src``.  The engine builds no range
 whose εδ is below 1 (the short tree covers it), so the bench ``rand``
@@ -42,7 +43,7 @@ from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-WORKLOADS = ("sparse_uniform", "connected", "chain", "c1", "c7")
+WORKLOADS = ("sparse_uniform", "connected", "chain", "c1", "c1w14", "c7")
 ENGINES = ("det", "det_c1", "rand")
 EVERY = 16
 C7_STREAMS = 4   # C7 streams replayed for the c7 workload
@@ -103,13 +104,13 @@ def replay_digest(make_engine, streams) -> dict[str, str]:
             **{name: h.hexdigest() for name, h in structures.items()}}
 
 
-def c1_runs(count: int):
-    """(label, make_engine, streams) for the first ``count`` C1 streams,
-    each with its acceptance configuration."""
+def c1_runs(count: int, W: int = 64):
+    """(label, make_engine, streams) for the first ``count`` C1 streams at
+    maximum weight ``W``, each with its acceptance configuration."""
     from incsssp import Config, IncrementalSSSP, random_stream
     configs = [(Fraction(1, 4), 1), (Fraction(1, 4), None),
                (Fraction(1, 10), 1), (Fraction(1, 10), None)]
-    n, m, W = 128, 1500, 64
+    n, m = 128, 1500
     for i in range(count):
         eps, c_b = configs[i % 4]
 
@@ -143,7 +144,8 @@ def main(argv=None) -> int:
     parser.add_argument("--engines", nargs="+", choices=ENGINES,
                         default=list(ENGINES))
     parser.add_argument("--c1-streams", type=int, default=4,
-                        help="C1 streams replayed for the c1 workload")
+                        help="C1 streams replayed for the c1 and c1w14 "
+                             "workloads")
     parser.add_argument("--src", type=Path, default=ROOT / "src",
                         help="directory holding the incsssp package")
     args = parser.parse_args(argv)
@@ -156,6 +158,8 @@ def main(argv=None) -> int:
     for workload in args.workloads:
         if workload == "c1":
             runs = c1_runs(args.c1_streams)
+        elif workload == "c1w14":
+            runs = c1_runs(args.c1_streams, W=2 ** 14)
         elif workload == "c7":
             runs = c7_runs(C7_STREAMS)
         else:
