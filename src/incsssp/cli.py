@@ -23,7 +23,7 @@ import sys
 from fractions import Fraction
 from math import inf
 
-from .engine import DEFAULT_C_B, Config, IncrementalSSSP
+from .engine import DEFAULT_C_B, MODES, Config, IncrementalSSSP
 from .errors import IncSSSPError, InvalidConfig, ParseError, Unreachable
 from .oracle import exact_distances_fast, verify
 from .workloads import InsertionStream
@@ -232,8 +232,7 @@ def main(argv=None) -> int:
                     "an exact oracle.",
         epilog=f"metrics columns: {','.join(CSV_COLUMNS)}")
     parser.add_argument("stream", help="stream file path, or - for stdin")
-    parser.add_argument("--mode", choices=("det", "rand", "nosync"),
-                        default="det")
+    parser.add_argument("--mode", choices=MODES, default="det")
     parser.add_argument("--verify", action="store_true",
                         help="run the exact oracle after every insertion; "
                              "exit 2 on any violation")

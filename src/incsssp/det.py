@@ -18,7 +18,11 @@ below the vertex's true distance at the next boundary.  A vertex whose
 distance did not change between the two trees was therefore never
 lowered: it still holds the value and parent the previous rebuild gave it
 (or CAP, if its distance is still at least the cap), and unless its tree
-parent changed a visit would write nothing to it.
+parent changed a visit would write nothing to it.  Only the new tree's
+reach can change: distances only fall, and both runs stop at one cap, so
+the new run settles every vertex the previous one did, and a vertex that
+neither settled is CAP with parent None in both.  The engine compares the
+trees along the new settled list: a boundary costs what it reaches, not n.
 
 A baseline mode replaces the batch with just the head of the inserted edge
 (when its relaxation fired), reproducing the per-edge propagation scheme
@@ -90,15 +94,6 @@ def bounded_dijkstra(graph, source: int,
     return dist, parent, settled
 
 
-def tree_diff(old: tuple, new: tuple) -> list[int]:
-    """Vertices, in increasing order, whose distance or parent differs
-    between two :func:`bounded_dijkstra` results."""
-    old_dist, old_parent, _ = old
-    new_dist, new_parent, _ = new
-    return [v for v in range(len(new_dist))
-            if new_dist[v] != old_dist[v] or new_parent[v] != old_parent[v]]
-
-
 class DeterministicRange:
     """Deterministic structure for one distance range [τ, 2τ).
 
@@ -110,8 +105,8 @@ class DeterministicRange:
 
     def __init__(self, graph, source: int, tau: int, eps_delta: Fraction,
                  phase_length: int, cap: int, sync: bool = True):
-        if phase_length < 1:
-            raise InvalidConfig("phase length must be >= 1")
+        if not all(isinstance(x, int) and x >= 1 for x in (tau, phase_length)):
+            raise InvalidConfig("tau and phase length must be ints >= 1")
         self.graph = graph
         self.source = source
         self.tau = tau
@@ -141,9 +136,9 @@ class DeterministicRange:
         this range's cap, and the vertices to visit, each once.  ``visit``
         must hold every vertex whose entry differs from what the range
         holds: the settled list of that Dijkstra when the range was just
-        built on this graph, or the :func:`tree_diff` against the tree of
-        its previous rebuild.  The rebuild is charged ``edge_count + n``
-        work whatever it visits.
+        built on this graph, or those whose distance or parent differs
+        from the tree of its previous rebuild.  The rebuild is charged
+        ``edge_count + n`` work whatever it visits.
         """
         self.table.work += self.graph.edge_count + self.graph.n
         self.table.assign_exact(*tree)

@@ -34,7 +34,7 @@ re-initialization runs one bounded Dijkstra to the largest cap, shared by
 every structure it serves: at ``preprocess`` all of them, before an
 insertion every structure whose phase is full (only deterministic ranges
 fill, together).  Each visits only the vertices whose distance or parent
-changed since the previous shared tree.
+changed since the previous shared tree, found along the new tree's reach.
 
 An update validates in the graph before changing it.  If a structure then
 raises, the structures may hold part of the update, so the engine marks
@@ -258,8 +258,8 @@ class IncrementalSSSP:
 
     def _next_tree(self) -> tuple[list, list, list]:
         """``(dist, parent, visit)``: the shared bounded Dijkstra on the
-        current graph, and the vertices whose entry differs from the
-        previous one.
+        current graph, and the vertices it settled whose entry differs
+        from the previous run's (no other vertex can: ``incsssp.det``).
 
         Every structure rebuilt at a boundary was rebuilt at the previous
         one too (or, before the first, built on the empty graph), so each
@@ -267,10 +267,11 @@ class IncrementalSSSP:
         """
         # through the module, so a wrapper on det.bounded_dijkstra sees it;
         # a run to a higher cap is exact for every lower one
-        tree = det.bounded_dijkstra(self.graph, self.source, self._tree_cap)
-        changed = det.tree_diff(self._tree, tree)
-        self._tree = tree
-        return tree[0], tree[1], changed
+        old_dist, old_parent, _ = self._tree
+        self._tree = dist, parent, settled = det.bounded_dijkstra(
+            self.graph, self.source, self._tree_cap)
+        return dist, parent, [v for v in settled if dist[v] != old_dist[v]
+                              or parent[v] != old_parent[v]]
 
     def insert(self, u: int, v: int, w: int) -> None:
         """Insert one edge and bring every structure up to date.

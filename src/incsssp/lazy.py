@@ -72,6 +72,8 @@ class DistanceTable:
         n = graph.n
         if not (isinstance(source, int) and 0 <= source < n):
             raise InvalidConfig(f"source {source} outside [0,{n})")
+        if not (cap == inf or isinstance(cap, int) and cap >= 1):
+            raise InvalidConfig("cap must be an int >= 1 or math.inf")
         self.graph = graph
         self.source = source
         self.cap = cap

@@ -92,8 +92,8 @@ class RandomizedRange:
 
     def __init__(self, graph, source: int, tau: int, eps: Fraction,
                  m_budget: int, lg_n: int, rng, iter_mult: Fraction = Fraction(1)):
-        if not (isinstance(m_budget, int) and m_budget >= 1):
-            raise InvalidConfig("m_budget must be an int >= 1")
+        if not all(isinstance(x, int) and x >= 1 for x in (m_budget, lg_n)):
+            raise InvalidConfig("m_budget and lg_n must be ints >= 1")
         if not all(isinstance(x, (int, Fraction)) and x > 0
                    for x in (eps, iter_mult)):
             raise InvalidConfig("eps and iter_mult must be positive rationals")

@@ -367,9 +367,22 @@ def assert_same_state(eng, ref):
     assert eng._min_owner == ref._min_owner
 
 
+shared_rebuild_draws = given(
+    stream=streams(), mode=st.sampled_from(["det", "nosync"]),
+    c_b=st.sampled_from([1, None, 10 ** 6]), preprocess=st.booleans())
+
+
+def replay(eng, stream, preprocess):
+    """The insertions ``eng`` gets after ``preprocess``, if drawn; without
+    it the initial edges are inserted first."""
+    if preprocess:
+        eng.preprocess(stream.initial_edges)
+        return stream.insertions
+    return [("a", *e) for e in stream.initial_edges] + stream.insertions
+
+
 @settings(max_examples=60, deadline=None)
-@given(stream=streams(), mode=st.sampled_from(["det", "nosync"]),
-       c_b=st.sampled_from([1, None, 10 ** 6]), preprocess=st.booleans())
+@shared_rebuild_draws
 def test_shared_rebuild_matches_per_range_dijkstra(stream, mode, c_b,
                                                    preprocess):
     """One Dijkstra to the largest cap, shared by every range and visited
@@ -384,14 +397,47 @@ def test_shared_rebuild_matches_per_range_dijkstra(stream, mode, c_b,
             n=stream.n, m_budget=stream.budget, max_weight=stream.max_weight,
             mode=mode, c_b=c_b))
     eng, ref = build(), build()
-    insertions = stream.insertions
+    insertions = replay(eng, stream, preprocess)
     if preprocess:
-        eng.preprocess(stream.initial_edges)
         reference_preprocess(ref, stream.initial_edges)
-    else:
-        insertions = [("a", *e) for e in stream.initial_edges] + insertions
     assert_same_state(eng, ref)
     for _, u, v, w in insertions:
         eng.insert(u, v, w)
         reference_insert(ref, u, v, w)
         assert_same_state(eng, ref)
+
+
+def full_tree_diff(old, new) -> set[int]:
+    """Vertices of the whole universe whose distance or parent differs
+    between two bounded Dijkstra results."""
+    (old_dist, old_parent, _), (dist, parent, _) = old, new
+    return {v for v in range(len(dist))
+            if dist[v] != old_dist[v] or parent[v] != old_parent[v]}
+
+
+@settings(max_examples=60, deadline=None)
+@shared_rebuild_draws
+def test_shared_rebuild_visits_only_the_reach(stream, mode, c_b, preprocess):
+    """The visit list of every shared rebuild, read off the new run's
+    settled list, is the full-universe diff of the two trees, each vertex
+    once; and the previous run settled nothing the new one did not,
+    since distances only fall and both runs stop at the same cap."""
+    eng = IncrementalSSSP(Config(
+        n=stream.n, m_budget=stream.budget, max_weight=stream.max_weight,
+        mode=mode, c_b=c_b))
+    boundaries = []
+    next_tree = eng._next_tree
+
+    def spy():
+        old = eng._tree
+        tree = next_tree()
+        boundaries.append((old, eng._tree, tree[2]))
+        return tree
+    eng._next_tree = spy
+    for _, u, v, w in replay(eng, stream, preprocess):
+        eng.insert(u, v, w)
+    assert boundaries or not preprocess
+    for old, new, visit in boundaries:
+        assert len(visit) == len(set(visit))
+        assert set(visit) == full_tree_diff(old, new)
+        assert set(old[2]) <= set(new[2])

@@ -243,12 +243,24 @@ def rand_range(g, source=0, eps=Fraction(1, 4), m_budget=64, **kw):
     lambda g: rand_range(g, eps=0.25),
     lambda g: EstimateTable(g, 0, 100, 0.5),
     lambda g: ShortDistanceTree(g, 1.5, 100),
+    lambda g: ShortDistanceTree(g, 0, 0),
+    lambda g: EstimateTable(g, 0, -1, Fraction(1)),
+    lambda g: DeterministicRange(g, 0, 0, Fraction(1), phase_length=2,
+                                 cap=100),
+    lambda g: DeterministicRange(g, 0, 1, Fraction(1), phase_length=2,
+                                 cap=0),
+    lambda g: DeterministicRange(g, 0, 1, Fraction(1), phase_length=1.5,
+                                 cap=100),
+    lambda g: RandomizedRange(g, 0, 32, Fraction(1, 4), 64, 0,
+                              np.random.Generator(np.random.PCG64(0))),
 ], ids=["phase_length", "gran", "rand_eps", "det_source", "table_source",
         "short_source", "rand_source", "rand_m_budget", "rand_iter_mult",
-        "float_eps", "float_gran", "float_source"])
+        "float_eps", "float_gran", "float_source", "short_cap", "table_cap",
+        "det_tau", "det_cap", "float_phase_length", "rand_lg_n"])
 def test_structures_reject_bad_arguments(build):
     """The exported structures raise the package's typed error on a bad
-    argument; a source outside [0, n) is caught once, by the table."""
+    argument; a source outside [0, n) or a cap that is not an int >= 1 or
+    ``math.inf`` is caught once, by the table."""
     with pytest.raises(InvalidConfig):
         build(Graph(4, 8))
 
