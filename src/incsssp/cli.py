@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import inf
 
 from .engine import DEFAULT_C_B, MODES, Config, IncrementalSSSP
-from .errors import IncSSSPError, InvalidConfig, ParseError, Unreachable
+from .errors import IncSSSPError, ParseError, Unreachable
 from .oracle import exact_distances_fast, verify
 from .workloads import InsertionStream
 
@@ -50,14 +50,12 @@ def _parse_fraction(text: str, line: int) -> Fraction:
 
 def parse_stream(text: str) -> InsertionStream:
     """Parse the stream format; raises ParseError with a line number."""
-    header = None
     stream = None
-    saw_event = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if header is None:
+        if stream is None:
             fields = {}
             for tok in line.split():
                 if "=" not in tok:
@@ -76,7 +74,6 @@ def parse_stream(text: str) -> InsertionStream:
             eps = _parse_fraction(fields["eps"], lineno) if "eps" in fields else None
             if n < 1 or w_max < 1 or budget < 1:
                 raise ParseError(lineno, "header values must be positive")
-            header = True
             stream = InsertionStream(n=n, max_weight=w_max, budget=budget,
                                      eps=eps)
             continue
@@ -95,12 +92,11 @@ def parse_stream(text: str) -> InsertionStream:
                 raise ParseError(lineno,
                                  f"weight {w} outside [1,{stream.max_weight}]")
             if kind == "i":
-                if saw_event:
+                if stream.events:
                     raise ParseError(lineno, "initial edges must precede events")
                 stream.initial_edges.append((u, v, w))
             else:
                 stream.events.append(("a", u, v, w))
-                saw_event = True
         elif kind in ("q", "p"):
             if len(parts) != 2:
                 raise ParseError(lineno, f"{kind!r} needs: {kind} v")
@@ -111,7 +107,6 @@ def parse_stream(text: str) -> InsertionStream:
             if not (0 <= v < stream.n):
                 raise ParseError(lineno, f"vertex outside [0,{stream.n})")
             stream.events.append((kind, v))
-            saw_event = True
         else:
             raise ParseError(lineno, f"unknown event kind {kind!r}")
     if stream is None:
@@ -171,20 +166,20 @@ def run(stream: InsertionStream, mode: str = "det", *,
                 break
         elif event[0] == "q":
             d = engine.query(event[1])
-            answers.append(("q", event[1], "inf" if d == inf else d))
+            answers.append(["q", event[1], "inf" if d == inf else d])
         elif event[0] == "p":
             try:
                 path = engine.report_path(event[1])
-                answers.append(("p", event[1], "->".join(map(str, path))))
+                answers.append(["p", event[1], "->".join(map(str, path))])
             except Unreachable:
-                answers.append(("p", event[1], "unreachable"))
+                answers.append(["p", event[1], "unreachable"])
 
     summary = {
         "mode": mode,
         "eps": str(eps),
         "seed": seed,
         "insertions": index,
-        "answers": [list(a) for a in answers],
+        "answers": answers,
         "totals": engine.counters(),
         "verified": bool(verify_each),
         "violations": 0 if failure is None else
@@ -271,7 +266,7 @@ def main(argv=None) -> int:
             stream, args.mode, eps=args.eps, seed=args.seed,
             verify_each=args.verify, c_b=args.cb_mult,
             iter_mult=args.iter_mult, raw_epsilon=args.raw_epsilon)
-    except (IncSSSPError, InvalidConfig) as exc:
+    except IncSSSPError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -280,7 +275,7 @@ def main(argv=None) -> int:
     if args.json:
         print(json.dumps(summary, sort_keys=True))
     else:
-        for kind, v, ans in [tuple(a) for a in summary["answers"]]:
+        for kind, v, ans in summary["answers"]:
             print(f"{kind} {v} = {ans}")
         if code != 0:
             print(summary["first_violation"], file=sys.stderr)

@@ -33,6 +33,7 @@ import heapq
 from fractions import Fraction
 
 from .errors import InvalidConfig, PhaseFull
+from .graph import check_source
 from .lazy import CAP, EstimateTable
 
 
@@ -68,6 +69,7 @@ def bounded_dijkstra(graph, source: int,
     lower cap equal those of a run capped there: one run to the largest cap
     serves every structure.
     """
+    check_source(graph, source)
     n = graph.n
     dist = [CAP] * n
     parent = [None] * n

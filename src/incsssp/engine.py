@@ -186,7 +186,7 @@ class IncrementalSSSP:
         sq = ceil_sqrt(m)
         c_b = cfg.c_b if cfg.c_b is not None else DEFAULT_C_B
         B = max(1, isqrt(m) // c_b)   # ⌊√m / c_B⌋
-        lg_B = ceil_log2(B) if B > 1 else 0
+        lg_B = ceil_log2(B)
         # keep the per-phase error bound B·εδ·(2·lg B + 1) below ε·τ
         blow_up = Fraction(B * (2 * lg_B + 1), sq)
         if cfg.raw_epsilon or blow_up <= 1:
@@ -334,8 +334,6 @@ class IncrementalSSSP:
         if self.query(v) == inf:
             raise Unreachable(f"vertex {v} currently unreachable")
         source = self.source
-        if v == source:
-            return [source]
         parent = self._structures[self._min_owner[v]].table.parent
         path = [v]
         x = v

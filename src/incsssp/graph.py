@@ -7,7 +7,14 @@ can be replayed bit-for-bit.  Propagation scans ``_adj[u]``, u's
 ``(head, weight)`` pairs; audits read the flat edge arrays.
 """
 
-from .errors import BudgetExceeded, DuplicateEdge, VertexOutOfRange, WeightOutOfRange
+from .errors import (BudgetExceeded, DuplicateEdge, InvalidConfig,
+                     VertexOutOfRange, WeightOutOfRange)
+
+
+def check_source(graph, source) -> None:
+    """Raise :class:`InvalidConfig` unless ``source`` is an int in [0, n)."""
+    if not (isinstance(source, int) and 0 <= source < graph.n):
+        raise InvalidConfig(f"source {source} outside [0,{graph.n})")
 
 
 class Graph:
@@ -42,7 +49,9 @@ class Graph:
         self._initial_count = 0
         self.load_initial(initial_edges)
 
-    def _add(self, u: int, v: int, w: int) -> None:
+    def insert_edge(self, u: int, v: int, w: int) -> None:
+        """Insert edge (u, v, w); :meth:`load_initial` installs each
+        initial edge through here too."""
         if not (isinstance(u, int) and 0 <= u < self.n
                 and isinstance(v, int) and 0 <= v < self.n):
             raise VertexOutOfRange(f"edge ({u},{v}) outside [0,{self.n})")
@@ -80,7 +89,7 @@ class Graph:
         start = self.edge_count
         try:
             for (u, v, w) in edges:
-                self._add(u, v, w)
+                self.insert_edge(u, v, w)
         except BaseException:
             tails, heads = self.edge_tails, self.edge_heads
             while len(tails) > start:   # newest first: each is last in adj
@@ -90,10 +99,6 @@ class Graph:
                 del self._weights[(u, v)]
             raise
         self._initial_count = self.edge_count
-
-    def insert_edge(self, u: int, v: int, w: int) -> None:
-        """Insert edge (u, v, w) after the initial edges."""
-        self._add(u, v, w)
 
     def weight_of(self, u: int, v: int) -> int | None:
         return self._weights.get((u, v))

@@ -42,6 +42,7 @@ from fractions import Fraction
 from math import inf
 
 from .errors import InvalidConfig
+from .graph import check_source
 
 CAP = inf
 
@@ -69,9 +70,8 @@ class DistanceTable:
     """
 
     def __init__(self, graph, source: int, cap, on_decrease=None):
+        check_source(graph, source)
         n = graph.n
-        if not (isinstance(source, int) and 0 <= source < n):
-            raise InvalidConfig(f"source {source} outside [0,{n})")
         if not (cap == inf or isinstance(cap, int) and cap >= 1):
             raise InvalidConfig("cap must be an int >= 1 or math.inf")
         self.graph = graph
@@ -123,7 +123,6 @@ class DistanceTable:
         cap = self.cap
         dhat = self.dhat
         parent = self.parent
-        source = self.source
         min_value, min_owner = self.min_value, self.min_owner
         index = self.owner_index
         notify = self.on_decrease
@@ -142,7 +141,7 @@ class DistanceTable:
                 if d < min_value[v]:
                     min_value[v] = d
                     min_owner[v] = index
-            elif d == old and v != source:
+            elif d == old:
                 parent[v] = parents[v]
         self.decreases += len(lowered)
         return lowered

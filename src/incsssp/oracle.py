@@ -17,6 +17,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as _scipy_dijkstra
 
+from .graph import check_source
 from .intmath import ceil_log2, floor_log2
 
 
@@ -44,18 +45,17 @@ class VerifyReport:
 
 def dijkstra(graph, source: int) -> ExactDistances:
     """Exact single-source distances, ties broken by vertex id."""
+    check_source(graph, source)
     n = graph.n
     dist = [inf] * n
     parent = [None] * n
     dist[source] = 0
     adj = graph._adj
     heap = [(0, source)]
-    done = [False] * n
     while heap:
         d, u = heapq.heappop(heap)
-        if done[u] or d > dist[u]:
+        if d > dist[u]:   # a stale entry: each push lowered dist
             continue
-        done[u] = True
         for v, w in adj[u]:
             nd = d + w
             if nd < dist[v]:
@@ -72,7 +72,8 @@ def exact_distances_fast(graph, source: int) -> list:
     n = graph.n
     if (n - 1) * graph.max_weight >= 2 ** 53:
         return dijkstra(graph, source).d
-    if not graph.edge_tails:
+    check_source(graph, source)
+    if not graph.edge_tails:   # scipy's set-up costs far more than this
         out = [inf] * n
         out[source] = 0
         return out
@@ -116,12 +117,10 @@ def audit_edge_invariant(tables, graph) -> list:
     d̂(u) − ω is an integer in [−(cap+W), cap], so it exceeds εδ exactly
     when it exceeds ⌊εδ⌋; int64 holds it while cap + W < 2^62.
     """
-    if not graph.edge_tails:
-        return []
     top = max((table.cap for _, table in tables), default=0)
     dtype = np.int64 if top + graph.max_weight < 2 ** 62 else object
-    tails = np.array(graph.edge_tails)
-    heads = np.array(graph.edge_heads)
+    tails = np.array(graph.edge_tails, dtype=np.int64)
+    heads = np.array(graph.edge_heads, dtype=np.int64)
     weights = np.array(graph.edge_weights, dtype=dtype)
     breaches = []
     for label, table in tables:

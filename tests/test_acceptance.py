@@ -22,6 +22,7 @@ from incsssp import (Config, EstimateTable, Graph, IncrementalSSSP,
 from incsssp.workloads import quadratic_error_replay
 from tests.conftest import (chain_shortcut_stream, cli_env, plant,
                             random_graph)
+from tools.state_digest import c1_run, c7_run
 
 
 def _passline(name, ok, detail=""):
@@ -94,17 +95,9 @@ def replay_and_audit(stream, cfg, *, path_every=75):
     return out
 
 
-C1_CONFIGS = [(Fraction(1, 4), 1), (Fraction(1, 4), None),
-              (Fraction(1, 10), 1), (Fraction(1, 10), None)]
-
-
 def c1_replay(i, W=64):
-    """One C1 run: ``random_stream(128, 1500, W)`` #1000+i through a det
-    engine with the configuration ``C1_CONFIGS[i % 4]``."""
-    n, m = 128, 1500
-    eps, c_b = C1_CONFIGS[i % 4]
-    stream = random_stream(n, m, W, seed=1000 + i)
-    cfg = Config(n=n, m_budget=m, max_weight=W, eps=eps, mode="det", c_b=c_b)
+    """C1 run ``i`` (``tools.state_digest.c1_run``), fully checked."""
+    _, cfg, stream = c1_run(i, W)
     return replay_and_audit(stream, cfg)
 
 
@@ -113,14 +106,9 @@ def c1_corpus():
     return [c1_replay(i) for i in range(50)]
 
 
-def c7_replay(seed, W=64):
-    """One C7 run: ``random_stream(128, 1000, W)`` #5000+seed through a
-    rand engine at raw ε = 1/4 and iter_mult 1/100."""
-    n, m = 128, 1000
-    stream = random_stream(n, m, W, seed=5000 + seed)
-    cfg = Config(n=n, m_budget=m, max_weight=W, eps=Fraction(1, 4),
-                 mode="rand", seed=seed, raw_epsilon=True,
-                 iter_mult=Fraction(1, 100))
+def c7_replay(i, W=64):
+    """C7 run ``i`` (``tools.state_digest.c7_run``), fully checked."""
+    _, cfg, stream = c7_run(i, W)
     return replay_and_audit(stream, cfg, path_every=200)
 
 

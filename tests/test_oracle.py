@@ -6,9 +6,11 @@ from math import inf, log2
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from incsssp import (Config, Graph, IncrementalSSSP, brute_force_distances,
+from incsssp import (Config, EstimateTable, Graph, IncrementalSSSP,
+                     InvalidConfig, bounded_dijkstra, brute_force_distances,
                      dijkstra, exact_distances_fast, phase_error_audit,
                      phase_error_bound, verify)
+from incsssp.oracle import audit_edge_invariant
 from incsssp.workloads import random_stream
 from tests.conftest import plant, random_graph, streams
 
@@ -32,6 +34,33 @@ def test_matches_brute_force_enumeration(seed):
 def test_scipy_path_agrees_with_reference(seed):
     g = random_graph(24, 120, 9, seed=seed)
     assert dijkstra(g, 0).d == exact_distances_fast(g, 0)
+    empty, source = Graph(24, 9), seed + 1   # no edge, a source other than 0
+    expected = [inf] * 24
+    expected[source] = 0
+    assert dijkstra(empty, source).d == exact_distances_fast(empty, source) \
+        == expected
+
+
+@pytest.mark.parametrize("source", [-1, 4, 1.5])
+@pytest.mark.parametrize("solve", [
+    lambda g, s: bounded_dijkstra(g, s, 100), dijkstra, exact_distances_fast,
+], ids=["bounded_dijkstra", "dijkstra", "exact_distances_fast"])
+def test_exact_solvers_reject_bad_sources(solve, source):
+    """A source outside [0, n) or not an int raises the package's typed
+    error; Python's indexing must not read −1 as vertex n − 1."""
+    g = Graph(4, 8)
+    g.insert_edge(3, 1, 2)
+    with pytest.raises(InvalidConfig):
+        solve(g, source)
+
+
+@pytest.mark.parametrize("cap", [100, 2 ** 62], ids=["int64", "object"])
+def test_audit_of_edgeless_graph_is_empty(cap):
+    """With no edge there is nothing to breach, on either array type (the
+    object path takes over once cap + W reaches 2^62)."""
+    g = Graph(5, 9)
+    table = EstimateTable(g, 2, cap, Fraction(1))
+    assert audit_edge_invariant([("t", table)], g) == []
 
 
 def replayed_engine(seed=0, n=24, m=120, w=8):

@@ -4,7 +4,8 @@ import pytest
 
 from incsssp import Config, IncrementalSSSP, random_stream
 from tests.conftest import plant
-from tools.state_digest import c1_runs, c7_runs, replay_digest, snapshot
+from tools.state_digest import (C1_STREAMS, c1_run, c7_run, corpus_runs,
+                                 replay_digest, snapshot)
 
 
 def builder(mode):
@@ -52,7 +53,7 @@ def test_digest_is_stable_and_sees_one_estimate(mode):
 def test_c7_digest_sees_the_hidden_pass():
     """The c7 workload runs rand with the raw ε, where fixing-phase hidden
     passes lower estimates: skipping every pass changes its digest."""
-    [(label, make, streams)] = c7_runs(1)
+    [(label, make, streams)] = corpus_runs(c7_run, 1)
     config = make(streams[0]).config
     assert (config.mode, config.raw_epsilon, config.iter_mult) == \
         ("rand", True, Fraction(1, 100))
@@ -70,7 +71,7 @@ def test_digests_split_by_structure():
     """A change to one C7 range moves its own digest and the state digest
     only: the short tree, at the largest folded cap, holds every distance
     exactly, so the answers stay too."""
-    [(_, make, streams)] = c7_runs(1)
+    [(_, make, streams)] = corpus_runs(c7_run, 1)
     top = make(streams[0]).ranges[-1]
 
     def make_changed(stream):
@@ -90,7 +91,7 @@ def test_c1w14_ranges_own_answers():
     some minimum, so its digests cover range-owned answers; the c1 ones
     at W = 64 never get there."""
     for W, owns in ((2 ** 14, True), (64, False)):
-        for _, make, [stream] in c1_runs(4, W=W):
+        for _, make, [stream] in corpus_runs(c1_run, C1_STREAMS, W=W):
             eng = make(stream)
             eng.preprocess(stream.initial_edges)
             for _, u, v, w in stream.insertions:

@@ -6,14 +6,16 @@
 
 Replays the streams of the bench workloads (``bench/streams.py``) through
 the ``det``, ``det_c1`` and ``rand`` configurations of ``bench/engines.py``,
-the C1 acceptance configurations (``random_stream(128, 1500, 64)``, det
-mode, ε ∈ {1/4, 1/10} × c_B ∈ {1, default}), the same at W = 2^14
-(``c1w14``, where deterministic ranges own answers) and the C7 ones
-(``random_stream(128, 1000, 64)``, rand mode, ε = 1/4 raw, iter_mult =
-1/100), through the package in ``--src``.  The engine builds no range
-whose εδ is below 1 (the short tree covers it), so the bench ``rand``
-engine, whose rescaled ε puts every εδ below 1, holds the short tree
-alone; the raw ε of C7 keeps the ranges with εδ ≥ 1, where a fixing
+the first runs of the C1 acceptance corpus (``random_stream(128, 1500,
+64)``, det mode, ε ∈ {1/4, 1/10} × c_B ∈ {1, default}), the same at W =
+2^14 (``c1w14``, where deterministic ranges own answers) and the first
+runs of the C7 one (``random_stream(128, 1000, 64)``, rand mode, ε = 1/4
+raw, iter_mult = 1/100), through the package in ``--src``.  The corpora
+are defined here, run by run (:func:`c1_run`, :func:`c7_run`), and
+``tests/test_acceptance.py`` replays the same runs.  The engine builds no
+range whose εδ is below 1 (the short tree covers it), so the bench
+``rand`` engine, whose rescaled ε puts every εδ below 1, holds the short
+tree alone; the raw ε of C7 keeps the ranges with εδ ≥ 1, where a fixing
 phase's hidden pass can lower estimates.
 
 It prints three kinds of digest per workload and engine, each a sha256:
@@ -46,7 +48,11 @@ ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("sparse_uniform", "connected", "chain", "c1", "c1w14", "c7")
 ENGINES = ("det", "det_c1", "rand")
 EVERY = 16
+C1_STREAMS = 4   # C1 streams replayed for the c1 and c1w14 workloads
 C7_STREAMS = 4   # C7 streams replayed for the c7 workload
+# the C1 acceptance configurations (ε, c_B), run i taking entry i % 4
+C1_CONFIGS = ((Fraction(1, 4), 1), (Fraction(1, 4), None),
+              (Fraction(1, 10), 1), (Fraction(1, 10), None))
 
 
 def label(engine, s) -> str:
@@ -104,36 +110,38 @@ def replay_digest(make_engine, streams) -> dict[str, str]:
             **{name: h.hexdigest() for name, h in structures.items()}}
 
 
-def c1_runs(count: int, W: int = 64):
-    """(label, make_engine, streams) for the first ``count`` C1 streams at
-    maximum weight ``W``, each with its acceptance configuration."""
-    from incsssp import Config, IncrementalSSSP, random_stream
-    configs = [(Fraction(1, 4), 1), (Fraction(1, 4), None),
-               (Fraction(1, 10), 1), (Fraction(1, 10), None)]
+def c1_run(i: int, W: int = 64):
+    """(label, config, stream) of C1 run ``i``: ``random_stream(128, 1500,
+    W)`` #1000+i through a det engine at ``C1_CONFIGS[i % 4]``."""
+    from incsssp import Config, random_stream
     n, m = 128, 1500
+    eps, c_b = C1_CONFIGS[i % 4]
+    return (f"det[eps={eps},c_b={c_b}]#{i}",
+            Config(n=n, m_budget=m, max_weight=W, eps=eps, mode="det",
+                   c_b=c_b),
+            random_stream(n, m, W, seed=1000 + i))
+
+
+def c7_run(i: int, W: int = 64):
+    """(label, config, stream) of C7 run ``i``: ``random_stream(128, 1000,
+    W)`` #5000+i through a rand engine seeded ``i``, at raw ε = 1/4 and
+    iter_mult = 1/100."""
+    from incsssp import Config, random_stream
+    n, m = 128, 1000
+    return (f"rand[eps=1/4,raw]#{i}",
+            Config(n=n, m_budget=m, max_weight=W, eps=Fraction(1, 4),
+                   mode="rand", seed=i, raw_epsilon=True,
+                   iter_mult=Fraction(1, 100)),
+            random_stream(n, m, W, seed=5000 + i))
+
+
+def corpus_runs(run, count: int, W: int = 64):
+    """(label, make_engine, streams) for runs 0 to ``count`` − 1 of ``run``
+    (:func:`c1_run` or :func:`c7_run`) at maximum weight ``W``."""
+    from incsssp import IncrementalSSSP
     for i in range(count):
-        eps, c_b = configs[i % 4]
-
-        def make(stream, eps=eps, c_b=c_b):
-            return IncrementalSSSP(Config(n=n, m_budget=m, max_weight=W,
-                                          eps=eps, mode="det", c_b=c_b))
-        yield (f"det[eps={eps},c_b={c_b}]#{i}", make,
-               [random_stream(n, m, W, seed=1000 + i)])
-
-
-def c7_runs(count: int):
-    """(label, make_engine, streams) for the first ``count`` C7 streams,
-    each with its acceptance configuration."""
-    from incsssp import Config, IncrementalSSSP, random_stream
-    n, m, W = 128, 1000, 64
-    for i in range(count):
-        def make(stream, seed=i):
-            return IncrementalSSSP(Config(
-                n=n, m_budget=m, max_weight=W, eps=Fraction(1, 4),
-                mode="rand", seed=seed, raw_epsilon=True,
-                iter_mult=Fraction(1, 100)))
-        yield (f"rand[eps=1/4,raw]#{i}", make,
-               [random_stream(n, m, W, seed=5000 + i)])
+        label, config, stream = run(i, W)
+        yield label, lambda _, config=config: IncrementalSSSP(config), [stream]
 
 
 def main(argv=None) -> int:
@@ -143,9 +151,6 @@ def main(argv=None) -> int:
                         default=list(WORKLOADS))
     parser.add_argument("--engines", nargs="+", choices=ENGINES,
                         default=list(ENGINES))
-    parser.add_argument("--c1-streams", type=int, default=4,
-                        help="C1 streams replayed for the c1 and c1w14 "
-                             "workloads")
     parser.add_argument("--src", type=Path, default=ROOT / "src",
                         help="directory holding the incsssp package")
     args = parser.parse_args(argv)
@@ -157,11 +162,11 @@ def main(argv=None) -> int:
 
     for workload in args.workloads:
         if workload == "c1":
-            runs = c1_runs(args.c1_streams)
+            runs = corpus_runs(c1_run, C1_STREAMS)
         elif workload == "c1w14":
-            runs = c1_runs(args.c1_streams, W=2 ** 14)
+            runs = corpus_runs(c1_run, C1_STREAMS, W=2 ** 14)
         elif workload == "c7":
-            runs = c7_runs(C7_STREAMS)
+            runs = corpus_runs(c7_run, C7_STREAMS)
         else:
             built = streams.build(workload, args.seed)
             runs = [(name, lambda s, name=name: incsssp.IncrementalSSSP(
