@@ -6,8 +6,8 @@ touched since step (k−1)·2^j (where b = k·2^j with j maximal) into one
 propagation call, which limits error build-up on surviving path segments
 to O(εδ·lg B) per phase.  A distance-bounded rebuild restores exact
 estimates between phases.  All ranges of one engine share a phase
-boundary, so the engine runs one bounded Dijkstra to the largest cap and
-every range assigns the distances below its own cap from it.
+boundary, so the engine keeps one bounded Dijkstra tree to the largest cap
+and every range assigns the distances below its own cap from it.
 
 A rebuild visits only the vertices its tree names: the ones a range's
 construction-time Dijkstra settled, or at a shared boundary those whose
@@ -18,11 +18,12 @@ below the vertex's true distance at the next boundary.  A vertex whose
 distance did not change between the two trees was therefore never
 lowered: it still holds the value and parent the previous rebuild gave it
 (or CAP, if its distance is still at least the cap), and unless its tree
-parent changed a visit would write nothing to it.  Only the new tree's
-reach can change: distances only fall, and both runs stop at one cap, so
-the new run settles every vertex the previous one did, and a vertex that
-neither settled is CAP with parent None in both.  The engine compares the
-trees along the new settled list: a boundary costs what it reaches, not n.
+parent changed a visit would write nothing to it.  Under insertions
+distances only fall, so a vertex can change only if a new edge or a
+lowered vertex reaches it: :func:`advance_tree` brings the previous tree
+up to date by a decrease-only Dijkstra from the edges inserted since, and
+names the vertices it changed as it goes.  A boundary costs what changed,
+plus one look at each new edge, not what the tree reaches.
 
 A baseline mode replaces the batch with just the head of the inserted edge
 (when its relaxation fired), reproducing the per-edge propagation scheme
@@ -96,6 +97,68 @@ def bounded_dijkstra(graph, source: int,
     return dist, parent, settled
 
 
+def advance_tree(graph, dist: list, parent: list, since: int,
+                 cap: int) -> list[int]:
+    """Bring a :func:`bounded_dijkstra` tree up to date, in place, after
+    the insertion of edges ``since`` onwards; returns the vertices whose
+    distance or parent changed, each once.
+
+    ``(dist, parent)`` is the tree of a run to ``cap`` on the graph's first
+    ``since`` edges (or one this function advanced).  Distances only fall,
+    so a vertex can change only if a new edge or a lowered vertex reaches
+    it: tails are taken in the run's (distance, id) order, each new edge
+    out of a reached tail once, and the whole adjacency of each lowered
+    vertex once, at its final distance.  Candidates ≥ ``cap`` are ignored.
+    A vertex whose distance does not change keeps its parent p unless a
+    tight candidate tail u has (dist[u], u) < (dist[p], p): the least tight
+    in-neighbour, as :func:`bounded_dijkstra` would choose.
+    """
+    tails = graph.edge_tails
+    heads = graph.edge_heads
+    weights = graph.edge_weights
+    # (distance, tail, edge index), -1 for "scan the whole adjacency"; an
+    # unreached tail holds the CAP object bounded_dijkstra filled in
+    heap =[(dist[u], u, i) for i, u in enumerate(tails[since:], since)
+            if dist[u] is not CAP]
+    heapq.heapify(heap)
+    adj = graph._adj
+    push = heapq.heappush
+    pop = heapq.heappop
+    lowered = []
+    switched = []   # (vertex, distance) given a new parent at that distance
+    while heap:
+        d, u, i = pop(heap)
+        # stale: u was lowered after this entry was pushed, and the full
+        # scan at its final distance covers it
+        if d > dist[u]:
+            continue
+        if i < 0:
+            lowered.append(u)
+            edges = adj[u]
+        else:
+            edges = ((heads[i], weights[i]),)
+        for v, w in edges:
+            nd = d + w
+            dv = dist[v]
+            if nd > dv:
+                continue
+            if nd < dv:
+                if nd < cap:
+                    dist[v] = nd
+                    parent[v] = u
+                    push(heap, (nd, v, -1))
+            else:   # a tie, below cap as every reached distance is:
+                # tails come in (distance, id) order, so only a parent
+                # from the previous tree can lose it
+                p = parent[v]
+                if d < dist[p] or (d == dist[p] and u < p):
+                    parent[v] = u
+                    switched.append((v, nd))
+    # a vertex switched and then lowered is already in ``lowered``
+    lowered += [v for v, d in switched if dist[v] == d]
+    return lowered
+
+
 class DeterministicRange:
     """Deterministic structure for one distance range [τ, 2τ).
 
@@ -134,13 +197,15 @@ class DeterministicRange:
         """Restore exact estimates (clamped at cap) and reset the phase.
 
         ``tree`` is ``(dist, parent, visit)``: the distances and parents
-        of a :func:`bounded_dijkstra` on the current graph, run to at least
-        this range's cap, and the vertices to visit, each once.  ``visit``
-        must hold every vertex whose entry differs from what the range
-        holds: the settled list of that Dijkstra when the range was just
-        built on this graph, or those whose distance or parent differs
-        from the tree of its previous rebuild.  The rebuild is charged
-        ``edge_count + n`` work whatever it visits.
+        of a :func:`bounded_dijkstra` on the current graph (or a tree
+        :func:`advance_tree` brought up to date), to at least this range's
+        cap, and the vertices to visit, each once.  ``visit`` must hold
+        every vertex whose entry differs from what the range holds: the
+        settled list of that Dijkstra when the range was just built on
+        this graph, or those whose distance or parent differs from the
+        tree of its previous rebuild.  The tree is read during the call
+        only, so its owner may advance it afterwards.  The rebuild is
+        charged ``edge_count + n`` work whatever it visits.
         """
         self.table.work += self.graph.edge_count + self.graph.n
         self.table.assign_exact(*tree)

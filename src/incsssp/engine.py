@@ -30,11 +30,15 @@ protocol (``table``, ``cap``, ``estimate``, ``insert``, ``phase_full``,
 engine never asks which kind a structure is.  ``tree`` is
 ``(dist, parent, visit)``.  Each structure is built from a bounded Dijkstra
 of its own on the still empty graph, which visits only the source.  Exact
-re-initialization runs one bounded Dijkstra to the largest cap, shared by
-every structure it serves: at ``preprocess`` all of them, before an
-insertion every structure whose phase is full (only deterministic ranges
-fill, together).  Each visits only the vertices whose distance or parent
-changed since the previous shared tree, found along the new tree's reach.
+re-initialization reads one bounded Dijkstra tree to the largest cap,
+shared by every structure it serves: at ``preprocess`` all of them, before
+an insertion every structure whose phase is full (only deterministic
+ranges fill, together).  The engine keeps that tree and advances it in
+place by a decrease-only Dijkstra from the edges inserted since the
+previous boundary (the empty graph's tree at ``preprocess``): distances
+only fall, so only a vertex that a new edge or a lowered vertex reaches
+can change.  Each structure visits only the vertices whose distance or
+parent changed, which that run names as it goes.
 
 An update validates in the graph before changing it.  If a structure then
 raises, the structures may hold part of the update, so the engine marks
@@ -76,9 +80,10 @@ MODES = ("det", "rand", "nosync")
 # Deterministic phases last B = ⌊√m / c_B⌋ insertions.  The paper's
 # c_B = Θ(log n) is an asymptotic constant: 6·⌈lg n⌉ gives B = 1 below
 # m ≈ 17,000 at n = 2048, a rebuild before every insertion.  Of c_B in
-# {1, 2, 3, 4, 6, 8, 6·⌈lg n⌉}, 2 measured fastest (or tied) on chains and
-# within 1.5× of the best on random graphs (README, "Phase length").  The
-# guarantee holds for any c_B: ε is rescaled by B(2⌈lg B⌉+1)/⌈√m⌉.
+# {1, 2, 3, 4, 6, 8, 6·⌈lg n⌉}, 2 measured fastest on chains, by 3.5× over
+# c_B = 1, which is 1.35–1.7× faster on random graphs (README, "Phase
+# length").  The guarantee holds for any c_B: ε is rescaled by
+# B(2⌈lg B⌉+1)/⌈√m⌉.
 DEFAULT_C_B = 2
 
 
@@ -170,9 +175,11 @@ class IncrementalSSSP:
         for i, s in enumerate(self._structures):
             s.table.share_minimum(self.min_value, self._min_owner, i)
         self._tree_cap = max(s.cap for s in self._structures)
-        # the empty graph's tree, which every structure was just built from
+        # the empty graph's tree, which every structure was just built
+        # from; each boundary advances it in place by the edges from _since
         self._tree = det.bounded_dijkstra(self.graph, self.source,
-                                          self._tree_cap)
+                                          self._tree_cap)[:2]
+        self._since = 0
 
     # -- construction -----------------------------------------------------
 
@@ -257,21 +264,24 @@ class IncrementalSSSP:
         self._preprocessed = True
 
     def _next_tree(self) -> tuple[list, list, list]:
-        """``(dist, parent, visit)``: the shared bounded Dijkstra on the
-        current graph, and the vertices it settled whose entry differs
-        from the previous run's (no other vertex can: ``incsssp.det``).
+        """``(dist, parent, visit)``: the shared tree, advanced in place by
+        the edges inserted since the previous boundary to the bounded
+        Dijkstra tree of the current graph, and the vertices whose entry
+        changed.  Distances only fall, so only a vertex that a new edge or
+        a lowered vertex reaches can change (``det.advance_tree``).
 
         Every structure rebuilt at a boundary was rebuilt at the previous
         one too (or, before the first, built on the empty graph), so each
-        needs to visit only those vertices.
+        needs to visit only those vertices.  No structure keeps the tree
+        after its ``rebuild`` returns, so the next boundary may change it.
         """
-        # through the module, so a wrapper on det.bounded_dijkstra sees it;
-        # a run to a higher cap is exact for every lower one
-        old_dist, old_parent, _ = self._tree
-        self._tree = dist, parent, settled = det.bounded_dijkstra(
-            self.graph, self.source, self._tree_cap)
-        return dist, parent, [v for v in settled if dist[v] != old_dist[v]
-                              or parent[v] != old_parent[v]]
+        # through the module, so a wrapper on det.advance_tree sees it;
+        # a tree to a higher cap is exact for every lower one
+        dist, parent = self._tree
+        visit = det.advance_tree(self.graph, dist, parent, self._since,
+                                 self._tree_cap)
+        self._since = self.graph.edge_count
+        return dist, parent, visit
 
     def insert(self, u: int, v: int, w: int) -> None:
         """Insert one edge and bring every structure up to date.

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from incsssp import (Config, DeterministicRange, Graph, IncrementalSSSP,
                      PhaseFull, RandomizedRange, bounded_dijkstra,
                      dijkstra)
+from incsssp.det import advance_tree
 from incsssp.intmath import ceil_log2
 from incsssp.lazy import EstimateTable
 from tests.conftest import random_graph, slack, streams
@@ -409,8 +410,8 @@ def test_shared_rebuild_matches_per_range_dijkstra(stream, mode, c_b,
 
 def full_tree_diff(old, new) -> set[int]:
     """Vertices of the whole universe whose distance or parent differs
-    between two bounded Dijkstra results."""
-    (old_dist, old_parent, _), (dist, parent, _) = old, new
+    between two ``(dist, parent)`` trees."""
+    (old_dist, old_parent), (dist, parent) = old, new
     return {v for v in range(len(dist))
             if dist[v] != old_dist[v] or parent[v] != old_parent[v]}
 
@@ -418,10 +419,13 @@ def full_tree_diff(old, new) -> set[int]:
 @settings(max_examples=60, deadline=None)
 @shared_rebuild_draws
 def test_shared_rebuild_visits_only_the_reach(stream, mode, c_b, preprocess):
-    """The visit list of every shared rebuild, read off the new run's
-    settled list, is the full-universe diff of the two trees, each vertex
-    once; and the previous run settled nothing the new one did not,
-    since distances only fall and both runs stop at the same cap."""
+    """At every boundary the shared tree, advanced in place by the edges
+    inserted since the previous one, equals a fresh bounded Dijkstra to
+    the same cap, parents included; and its visit list is the
+    full-universe diff between a copy of the tree taken before the
+    boundary and the new one, each vertex once.  c_b = 10^6 gives
+    boundaries of one new edge, c_b = 1 boundaries of ⌊√m⌋; with
+    ``preprocess`` the first one carries every initial edge."""
     eng = IncrementalSSSP(Config(
         n=stream.n, m_budget=stream.budget, max_weight=stream.max_weight,
         mode=mode, c_b=c_b))
@@ -429,15 +433,93 @@ def test_shared_rebuild_visits_only_the_reach(stream, mode, c_b, preprocess):
     next_tree = eng._next_tree
 
     def spy():
-        old = eng._tree
-        tree = next_tree()
-        boundaries.append((old, eng._tree, tree[2]))
-        return tree
+        old = tuple(column[:] for column in eng._tree)
+        since = eng._since
+        dist, parent, visit = next_tree()
+        fresh = bounded_dijkstra(eng.graph, eng.source, eng._tree_cap)
+        assert (dist, parent) == fresh[:2]
+        assert len(visit) == len(set(visit))
+        assert set(visit) == full_tree_diff(old, (dist, parent))
+        boundaries.append(eng.graph.edge_count - since)
+        return dist, parent, visit
     eng._next_tree = spy
     for _, u, v, w in replay(eng, stream, preprocess):
         eng.insert(u, v, w)
     assert boundaries or not preprocess
-    for old, new, visit in boundaries:
-        assert len(visit) == len(set(visit))
-        assert set(visit) == full_tree_diff(old, new)
-        assert set(old[2]) <= set(new[2])
+    if preprocess:
+        assert boundaries[0] == len(stream.initial_edges)
+
+
+def advanced(base, batch, cap=100):
+    """The bounded tree of a graph on ``base`` edges, advanced in place
+    after ``batch`` is inserted; checks it against a fresh bounded
+    Dijkstra and returns (dist, parent, visit)."""
+    g = Graph(8, 16)
+    for e in base:
+        g.insert_edge(*e)
+    dist, parent, _ = bounded_dijkstra(g, 0, cap)
+    since = g.edge_count
+    for e in batch:
+        g.insert_edge(*e)
+    visit = advance_tree(g, dist, parent, since, cap)
+    assert (dist, parent) == bounded_dijkstra(g, 0, cap)[:2]
+    return dist, parent, visit
+
+
+def test_advance_tree_switches_to_a_smaller_tight_tail():
+    # 4 is at 2 through 3 (at 1); the new edge makes 1 (also at 1) tight
+    dist, parent, visit = advanced([(0, 3, 1), (3, 4, 1), (0, 1, 1)],
+                                   [(1, 4, 1)])
+    assert dist[4] == 2 and parent[4] == 1
+    assert visit == [4]
+
+
+def test_advance_tree_keeps_a_smaller_parent_on_a_tie():
+    # 4 is at 4 through 3 (at 2); 5 ties at (2, 5) and 1 at (3, 1), both
+    # larger than (2, 3) in (distance, id) order
+    dist, parent, visit = advanced(
+        [(0, 3, 2), (3, 4, 2), (0, 5, 2), (0, 1, 3)], [(5, 4, 2), (1, 4, 1)])
+    assert dist[4] == 4 and parent[4] == 3
+    assert visit == []
+
+
+def test_advance_tree_scans_a_new_edge_from_its_lowered_tail():
+    # (2, 3) comes first, from 2 at 10; (0, 2) then lowers 2 to 1, which
+    # makes (2, 3) tight for 3, at 2 through 6, and (1, 2) < (1, 6)
+    dist, parent, visit = advanced(
+        [(0, 1, 5), (1, 2, 5), (0, 6, 1), (6, 3, 1)], [(2, 3, 1), (0, 2, 1)])
+    assert (dist[2], parent[2]) == (1, 0)
+    assert (dist[3], parent[3]) == (2, 2)
+    assert sorted(visit) == [2, 3]
+
+
+def test_advance_tree_ignores_a_candidate_at_the_cap():
+    # 1 + 4 reaches the cap 5, so 2 stays out; 1 ties for 4 at (2, 1),
+    # larger than its parent 3 at (1, 3)
+    dist, parent, visit = advanced([(0, 1, 2), (0, 3, 1), (3, 4, 2)],
+                                   [(1, 2, 3), (1, 4, 1)], cap=5)
+    assert (dist[2], parent[2]) == (inf, None)
+    assert parent[4] == 3
+    assert visit == []
+
+
+def test_advance_tree_skips_a_new_edge_from_an_unreached_tail():
+    # 2 is unreached, so (2, 3) and (2, 1) do nothing; (0, 1) ties for 1
+    # at (0, 0), smaller than its parent 4 at (1, 4)
+    dist, parent, visit = advanced([(0, 4, 1), (4, 1, 1)],
+                                   [(2, 3, 1), (2, 1, 1), (0, 1, 2)])
+    assert (dist[2], dist[3]) == (inf, inf)
+    assert (dist[1], parent[1]) == (2, 0)
+    assert visit == [1]
+
+
+def test_advance_tree_with_an_empty_batch_changes_nothing():
+    g = Graph(8, 16)
+    for e in [(0, 3, 1), (3, 4, 1), (0, 1, 1)]:
+        g.insert_edge(*e)
+    dist, parent, _ = bounded_dijkstra(g, 0, 100)
+    g.insert_edge(1, 4, 1)
+    assert advance_tree(g, dist, parent, 3, 100) == [4]
+    tree = (dist[:], parent[:])
+    assert advance_tree(g, dist, parent, g.edge_count, 100) == []
+    assert (dist, parent) == tree == bounded_dijkstra(g, 0, 100)[:2]
