@@ -2,7 +2,8 @@
 
 Stream text format (line oriented, ``#`` starts a comment):
 
-    n=<int> W=<int> budget=<int> [eps=<p>/<q>]     header, first
+    n=<int> W=<int> budget=<int> [eps=<p>/<q>]     header, first; no other
+                                                   key, none twice
     i <u> <v> <w>                                  initial edge
     a <u> <v> <w>                                  insertion event
     q <v>                                          distance query (echoed)
@@ -31,6 +32,7 @@ from .workloads import InsertionStream
 CSV_COLUMNS = ("index", "relaxation_count", "touched_count",
                "fixing_phases_run", "rebuilds_run", "max_additive_error",
                "wall_time_ns")
+HEADER_KEYS = ("n", "W", "budget", "eps")   # each at most once
 
 
 # argparse types: a ValueError exits 64 as "invalid <name> value"
@@ -61,6 +63,10 @@ def parse_stream(text: str) -> InsertionStream:
                 if "=" not in tok:
                     raise ParseError(lineno, f"bad header token {tok!r}")
                 key, val = tok.split("=", 1)
+                if key not in HEADER_KEYS:
+                    raise ParseError(lineno, f"unknown header key {key!r}")
+                if key in fields:
+                    raise ParseError(lineno, f"header repeats {key}=")
                 fields[key] = val
             for req in ("n", "W", "budget"):
                 if req not in fields:

@@ -17,6 +17,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as _scipy_dijkstra
 
+from .errors import InvalidParams
 from .graph import check_source
 from .intmath import ceil_log2, floor_log2
 
@@ -138,13 +139,18 @@ def verify(engine, dist, eps_eff: Fraction,
     """Check d ≤ query(v) ≤ (1+ε_eff)·d for every vertex, and audit the
     edge invariant of every table in ``engine.audit_tables()``.
 
-    ``dist`` lists the true distances; an :class:`ExactDistances`, which
-    ``bench/run.py`` passes, is read through its ``d``.  Every comparison is between Python integers: the
-    upper bound as q·den > d·num and the worst ratio by cross-multiplying.
+    ``dist`` lists the true distances of all n vertices (else
+    :class:`InvalidParams`); an :class:`ExactDistances`, which
+    ``bench/run.py`` passes, is read through its ``d``.  Every comparison
+    is between Python integers: the upper bound as q·den > d·num and the
+    worst ratio by cross-multiplying.
     Pure: repeated calls on the same state yield identical reports.
     """
     if isinstance(dist, ExactDistances):
         dist = dist.d
+    if len(dist) != engine.graph.n:
+        raise InvalidParams(f"{len(dist)} distances for {engine.graph.n} "
+                            "vertices")
     one = 1 + Fraction(eps_eff)
     num, den = one.numerator, one.denominator
     lower, upper = [], []

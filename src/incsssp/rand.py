@@ -16,22 +16,6 @@ phase: the hidden listener's ``changed``, and the visible table's touch log
 of the phase.  ``det.insert_step`` lowers the relaxed head, bucket-crossing
 vertices and queued ones (batch seeds or already touched), all logged.  The
 tables agree wherever the sync lowered one, so the sync logs nothing.
-
-The hidden pass runs only when it can lower something.  Call an edge
-(u, v, w) *tense* when d̂(u) + w < min(d̂(v), cap).  Both relaxation
-branches of ``partial_dijkstra`` need ``cand < d̂(v)`` and ``cand < cap``,
-so a call none of whose seeds has a tense out-edge lowers nothing and
-only charges its work, 1 + outdeg(u) per seed.  The one precondition is
-that estimates never increase: then an edge not tense stays so until
-d̂(u) drops or the edge is inserted, and a rebuild, which makes the table
-exact, leaves no edge tense.  So every tail of a tense edge is in the
-*dirty* set: the hidden vertices lowered since the last fixing phase (by
-insertions, the previous pass or the sync, all recorded in ``changed``),
-the tails of the edges inserted since then, and the tense vertices the
-last phase kept.  Each fixing phase prunes that set to the vertices still
-tense, and when no seed is among them it charges the work instead of
-running the pass.  Tables, counters and the draws are those of a run that
-always propagates.
 """
 
 from fractions import Fraction
@@ -92,12 +76,12 @@ class RandomizedRange:
 
     def __init__(self, graph, source: int, tau: int, eps: Fraction,
                  m_budget: int, lg_n: int, rng, iter_mult: Fraction = Fraction(1)):
-        if not all(isinstance(x, int) and x >= 1 for x in (m_budget, lg_n)):
-            raise InvalidConfig("m_budget and lg_n must be ints >= 1")
+        if not all(isinstance(x, int) and x >= 1
+                   for x in (tau, m_budget, lg_n)):
+            raise InvalidConfig("tau, m_budget and lg_n must be ints >= 1")
         if not all(isinstance(x, (int, Fraction)) and x > 0
                    for x in (eps, iter_mult)):
             raise InvalidConfig("eps and iter_mult must be positive rationals")
-        self.graph = graph
         self.source = source
         self.tau = tau
         m_cbrt = ceil_cbrt(m_budget)
@@ -156,13 +140,10 @@ class RandomizedRange:
         self.table.reset_phase()
         self._hidden.reset_phase()
         self._listener.changed.clear()
-        # the hidden table now holds the bounded tree, so no edge is tense
-        self._tense: set[int] = set()
 
     def insert(self, u: int, v: int, w: int) -> None:
         self.b += 1
         self.insertions_seen += 1
-        self._tense.add(u)   # the new edge may be tense
         insert_step(self.table, u, v, w, self.b, sync=True)
         insert_step(self._hidden, u, v, w, self.b, sync=True)
         while self.needs_fixing():
@@ -185,48 +166,18 @@ class RandomizedRange:
                 hid._set(v, a, ds.parent[v])
             elif h < a:
                 ds._set(v, h, hid.parent[v])
-        self._tense = self._still_tense(self._tense | hid_changed)
         hid_changed.clear()
 
         self.phi_snapshot = self.phi   # potential reference point
 
         draws = self.rng.integers(0, self.max_window_index + 1,
                                   size=self.iterations)
-        vertices = self._window_union(draws).tolist()
-        if self._covers_tense(vertices):
-            hid.partial_dijkstra(vertices)
-        else:
-            # the pass would lower nothing: charge what it would have
-            adj = self.graph._adj
-            hid.work += len(vertices) + sum(len(adj[u]) for u in vertices)
+        hid.partial_dijkstra(self._window_union(draws).tolist())
 
         self.b = 0
         ds.reset_phase()
         hid.reset_phase()
         self.fixing_log.append(self.insertions_seen)
-
-    def _still_tense(self, dirty) -> set[int]:
-        """The vertices of ``dirty`` with a tense out-edge in the hidden
-        table: d̂(u) + w < min(d̂(v), cap)."""
-        dhat = self._hidden.dhat
-        adj = self.graph._adj
-        cap = self.cap
-        tense = set()
-        for u in dirty:
-            du = dhat[u]
-            if du == inf:
-                continue
-            for v, w in adj[u]:
-                cand = du + w
-                if cand < cap and cand < dhat[v]:
-                    tense.add(u)
-                    break
-        return tense
-
-    def _covers_tense(self, seeds: list[int]) -> bool:
-        """Whether a seed of the hidden pass has a tense out-edge."""
-        tense = self._tense
-        return bool(tense) and not tense.isdisjoint(seeds)
 
     def _window_union(self, draws):
         """Vertices of the hidden table with d̂ in [iδ, (i+8)δ) for any

@@ -56,6 +56,24 @@ def test_parse_rejects_late_initial_edge():
         parse_stream("n=4 W=10 budget=6\na 0 1 1\ni 1 2 1\n")
 
 
+@pytest.mark.parametrize("header, message", [
+    ("n=4 W=10 budget=6 esp=1/10", "unknown header key 'esp'"),
+    ("n=4 W=10 budget=6 n=9", "header repeats n="),
+    ("n=4 W=10 budget=6 eps=1/4 eps=1/10", "header repeats eps=")],
+    ids=["unknown", "repeated", "repeated_eps"])
+def test_header_rejects_unknown_and_repeated_keys(tmp_path, capsys, header,
+                                                  message):
+    """A misspelt key would leave its default in force, and a repeated one
+    would take the last value, both silently."""
+    with pytest.raises(ParseError) as exc:
+        parse_stream(f"{header}\na 0 1 3\n")
+    assert exc.value.line == 1 and exc.value.message == message
+    p = tmp_path / "stream.txt"
+    p.write_text(f"{header}\na 0 1 3\n")
+    assert main([str(p)]) == 3
+    assert message in capsys.readouterr().err
+
+
 streams = st.builds(
     lambda n, edges, qs: _build_stream(n, edges, qs),
     st.integers(3, 8),

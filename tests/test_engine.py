@@ -223,8 +223,8 @@ def test_non_integer_fields_rejected(field, value):
         IncrementalSSSP(Config(**fields))
 
 
-def rand_range(g, source=0, eps=Fraction(1, 4), m_budget=64, **kw):
-    return RandomizedRange(g, source, 32, eps, m_budget, 2,
+def rand_range(g, source=0, tau=32, eps=Fraction(1, 4), m_budget=64, **kw):
+    return RandomizedRange(g, source, tau, eps, m_budget, 2,
                            np.random.Generator(np.random.PCG64(0)), **kw)
 
 
@@ -253,10 +253,12 @@ def rand_range(g, source=0, eps=Fraction(1, 4), m_budget=64, **kw):
                                  cap=100),
     lambda g: RandomizedRange(g, 0, 32, Fraction(1, 4), 64, 0,
                               np.random.Generator(np.random.PCG64(0))),
+    lambda g: rand_range(g, tau=1.5),
 ], ids=["phase_length", "gran", "rand_eps", "det_source", "table_source",
         "short_source", "rand_source", "rand_m_budget", "rand_iter_mult",
         "float_eps", "float_gran", "float_source", "short_cap", "table_cap",
-        "det_tau", "det_cap", "float_phase_length", "rand_lg_n"])
+        "det_tau", "det_cap", "float_phase_length", "rand_lg_n",
+        "float_rand_tau"])
 def test_structures_reject_bad_arguments(build):
     """The exported structures raise the package's typed error on a bad
     argument; a source outside [0, n) or a cap that is not an int >= 1 or

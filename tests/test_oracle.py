@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from incsssp import (Config, EstimateTable, Graph, IncrementalSSSP,
-                     InvalidConfig, bounded_dijkstra, brute_force_distances,
-                     dijkstra, exact_distances_fast, phase_error_audit,
-                     phase_error_bound, verify)
+                     InvalidConfig, InvalidParams, bounded_dijkstra,
+                     brute_force_distances, dijkstra, exact_distances_fast,
+                     phase_error_audit, phase_error_bound, verify)
 from incsssp.oracle import audit_edge_invariant
 from incsssp.workloads import random_stream
 from tests.conftest import plant, random_graph, streams
@@ -78,6 +78,17 @@ def test_verify_clean_on_fresh_engine():
     report = verify(eng, truth.d, eng.guarantee_epsilon)
     assert report.clean
     assert report.max_ratio >= 1
+
+
+@pytest.mark.parametrize("cut", [lambda d: [], lambda d: d[:-1],
+                                 lambda d: d + [0]],
+                         ids=["empty", "short", "long"])
+def test_verify_rejects_a_truth_list_of_the_wrong_length(cut):
+    """A short list would check only a prefix, an empty one nothing."""
+    eng = replayed_engine()
+    truth = dijkstra(eng.graph, 0)
+    with pytest.raises(InvalidParams):
+        verify(eng, cut(truth.d), eng.guarantee_epsilon)
 
 
 def test_verify_is_pure():

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from incsssp import Config, IncrementalSSSP, random_stream
@@ -52,18 +53,19 @@ def test_digest_is_stable_and_sees_one_estimate(mode):
 
 def test_c7_digest_sees_the_hidden_pass():
     """The c7 workload runs rand with the raw ε, where fixing-phase hidden
-    passes lower estimates: skipping every pass changes its digest."""
+    passes lower estimates: seeding every pass with no vertex changes its
+    digest.  The windows are still drawn, so the random streams match."""
     [(label, make, streams)] = corpus_runs(c7_run, 1)
     config = make(streams[0]).config
     assert (config.mode, config.raw_epsilon, config.iter_mult) == \
         ("rand", True, Fraction(1, 100))
 
-    def make_skipping(stream):
+    def make_seedless(stream):
         eng = make(stream)
         for r in eng.ranges:
-            r._covers_tense = lambda seeds: False
+            r._window_union = lambda draws: np.empty(0, dtype=np.int64)
         return eng
-    assert replay_digest(make, streams) != replay_digest(make_skipping,
+    assert replay_digest(make, streams) != replay_digest(make_seedless,
                                                          streams)
 
 
