@@ -4,10 +4,15 @@ Each range owns the distances in [τ, 2τ).  Insertions are processed in
 phases of at most B; the b-th insertion of a phase batches every vertex
 touched since step (k−1)·2^j (where b = k·2^j with j maximal) into one
 propagation call, which limits error build-up on surviving path segments
-to O(εδ·lg B) per phase.  A distance-bounded rebuild restores exact
-estimates between phases.  All ranges of one engine share a phase
-boundary, so the engine keeps one bounded Dijkstra tree to the largest cap
-and every range assigns the distances below its own cap from it.
+to O(εδ·lg B) per phase.  Most steps relax nothing and find nothing
+logged in their window, and such an idle step returns right after its
+relaxation test: within a phase each step logs only at its own index, in
+increasing order, so the log's latest key tells whether the window holds
+any touch, and a propagation from an empty batch would count nothing.
+A distance-bounded rebuild restores exact estimates between phases.  All
+ranges of one engine share a phase boundary, so the engine keeps one
+bounded Dijkstra tree to the largest cap and every range assigns the
+distances below its own cap from it.
 
 A rebuild visits only the vertices its tree names: the ones a range's
 construction-time Dijkstra settled, or at a shared boundary those whose
@@ -47,14 +52,26 @@ def insert_step(table: EstimateTable, u: int, v: int, w: int, b: int,
     everything the propagation touched at step b.  Without ``sync`` the
     batch is the head alone, if its relaxation fired, and nothing is
     logged, since only the batch reads the log.
+
+    An idle step, one whose window holds no logged step, returns the empty
+    set right after the relaxation test, without reading the window or
+    propagating.  Two facts make this exact: within a phase every step
+    logs only at its own b, which grows, so the log's last key is its
+    latest step; and ``partial_dijkstra`` of an empty batch counts no
+    work.  Estimates, parents, limits, log and counters are those of a
+    step that read and propagated the empty batch.
     """
     relaxed = table.try_relax(u, v, w)
     if not sync:
-        return table.partial_dijkstra((v,) if relaxed else ())
+        return table.partial_dijkstra((v,)) if relaxed else set()
     if relaxed:
         table.mark_touched((v,), b)
     # b = k·2^j with k odd, so (k−1)·2^j is b with its lowest set bit cleared
-    touched = table.partial_dijkstra(table.touched_in_window(b & (b - 1), b))
+    lo = b & (b - 1)
+    log = table._touch_log
+    if not log or next(reversed(log)) <= lo:
+        return set()
+    touched = table.partial_dijkstra(table.touched_in_window(lo, b))
     table.mark_touched(touched, b)
     return touched
 

@@ -207,6 +207,11 @@ class EstimateTable(DistanceTable):
         whose last touch falls in it: ``det.insert_step`` reads its batch,
         and a randomized range's fixing phase reads (0, b], every vertex
         the visible table lowered in the phase, for its sync.
+
+        Steps are logged in increasing order within a phase (each step
+        logs only at its own index, and :meth:`reset_phase` clears the
+        log), so the log's last key is its latest step: ``det.insert_step``
+        reads it to skip a window that holds no logged step.
         """
         log = self._touch_log
         out = set()

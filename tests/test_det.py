@@ -2,15 +2,16 @@ import random
 from collections import defaultdict
 from fractions import Fraction
 from math import inf
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from incsssp import (Config, DeterministicRange, Graph, IncrementalSSSP,
                      PhaseFull, RandomizedRange, bounded_dijkstra,
                      dijkstra)
-from incsssp.det import advance_tree
+from incsssp.det import advance_tree, insert_step
 from incsssp.intmath import ceil_log2
 from incsssp.lazy import EstimateTable
 from tests.conftest import random_graph, slack, streams
@@ -176,20 +177,59 @@ def test_entry_count_bound_per_decrease():
             assert memberships[x] <= limit * touches[x]
 
 
-def check_batches(owner, table) -> list[bool]:
+def flag_fixing(owner, fixing: list) -> None:
+    """Keep ``fixing`` non-empty while a ``RandomizedRange`` owner runs a
+    fixing phase, whose window reads and propagation are no step's."""
+    if not isinstance(owner, RandomizedRange):
+        return
+    run = owner.run_fixing_phase
+
+    def flagged_run():
+        fixing.append(True)
+        try:
+            run()
+        finally:
+            fixing.pop()
+    owner.run_fixing_phase = flagged_run
+
+
+def check_batches(owner, table) -> tuple[list[bool], list[int]]:
     """Check every batch ``table`` gathers against the paper's definition:
     at step b = k·2^j of a phase, the vertices touched at steps
-    ((k−1)·2^j, b] since the phase began.  Returns, per batch, whether it
-    holds a vertex not touched at step b itself.  A ``RandomizedRange``
-    fixing phase also reads the log of its whole phase, steps (0, b], for
-    the sync: that read must return every touch of the phase, and is no
-    batch."""
+    ((k−1)·2^j, b] since the phase began.  A step whose window, by this
+    check's own record of the touches, holds a vertex must read exactly
+    that window; a step whose window is empty must not read it.  Returns,
+    per read batch, whether it holds a vertex not touched at step b
+    itself, and the steps verified to skip an empty window.  A
+    ``RandomizedRange`` fixing phase also reads the log of its whole
+    phase, steps (0, b], for the sync: that read must return every touch
+    of the phase, and is no batch."""
     touched = defaultdict(set)   # step -> vertices touched at it this phase
     reaches_back = []
+    skipped = []
+    step = {}   # "b" and "empty" of the step in progress
+    relax = table.try_relax
     mark = table.mark_touched
     window = table.touched_in_window
     reset = table.reset_phase
     fixing = []   # non-empty while the owner runs a fixing phase
+
+    def paper_window(b):
+        # b = k·2^j with j maximal; the window starts at (k−1)·2^j
+        j = max(j for j in range(b.bit_length()) if b % (1 << j) == 0)
+        lo = ((b >> j) - 1) << j
+        return lo, set().union(*(touched[t] for t in range(lo + 1, b + 1)))
+
+    def recording_relax(u, v, w):
+        # every step starts with its relaxation test, which may log the
+        # head at step b before the window is decided
+        relaxed = relax(u, v, w)
+        b = owner.b
+        empty = not relaxed and not paper_window(b)[1]
+        step.update(b=b, empty=empty)
+        if empty:
+            skipped.append(b)
+        return relaxed
 
     def recording_mark(vertices, b):
         touched[b].update(vertices)
@@ -201,33 +241,23 @@ def check_batches(owner, table) -> list[bool]:
         if fixing:
             assert (lo, hi) == (0, owner.b) and got == want
             return got
-        # hi = k·2^j with j maximal; the window starts at (k−1)·2^j
-        j = max(j for j in range(hi.bit_length()) if hi % (1 << j) == 0)
-        k = hi >> j
-        assert hi == owner.b and lo == (k - 1) << j
+        assert hi == owner.b == step["b"] and not step["empty"]
+        assert (lo, want) == paper_window(hi)
         assert got == want
         reaches_back.append(bool(got - touched[hi]))
         return got
 
-    if isinstance(owner, RandomizedRange):
-        run = owner.run_fixing_phase
-
-        def flagged_run():
-            fixing.append(True)
-            try:
-                run()
-            finally:
-                fixing.pop()
-        owner.run_fixing_phase = flagged_run
+    flag_fixing(owner, fixing)
 
     def recording_reset():
         touched.clear()
         reset()
 
+    table.try_relax = recording_relax
     table.mark_touched = recording_mark
     table.touched_in_window = checked_window
     table.reset_phase = recording_reset
-    return reaches_back
+    return reaches_back, skipped
 
 
 def test_batch_is_union_of_window_touch_lists():
@@ -260,8 +290,115 @@ def test_batch_is_union_of_window_touch_lists():
         det_r.insert(u, v, w)
         rand_r.insert(u, v, w)
     assert det_r.rebuilds > 1 and rand_r.fixing_phases > 1
-    for reaches_back in checks:
-        assert len(reaches_back) == 120 and any(reaches_back)
+    for reaches_back, skipped in checks:
+        # every step either read its window or skipped an empty one
+        assert len(reaches_back) + len(skipped) == 120
+        assert any(reaches_back)
+
+
+def reference_step(table, u, v, w, b, sync=True):
+    """``det.insert_step`` without the idle return: every step reads its
+    window (lo, b] and propagates from it, however empty."""
+    relaxed = table.try_relax(u, v, w)
+    if not sync:
+        return table.partial_dijkstra((v,) if relaxed else ())
+    if relaxed:
+        table.mark_touched((v,), b)
+    touched = table.partial_dijkstra(table.touched_in_window(b & (b - 1), b))
+    table.mark_touched(touched, b)
+    return touched
+
+
+def table_state(table):
+    """Everything a step may write, the touch log in insertion order."""
+    return (table.dhat[:], table.parent[:], table.lim[:],
+            [(b, vs[:]) for b, vs in table._touch_log.items()],
+            table.work, table.decreases)
+
+
+def step_trace(config, stream, step):
+    """Replay ``stream`` on an engine whose ranges run ``step`` in place of
+    ``insert_step``; returns the set each step returned with its table's
+    state right after it, then every range table's final state."""
+    trace = []
+
+    def traced(table, u, v, w, b, sync=True):
+        out = step(table, u, v, w, b, sync)
+        trace.append((out, table_state(table)))
+        return out
+
+    eng = IncrementalSSSP(config)
+    with mock.patch("incsssp.det.insert_step", traced), \
+            mock.patch("incsssp.rand.insert_step", traced):
+        eng.preprocess(stream.initial_edges)
+        for _, u, v, w in stream.insertions:
+            eng.insert(u, v, w)
+    return trace + [table_state(t) for r in eng.ranges
+                    for _, t in r.audit_tables()]
+
+
+@settings(max_examples=60, deadline=None)
+@given(stream=streams(),
+       kind=st.sampled_from([("det", 1), ("det", None), ("nosync", None),
+                             ("rand", None)]),
+       seed=st.integers(0, 3))
+def test_idle_return_matches_reading_every_window(stream, kind, seed):
+    """The idle return changes nothing: after every step of every range
+    table (both tables of a raw-ε ``RandomizedRange``), estimates,
+    parents, limits, touch log, work, decreases and the returned set equal
+    those of a step that reads its window and propagates even when the
+    window is empty."""
+    mode, c_b = kind
+    config = Config(n=stream.n, m_budget=stream.budget,
+                    max_weight=stream.max_weight, mode=mode, c_b=c_b,
+                    seed=seed, raw_epsilon=mode == "rand",
+                    iter_mult=Fraction(1, 100))
+    assume(IncrementalSSSP(config).ranges)
+    got = step_trace(config, stream, insert_step)
+    want = step_trace(config, stream, reference_step)
+    assert len(got) == len(want)
+    for i, (g, w) in enumerate(zip(got, want)):
+        assert g == w, f"entry {i} of {len(got)}"
+
+
+@pytest.mark.parametrize("mode, c_b", [("det", None), ("det", 1),
+                                       ("nosync", None), ("rand", None)])
+def test_idle_steps_read_no_window_and_propagate_nothing(mode, c_b):
+    """No edge leaves the source, so its reach stays {source}, no step
+    relaxes anything, and no range table reads a window or propagates
+    during a step (a fixing phase's reads and pass are no step's)."""
+    n = 64
+    rng = random.Random(3)
+    edges = {}
+    while len(edges) < 200:
+        u, v = rng.sample(range(1, n), 2)
+        edges[u, v] = rng.randint(1, 64)
+    eng = IncrementalSSSP(Config(n=n, m_budget=len(edges), max_weight=64,
+                                 mode=mode, c_b=c_b, raw_epsilon=True,
+                                 iter_mult=Fraction(1, 100)))
+    assert eng.ranges
+    calls = []
+    fixing = []
+
+    def guarded(method):
+        def call(*args):
+            if not fixing:
+                calls.append(method.__name__)
+            return method(*args)
+        return call
+
+    for r in eng.ranges:
+        flag_fixing(r, fixing)
+        for _, table in r.audit_tables():
+            table.touched_in_window = guarded(table.touched_in_window)
+            table.partial_dijkstra = guarded(table.partial_dijkstra)
+    for (u, v), w in edges.items():
+        eng.insert(u, v, w)
+    # every range crossed phase boundaries (a rebuild also counts the
+    # construction) or ran fixing phases, and stayed idle throughout
+    assert all(r.fixing_phases if mode == "rand" else r.rebuilds > 2
+               for r in eng.ranges)
+    assert calls == []
 
 
 def test_baseline_mode_propagates_only_from_inserted_head():
