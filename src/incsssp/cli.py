@@ -256,8 +256,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        text = sys.stdin.read() if args.stream == "-" else \
-            open(args.stream).read()
+        if args.stream == "-":
+            text = sys.stdin.read()
+        else:
+            with open(args.stream) as f:
+                text = f.read()
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

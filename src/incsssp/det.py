@@ -14,21 +14,24 @@ ranges of one engine share a phase boundary, so the engine keeps one
 bounded Dijkstra tree to the largest cap and every range assigns the
 distances below its own cap from it.
 
-A rebuild visits only the vertices its tree names: the ones a range's
-construction-time Dijkstra settled, or at a shared boundary those whose
-distance or parent changed since the previous shared tree.  Right after a
-rebuild a range holds that tree exactly below its cap.  Until the next
-one, every estimate it lowers becomes the weight of a real path, never
-below the vertex's true distance at the next boundary.  A vertex whose
-distance did not change between the two trees was therefore never
+A rebuild has one contract: it visits every vertex whose distance or
+parent may differ from the tree of the structure's previous rebuild.  A
+structure just built holds the source-only tree (the source at 0, every
+other vertex at CAP, no parents), which counts as its previous one.  Right
+after a rebuild a range holds that tree exactly below its cap.  Until the
+next one, every estimate it lowers becomes the weight of a real path,
+never below the vertex's true distance at the next boundary.  A vertex
+whose distance did not change between the two trees was therefore never
 lowered: it still holds the value and parent the previous rebuild gave it
 (or CAP, if its distance is still at least the cap), and unless its tree
 parent changed a visit would write nothing to it.  Under insertions
 distances only fall, so a vertex can change only if a new edge or a
-lowered vertex reaches it: :func:`advance_tree` brings the previous tree
-up to date by a decrease-only Dijkstra from the edges inserted since, and
-names the vertices it changed as it goes.  A boundary costs what changed,
-plus one look at each new edge, not what the tree reaches.
+lowered vertex reaches it.  One decrease-only Dijkstra makes every tree
+and names the vertices it changes as it goes: :func:`bounded_dijkstra`
+runs it from the source-only tree with the source as its one lowered
+vertex, and :func:`advance_tree` from the previous tree with the edges
+inserted since.  A boundary costs what changed, plus one look at each new
+edge, not what the tree reaches.
 
 A baseline mode replaces the batch with just the head of the inserted edge
 (when its relaxation fired), reproducing the per-edge propagation scheme
@@ -82,36 +85,20 @@ def bounded_dijkstra(graph, source: int,
 
     Returns (dist, parent, settled) with out-of-range vertices at CAP and
     ``settled`` the reached vertices in settle order, the source first.
-    Ties broken by vertex id for reproducible parents.  Vertices are
-    settled in nondecreasing (distance, id) order, so the entries below any
-    lower cap equal those of a run capped there: one run to the largest cap
-    serves every structure.
+    The run is :func:`advance_tree`'s loop from the source-only tree, with
+    the source as its one lowered vertex: vertices are settled in
+    nondecreasing (distance, id) order, and each parent is the least tight
+    in-neighbour in that order, so parents are reproducible and the
+    entries below any lower cap equal those of a run capped there: one run
+    to the largest cap serves every structure.  It reads only what the
+    source reaches.
     """
     check_source(graph, source)
-    n = graph.n
-    dist = [CAP] * n
-    parent = [None] * n
+    dist = [CAP] * graph.n
+    parent = [None] * graph.n
     dist[source] = 0
-    settled = []
-    settle = settled.append
-    adj = graph._adj
-    heap = [(0, source)]
-    push = heapq.heappush
-    pop = heapq.heappop
-    while heap:
-        d, u = pop(heap)
-        # a vertex's entries carry strictly decreasing keys, and only the
-        # last one matches dist[u]: each vertex is settled exactly once
-        if d > dist[u]:
-            continue
-        settle(u)
-        for v, w in adj[u]:
-            nd = d + w
-            if nd < cap and nd < dist[v]:
-                dist[v] = nd
-                parent[v] = u
-                push(heap, (nd, v))
-    return dist, parent, settled
+    return dist, parent, _advance(graph, dist, parent, [(0, source, -1)],
+                                  cap)
 
 
 def advance_tree(graph, dist: list, parent: list, since: int,
@@ -123,21 +110,35 @@ def advance_tree(graph, dist: list, parent: list, since: int,
     ``(dist, parent)`` is the tree of a run to ``cap`` on the graph's first
     ``since`` edges (or one this function advanced).  Distances only fall,
     so a vertex can change only if a new edge or a lowered vertex reaches
-    it: tails are taken in the run's (distance, id) order, each new edge
-    out of a reached tail once, and the whole adjacency of each lowered
-    vertex once, at its final distance.  Candidates ≥ ``cap`` are ignored.
-    A vertex whose distance does not change keeps its parent p unless a
-    tight candidate tail u has (dist[u], u) < (dist[p], p): the least tight
-    in-neighbour, as :func:`bounded_dijkstra` would choose.
+    it: each new edge out of a reached tail is taken once, from its tail's
+    distance.
     """
     tails = graph.edge_tails
-    heads = graph.edge_heads
-    weights = graph.edge_weights
-    # (distance, tail, edge index), -1 for "scan the whole adjacency"; an
-    # unreached tail holds the CAP object bounded_dijkstra filled in
-    heap =[(dist[u], u, i) for i, u in enumerate(tails[since:], since)
+    # an unreached tail holds the CAP object bounded_dijkstra filled in
+    heap = [(dist[u], u, i) for i, u in enumerate(tails[since:], since)
             if dist[u] is not CAP]
     heapq.heapify(heap)
+    return _advance(graph, dist, parent, heap, cap)
+
+
+def _advance(graph, dist: list, parent: list, heap: list,
+             cap: int) -> list[int]:
+    """The decrease-only Dijkstra both trees are made by: lowers
+    ``(dist, parent)`` in place from ``heap`` and returns the vertices
+    whose distance or parent changed, each once, lowered ones in settle
+    order.
+
+    ``heap`` holds ``(distance, tail, edge index)`` entries at the tail's
+    current distance: an index i ≥ 0 offers the edge i alone, and −1 the
+    tail's whole adjacency.  Tails are taken in (distance, id) order; each
+    lowered vertex scans its whole adjacency once, at its final distance.
+    Candidates ≥ ``cap`` are ignored.  A vertex whose distance does not
+    change keeps its parent p unless a tight candidate tail u has
+    (dist[u], u) < (dist[p], p): each parent is the least tight
+    in-neighbour in (distance, id) order.
+    """
+    heads = graph.edge_heads
+    weights = graph.edge_weights
     adj = graph._adj
     push = heapq.heappush
     pop = heapq.heappop
@@ -166,7 +167,7 @@ def advance_tree(graph, dist: list, parent: list, since: int,
                     push(heap, (nd, v, -1))
             else:   # a tie, below cap as every reached distance is:
                 # tails come in (distance, id) order, so only a parent
-                # from the previous tree can lose it
+                # from the tree the run started from can lose it
                 p = parent[v]
                 if d < dist[p] or (d == dist[p] and u < p):
                     parent[v] = u
@@ -214,15 +215,14 @@ class DeterministicRange:
         """Restore exact estimates (clamped at cap) and reset the phase.
 
         ``tree`` is ``(dist, parent, visit)``: the distances and parents
-        of a :func:`bounded_dijkstra` on the current graph (or a tree
-        :func:`advance_tree` brought up to date), to at least this range's
-        cap, and the vertices to visit, each once.  ``visit`` must hold
-        every vertex whose entry differs from what the range holds: the
-        settled list of that Dijkstra when the range was just built on
-        this graph, or those whose distance or parent differs from the
-        tree of its previous rebuild.  The tree is read during the call
-        only, so its owner may advance it afterwards.  The rebuild is
-        charged ``edge_count + n`` work whatever it visits.
+        of the bounded Dijkstra tree of the current graph, to at least
+        this range's cap, and the vertices to visit, each once.  ``visit``
+        must hold every vertex whose distance or parent may differ from
+        the tree of the range's previous rebuild, which for a range just
+        built is the source-only tree: :func:`bounded_dijkstra`'s settled
+        list, or the list :func:`advance_tree` returns.  The tree is read
+        during the call only, so its owner may advance it afterwards.  The
+        rebuild is charged ``edge_count + n`` work whatever it visits.
         """
         self.table.work += self.graph.edge_count + self.graph.n
         self.table.assign_exact(*tree)

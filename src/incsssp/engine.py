@@ -27,18 +27,20 @@ graphs of a few thousand vertices every default-ε ``rand`` range is folded.
 The short tree and every range, deterministic or randomized, give one
 protocol (``table``, ``cap``, ``estimate``, ``insert``, ``phase_full``,
 ``rebuild(tree)``, ``counters``; ranges also ``audit_tables``), so the
-engine never asks which kind a structure is.  ``tree`` is
-``(dist, parent, visit)``.  Each structure is built from a bounded Dijkstra
-of its own on the still empty graph, which visits only the source.  Exact
-re-initialization reads one bounded Dijkstra tree to the largest cap,
-shared by every structure it serves: at ``preprocess`` all of them, before
-an insertion every structure whose phase is full (only deterministic
-ranges fill, together).  The engine keeps that tree and advances it in
-place by a decrease-only Dijkstra from the edges inserted since the
-previous boundary (the empty graph's tree at ``preprocess``): distances
-only fall, so only a vertex that a new edge or a lowered vertex reaches
-can change.  Each structure visits only the vertices whose distance or
-parent changed, which that run names as it goes.
+engine never asks which kind a structure is.  ``tree`` is ``(dist, parent,
+visit)``, and a rebuild visits every vertex whose entry may differ from the
+tree of the structure's previous rebuild, where a new structure's previous
+tree is the source-only tree its tables hold.  Each structure is built from
+``det.bounded_dijkstra`` on the still empty graph, which reaches only the
+source.  Exact re-initialization reads one bounded Dijkstra tree to the
+largest cap, shared by every structure it serves: at ``preprocess`` all of
+them, before an insertion every structure whose phase is full (only
+deterministic ranges fill, together).  The engine keeps that tree and
+advances it in place by a decrease-only Dijkstra from the edges inserted
+since the previous boundary (the empty graph's tree at ``preprocess``):
+distances only fall, so only a vertex that a new edge or a lowered vertex
+reaches can change.  Each structure visits only the vertices whose distance
+or parent changed, which that run names as it goes.
 
 An update validates in the graph before changing it.  If a structure then
 raises, the structures may hold part of the update, so the engine marks
@@ -55,7 +57,7 @@ import numpy as np
 from . import det
 from .det import DeterministicRange
 from .errors import AlreadyPreprocessed, BudgetExceeded, EngineBroken, \
-    InvalidConfig, Unreachable, VertexOutOfRange
+    InvalidConfig, InvalidParams, Unreachable, VertexOutOfRange
 from .graph import Graph
 from .intmath import ceil_cbrt, ceil_frac, ceil_log2, ceil_sqrt, floor_log2
 from .rand import RandomizedRange
@@ -245,12 +247,20 @@ class IncrementalSSSP:
     # -- updates ------------------------------------------------------------
 
     def preprocess(self, initial_edges) -> None:
-        """Load the initial graph and initialize every structure exactly."""
+        """Load the initial graph and initialize every structure exactly.
+
+        A non-iterable argument, or an item that is not a ``(u, v, w)``
+        triple, raises :class:`InvalidParams` and installs nothing."""
         if self._broken is not None:
             raise EngineBroken(self._broken)
         if self._preprocessed or self.insertions_used:
             raise AlreadyPreprocessed("preprocess must come first, once")
-        edges = list(initial_edges)
+        try:
+            edges = iter(initial_edges)
+        except TypeError:
+            raise InvalidParams("initial edges must be an iterable of "
+                                "(u, v, w)") from None
+        edges = list(edges)
         if len(edges) > self.config.m_budget:
             raise BudgetExceeded("initial edges exceed the declared budget")
         self.graph.load_initial(edges)

@@ -8,7 +8,7 @@ can be replayed bit-for-bit.  Propagation scans ``_adj[u]``, u's
 """
 
 from .errors import (BudgetExceeded, DuplicateEdge, InvalidConfig,
-                     VertexOutOfRange, WeightOutOfRange)
+                     InvalidParams, VertexOutOfRange, WeightOutOfRange)
 
 
 def check_source(graph, source) -> None:
@@ -83,12 +83,18 @@ class Graph:
     def load_initial(self, edges) -> None:
         """Install pre-existing edges, all or none; only valid before any
         logged insertion.  A rejected edge removes the ones installed
-        before it in this call, then the error propagates."""
+        before it in this call, then the error propagates; an item that is
+        not a ``(u, v, w)`` triple raises :class:`InvalidParams`."""
         if self.edge_count > self._initial_count:
             raise BudgetExceeded("initial edges must precede all insertions")
         start = self.edge_count
         try:
-            for (u, v, w) in edges:
+            for edge in edges:
+                try:
+                    u, v, w = edge
+                except (TypeError, ValueError):
+                    raise InvalidParams(
+                        f"initial edge {edge!r} is not (u, v, w)") from None
                 self.insert_edge(u, v, w)
         except BaseException:
             tails, heads = self.edge_tails, self.edge_heads

@@ -82,6 +82,8 @@ class RandomizedRange:
         if not all(isinstance(x, (int, Fraction)) and x > 0
                    for x in (eps, iter_mult)):
             raise InvalidConfig("eps and iter_mult must be positive rationals")
+        if not isinstance(rng, np.random.Generator):
+            raise InvalidConfig("rng must be a numpy.random.Generator")
         self.source = source
         self.tau = tau
         m_cbrt = ceil_cbrt(m_budget)
@@ -130,8 +132,10 @@ class RandomizedRange:
 
     def rebuild(self, tree: tuple[list, list, list]) -> None:
         """Exact initialization of both tables from ``tree``, a
-        ``(dist, parent, visit)`` as for ``DeterministicRange.rebuild``;
-        it starts a new phase but is not a fixing phase and draws nothing.
+        ``(dist, parent, visit)`` as for ``DeterministicRange.rebuild``:
+        ``visit`` holds every vertex whose entry may differ from the tree
+        of the previous rebuild, the source-only tree for a new range.  It
+        starts a new phase but is not a fixing phase and draws nothing.
         """
         self.table.assign_exact(*tree)
         self._hidden.assign_exact(*tree)

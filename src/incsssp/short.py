@@ -27,7 +27,9 @@ class ShortDistanceTree:
 
     def rebuild(self, tree: tuple[list, list, list]) -> None:
         """Exact distances below the cap from ``tree``, a
-        ``(dist, parent, visit)`` as for ``DeterministicRange.rebuild``."""
+        ``(dist, parent, visit)`` as for ``DeterministicRange.rebuild``:
+        ``visit`` holds every vertex whose entry may differ from the tree
+        of the previous rebuild, the source-only tree for a new structure."""
         self.table.work += self.graph.edge_count + self.graph.n
         self.table.assign_exact(*tree)
 

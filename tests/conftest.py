@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 import incsssp
 from incsssp import (Graph, InsertionStream, quadratic_error_stream,
                      random_stream)
-from incsssp.lazy import relax_limit
+from incsssp.lazy import CAP, relax_limit
+from incsssp.oracle import dijkstra
 
 
 def cli_env() -> dict:
@@ -37,6 +38,19 @@ def random_graph(n, m, max_weight, seed):
         g.insert_edge(u, v, rng.randint(1, max_weight))
         added += 1
     return g
+
+
+def capped_tree(graph, source, cap) -> tuple[list, list]:
+    """``(dist, parent)`` of a Dijkstra run to ``cap``, from the oracle's
+    independent reference: entries at or above the cap become CAP, with no
+    parent.  A vertex below the cap has every tight in-neighbour below it
+    too, so the oracle's parents, the least tight in-neighbour in
+    (distance, id) order, are those of a capped run."""
+    exact = dijkstra(graph, source)
+    dist = [d if d < cap else CAP for d in exact.d]
+    parent = [p if d < cap else None
+              for d, p in zip(exact.d, exact.tree_parent)]
+    return dist, parent
 
 
 def plant(table, estimates):

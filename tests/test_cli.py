@@ -1,6 +1,8 @@
+import gc
 import re
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -187,6 +189,16 @@ def test_cli_zero_eps_exit_one(tmp_path, capsys, header, args):
     p.write_text(f"n=4 W=10 budget=6{header}\na 0 1 3\n")
     assert main([str(p), *args]) == 1
     assert "eps must lie in (0, 1)" in capsys.readouterr().err
+
+
+def test_cli_closes_its_stream_file(tmp_path, capsys):
+    p = tmp_path / "stream.txt"
+    p.write_text("n=4 W=10 budget=6\na 0 1 3\nq 1\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([str(p)]) == 0
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 def test_readme_usage_names_every_cli_flag():

@@ -14,7 +14,7 @@ from incsssp import (Config, DeterministicRange, Graph, IncrementalSSSP,
 from incsssp.det import advance_tree, insert_step
 from incsssp.intmath import ceil_log2
 from incsssp.lazy import EstimateTable
-from tests.conftest import random_graph, slack, streams
+from tests.conftest import capped_tree, random_graph, slack, streams
 
 
 def grow_range(n, m, w_max, seed, gran=Fraction(2), B=8, cap=10 ** 6,
@@ -449,6 +449,37 @@ def test_bounded_dijkstra_abandons_at_cap():
     assert settled == [0, 1, 2]
 
 
+@st.composite
+def rooted_graphs(draw):
+    """A graph on at most 12 vertices with small weights, so that ties are
+    common, and a source."""
+    n = draw(st.integers(1, 12))
+    w_max = draw(st.sampled_from([1, 2, 3, 64]))
+    pairs = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+            lambda e: e[0] != e[1]),
+        unique=True, max_size=n * (n - 1)))
+    g = Graph(n, w_max)
+    for u, v in pairs:
+        g.insert_edge(u, v, draw(st.integers(1, w_max)))
+    return g, draw(st.integers(0, n - 1))
+
+
+@settings(max_examples=400, deadline=None)
+@given(rooted=rooted_graphs(),
+       cap=st.one_of(st.integers(1, 40), st.just(10 ** 9), st.just(inf)))
+def test_bounded_dijkstra_matches_the_oracle(rooted, cap):
+    """Distances and parents equal the oracle's capped tree, and the
+    source is settled first, then every vertex below the cap in
+    (distance, id) order."""
+    g, source = rooted
+    dist, parent, settled = bounded_dijkstra(g, source, cap)
+    assert (dist, parent) == capped_tree(g, source, cap)
+    below = sorted((d, v) for v, d in enumerate(dist)
+                   if d < cap and v != source)
+    assert settled == [source] + [v for _, v in below]
+
+
 # -- one shared Dijkstra per phase boundary ----------------------------------
 
 def reference_assign(table, dist, parents):
@@ -463,7 +494,7 @@ def reference_assign(table, dist, parents):
 
 
 def reference_exact(graph, source, table):
-    dist, parent, _ = bounded_dijkstra(graph, source, table.cap)
+    dist, parent = capped_tree(graph, source, table.cap)
     table.work += graph.edge_count + graph.n
     reference_assign(table, dist, parent)
 
@@ -557,8 +588,8 @@ def full_tree_diff(old, new) -> set[int]:
 @shared_rebuild_draws
 def test_shared_rebuild_visits_only_the_reach(stream, mode, c_b, preprocess):
     """At every boundary the shared tree, advanced in place by the edges
-    inserted since the previous one, equals a fresh bounded Dijkstra to
-    the same cap, parents included; and its visit list is the
+    inserted since the previous one, equals the oracle's Dijkstra capped
+    at the same cap, parents included; and its visit list is the
     full-universe diff between a copy of the tree taken before the
     boundary and the new one, each vertex once.  c_b = 10^6 gives
     boundaries of one new edge, c_b = 1 boundaries of ⌊√m⌋; with
@@ -573,8 +604,8 @@ def test_shared_rebuild_visits_only_the_reach(stream, mode, c_b, preprocess):
         old = tuple(column[:] for column in eng._tree)
         since = eng._since
         dist, parent, visit = next_tree()
-        fresh = bounded_dijkstra(eng.graph, eng.source, eng._tree_cap)
-        assert (dist, parent) == fresh[:2]
+        fresh = capped_tree(eng.graph, eng.source, eng._tree_cap)
+        assert (dist, parent) == fresh
         assert len(visit) == len(set(visit))
         assert set(visit) == full_tree_diff(old, (dist, parent))
         boundaries.append(eng.graph.edge_count - since)
@@ -589,8 +620,8 @@ def test_shared_rebuild_visits_only_the_reach(stream, mode, c_b, preprocess):
 
 def advanced(base, batch, cap=100):
     """The bounded tree of a graph on ``base`` edges, advanced in place
-    after ``batch`` is inserted; checks it against a fresh bounded
-    Dijkstra and returns (dist, parent, visit)."""
+    after ``batch`` is inserted; checks it against the oracle's capped
+    tree and returns (dist, parent, visit)."""
     g = Graph(8, 16)
     for e in base:
         g.insert_edge(*e)
@@ -599,7 +630,7 @@ def advanced(base, batch, cap=100):
     for e in batch:
         g.insert_edge(*e)
     visit = advance_tree(g, dist, parent, since, cap)
-    assert (dist, parent) == bounded_dijkstra(g, 0, cap)[:2]
+    assert (dist, parent) == capped_tree(g, 0, cap)
     return dist, parent, visit
 
 
@@ -659,4 +690,4 @@ def test_advance_tree_with_an_empty_batch_changes_nothing():
     assert advance_tree(g, dist, parent, 3, 100) == [4]
     tree = (dist[:], parent[:])
     assert advance_tree(g, dist, parent, g.edge_count, 100) == []
-    assert (dist, parent) == tree == bounded_dijkstra(g, 0, 100)[:2]
+    assert (dist, parent) == tree == capped_tree(g, 0, 100)

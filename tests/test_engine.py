@@ -10,13 +10,14 @@ from hypothesis import given, settings, strategies as st
 from incsssp import (AlreadyPreprocessed, BudgetExceeded, Config,
                      DeterministicRange, DuplicateEdge, EngineBroken,
                      EstimateTable, Graph, IncrementalSSSP, InvalidConfig,
+                     InvalidParams,
                      RandomizedRange, ShortDistanceTree, Unreachable,
                      UNREACHABLE, VertexOutOfRange, bounded_dijkstra,
                      dijkstra, verify)
 from incsssp.intmath import (ceil_cbrt, ceil_frac, ceil_log2, ceil_sqrt,
                              floor_cbrt)
 from incsssp.workloads import random_stream
-from tests.conftest import streams
+from tests.conftest import capped_tree, streams
 
 
 def make(n=16, m=64, w=4, mode="det", eps=Fraction(1, 4), **kw):
@@ -177,7 +178,7 @@ def test_range_with_sub_unit_granularity_is_the_exact_tree(
         if r.phase_full():
             r.rebuild(bounded_dijkstra(r.graph, 0, r.cap))
         r.insert(u, v, w)
-        exact = bounded_dijkstra(g, 0, r.cap)[0]
+        exact = capped_tree(g, 0, r.cap)[0]
         assert all(t.dhat == exact for t in tables)
 
 
@@ -254,11 +255,12 @@ def rand_range(g, source=0, tau=32, eps=Fraction(1, 4), m_budget=64, **kw):
     lambda g: RandomizedRange(g, 0, 32, Fraction(1, 4), 64, 0,
                               np.random.Generator(np.random.PCG64(0))),
     lambda g: rand_range(g, tau=1.5),
+    lambda g: RandomizedRange(g, 0, 4, Fraction(1, 4), 100, 3, None),
 ], ids=["phase_length", "gran", "rand_eps", "det_source", "table_source",
         "short_source", "rand_source", "rand_m_budget", "rand_iter_mult",
         "float_eps", "float_gran", "float_source", "short_cap", "table_cap",
         "det_tau", "det_cap", "float_phase_length", "rand_lg_n",
-        "float_rand_tau"])
+        "float_rand_tau", "rand_rng"])
 def test_structures_reject_bad_arguments(build):
     """The exported structures raise the package's typed error on a bad
     argument; a source outside [0, n) or a cap that is not an int >= 1 or
@@ -332,6 +334,23 @@ def test_failed_preprocess_installs_nothing(mode):
     with pytest.raises(DuplicateEdge):
         eng.preprocess([(0, 1, 3), (1, 2, 3), (1, 2, 4)])
     assert eng.graph.edge_count == 0
+    eng.preprocess([(0, 1, 3), (1, 2, 3)])
+    eng.insert(2, 3, 1)
+    assert verify(eng, dijkstra(eng.graph, 0).d, eng.guarantee_epsilon).clean
+    assert [eng.query(v) for v in range(4)] == [0, 3, 6, 7]
+
+
+@pytest.mark.parametrize("mode", ["det", "rand"])
+@pytest.mark.parametrize("bad", [[(0, 1)], [5], None, [(0, 1, 3), (1, 2)]],
+                         ids=["pair", "int", "none", "pair_after_edge"])
+def test_malformed_initial_edges_rejected(mode, bad):
+    """A non-iterable argument or an item that is not (u, v, w) raises the
+    typed error, installs nothing and leaves the engine usable."""
+    eng = make(n=4, m=10, w=10, mode=mode)
+    with pytest.raises(InvalidParams):
+        eng.preprocess(bad)
+    assert eng.graph.edge_count == 0 and eng.graph._adj == [[]] * 4
+    assert eng._broken is None
     eng.preprocess([(0, 1, 3), (1, 2, 3)])
     eng.insert(2, 3, 1)
     assert verify(eng, dijkstra(eng.graph, 0).d, eng.guarantee_epsilon).clean

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from incsssp import (BudgetExceeded, DuplicateEdge, Graph,
+from incsssp import (BudgetExceeded, DuplicateEdge, Graph, InvalidParams,
                      VertexOutOfRange, WeightOutOfRange)
 
 
@@ -93,7 +93,8 @@ def test_initial_edges_must_precede_insertions():
 
 @pytest.mark.parametrize("bad, error", [
     ((1, 2, 4), DuplicateEdge), ((2, 3, 11), WeightOutOfRange),
-    ((2, 9, 1), VertexOutOfRange), ((2, 3), ValueError)])
+    ((2, 9, 1), VertexOutOfRange), ((2, 3), InvalidParams),
+    (5, InvalidParams)])
 def test_rejected_initial_list_installs_none_of_it(bad, error):
     g = Graph(4, 10, initial_edges=[(3, 0, 5)])
     with pytest.raises(error):
@@ -104,6 +105,11 @@ def test_rejected_initial_list_installs_none_of_it(bad, error):
     g.load_initial([(0, 1, 3), (1, 2, 3)])
     g.insert_edge(2, 3, 1)
     assert g.insertion_log == [(2, 3, 1)]
+
+
+def test_constructor_rejects_a_pair_as_an_initial_edge():
+    with pytest.raises(InvalidParams):
+        Graph(4, 5, initial_edges=[(0, 1)])
 
 
 edge_lists = st.lists(
