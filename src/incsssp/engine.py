@@ -56,8 +56,8 @@ import numpy as np
 
 from . import det
 from .det import DeterministicRange
-from .errors import AlreadyPreprocessed, BudgetExceeded, EngineBroken, \
-    InvalidConfig, InvalidParams, Unreachable, VertexOutOfRange
+from .errors import AlreadyPreprocessed, EngineBroken, InvalidConfig, \
+    Unreachable, VertexOutOfRange
 from .graph import Graph
 from .intmath import ceil_cbrt, ceil_frac, ceil_log2, ceil_sqrt, floor_log2
 from .rand import RandomizedRange
@@ -249,21 +249,13 @@ class IncrementalSSSP:
     def preprocess(self, initial_edges) -> None:
         """Load the initial graph and initialize every structure exactly.
 
-        A non-iterable argument, or an item that is not a ``(u, v, w)``
-        triple, raises :class:`InvalidParams` and installs nothing."""
+        ``Graph.load_initial`` checks the edges; a list it rejects installs
+        nothing and leaves the engine usable."""
         if self._broken is not None:
             raise EngineBroken(self._broken)
         if self._preprocessed or self.insertions_used:
             raise AlreadyPreprocessed("preprocess must come first, once")
-        try:
-            edges = iter(initial_edges)
-        except TypeError:
-            raise InvalidParams("initial edges must be an iterable of "
-                                "(u, v, w)") from None
-        edges = list(edges)
-        if len(edges) > self.config.m_budget:
-            raise BudgetExceeded("initial edges exceed the declared budget")
-        self.graph.load_initial(edges)
+        self.graph.load_initial(initial_edges)
         try:
             tree = self._next_tree()
             for s in self._structures:

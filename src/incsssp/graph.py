@@ -82,11 +82,16 @@ class Graph:
 
     def load_initial(self, edges) -> None:
         """Install pre-existing edges, all or none; only valid before any
-        logged insertion.  A rejected edge removes the ones installed
-        before it in this call, then the error propagates; an item that is
-        not a ``(u, v, w)`` triple raises :class:`InvalidParams`."""
+        logged insertion.  The constructor and ``preprocess`` load through
+        here: a non-iterable argument or an item that is not a ``(u, v, w)``
+        triple raises :class:`InvalidParams`, an edge past the budget
+        :class:`BudgetExceeded`, and either installs nothing."""
         if self.edge_count > self._initial_count:
             raise BudgetExceeded("initial edges must precede all insertions")
+        try:
+            edges = iter(edges)
+        except TypeError:
+            raise InvalidParams("initial edges must be iterable") from None
         start = self.edge_count
         try:
             for edge in edges:

@@ -241,8 +241,6 @@ class EstimateTable(DistanceTable):
         included, with no call unless ``on_decrease`` is set; work and
         decreases are counted in locals and added once.
         """
-        if not v_input:
-            return set()
         dhat = self.dhat
         lim = self.lim
         parent = self.parent

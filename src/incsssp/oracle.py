@@ -139,11 +139,11 @@ def verify(engine, dist, eps_eff: Fraction,
     """Check d ≤ query(v) ≤ (1+ε_eff)·d for every vertex, and audit the
     edge invariant of every table in ``engine.audit_tables()``.
 
-    ``dist`` lists the true distances of all n vertices (else
-    :class:`InvalidParams`); an :class:`ExactDistances`, which
-    ``bench/run.py`` passes, is read through its ``d``.  Every comparison
-    is between Python integers: the upper bound as q·den > d·num and the
-    worst ratio by cross-multiplying.
+    ``dist`` lists the true distances of all n vertices, each a Python
+    ``int`` or ``math.inf`` (else :class:`InvalidParams`); an
+    :class:`ExactDistances`, which ``bench/run.py`` passes, is read through
+    its ``d``.  Every comparison is between Python integers: the upper
+    bound as q·den > d·num and the worst ratio by cross-multiplying.
     Pure: repeated calls on the same state yield identical reports.
     """
     if isinstance(dist, ExactDistances):
@@ -159,6 +159,8 @@ def verify(engine, dist, eps_eff: Fraction,
         if d == inf:
             if q != inf:
                 lower.append((v, q, d))
+        elif not isinstance(d, int):
+            raise InvalidParams(f"distance {d!r} of vertex {v} is not an int")
         elif q == inf:
             upper.append((v, q, d, inf))
         else:
@@ -234,6 +236,11 @@ class PhaseErrorBound:
     __slots__ = ("phase_length", "eps_delta")
 
     def __init__(self, phase_length: int, eps_delta: Fraction):
+        if not (isinstance(phase_length, int) and phase_length >= 1):
+            raise InvalidParams("phase length must be an int >= 1")
+        if not (isinstance(eps_delta, (int, Fraction)) and eps_delta > 0):
+            raise InvalidParams("eps_delta must be a positive int or "
+                                "Fraction")
         self.phase_length = phase_length
         self.eps_delta = Fraction(eps_delta)
 
@@ -276,5 +283,6 @@ class PhaseErrorBound:
 
 def phase_error_bound(phase_length: int, eps_delta: Fraction) -> PhaseErrorBound:
     """The per-phase error bound 2·B·εδ·lg B + B·εδ of a synchronized range,
-    as a value that compares exactly with any rational error."""
+    as a value that compares exactly with any rational error.  B must be an
+    int ≥ 1 and εδ a positive int or Fraction (else :class:`InvalidParams`)."""
     return PhaseErrorBound(phase_length, eps_delta)

@@ -150,6 +150,8 @@ class RandomizedRange:
         self.insertions_seen += 1
         insert_step(self.table, u, v, w, self.b, sync=True)
         insert_step(self._hidden, u, v, w, self.b, sync=True)
+        # a loop: the hidden pass runs after the potential snapshot, so it
+        # can lower the potential past the threshold once more
         while self.needs_fixing():
             self.run_fixing_phase()
 

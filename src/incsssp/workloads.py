@@ -51,7 +51,12 @@ class InsertionStream:
 def random_stream(n: int, m: int, max_weight: int, seed: int,
                   query_rate: float = 0.0) -> InsertionStream:
     """m distinct edges drawn uniformly without replacement, random weights,
-    queries interleaved at ``query_rate`` per insertion."""
+    queries interleaved at ``query_rate`` per insertion.  ``n`` ≥ 1, ``m``
+    ≥ 0 and ``max_weight`` ≥ 1 must be ints (else :class:`InvalidParams`)."""
+    if not all(isinstance(x, int) for x in (n, m, max_weight)):
+        raise InvalidParams("n, m and max_weight must be ints")
+    if n < 1 or m < 0 or max_weight < 1:
+        raise InvalidParams("need n >= 1, m >= 0 and max_weight >= 1")
     if m > n * (n - 1):
         raise TooDense(f"{m} edges > n(n-1) = {n * (n - 1)}")
     rng = random.Random(seed)

@@ -1,4 +1,5 @@
 import gc
+import json
 import re
 import subprocess
 import sys
@@ -189,6 +190,23 @@ def test_cli_zero_eps_exit_one(tmp_path, capsys, header, args):
     p.write_text(f"n=4 W=10 budget=6{header}\na 0 1 3\n")
     assert main([str(p), *args]) == 1
     assert "eps must lie in (0, 1)" in capsys.readouterr().err
+
+
+def test_cli_cb_mult_sets_the_phase_length(stream_file, capsys):
+    """``--cb-mult 1`` gives ``run``'s totals at c_B = 1, which differ
+    from the default's on this stream."""
+    stream = parse_stream(stream_file.read_text())
+    totals = {c_b: run(stream, c_b=c_b)[2]["totals"] for c_b in (None, 1)}
+    assert totals[1] != totals[None]
+    for c_b, args in ((1, ["--cb-mult", "1"]), (None, [])):
+        assert main([str(stream_file), *args, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["totals"] == totals[c_b]
+
+
+def test_cli_cb_mult_zero_exit_one(stream_file, capsys):
+    assert main([str(stream_file), "--cb-mult", "0"]) == 1
+    assert capsys.readouterr().err == \
+        "error: c_b override must be >= 1\n"
 
 
 def test_cli_closes_its_stream_file(tmp_path, capsys):

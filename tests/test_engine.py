@@ -323,9 +323,17 @@ def test_preprocess_path_graph_exact():
 
 
 def test_preprocess_budget():
+    """A list one edge past the budget installs nothing and leaves the
+    engine usable: the graph's own budget check and rollback reject it."""
     eng = make(n=8, m=4, w=4)
     with pytest.raises(BudgetExceeded):
         eng.preprocess([(i, i + 1, 1) for i in range(5)])
+    assert eng.graph.edge_count == 0 and eng.graph._adj == [[]] * 8
+    assert eng._broken is None
+    eng.preprocess([(i, i + 1, 1) for i in range(4)])
+    assert [eng.query(v) for v in range(6)] == [0, 1, 2, 3, 4, UNREACHABLE]
+    with pytest.raises(BudgetExceeded):
+        eng.insert(5, 6, 1)
 
 
 @pytest.mark.parametrize("mode", ["det", "rand"])

@@ -187,9 +187,9 @@ def test_decrease_notifications():
 def test_partial_dijkstra_empty_input():
     g = Graph(3, 10)
     t = make_table(g)
-    before = list(t.dhat)
+    before = list(t.dhat), t.work, t.decreases
     assert t.partial_dijkstra(set()) == set()
-    assert t.dhat == before
+    assert (t.dhat, t.work, t.decreases) == before
 
 
 def test_partial_dijkstra_chain():

@@ -112,6 +112,41 @@ def test_constructor_rejects_a_pair_as_an_initial_edge():
         Graph(4, 5, initial_edges=[(0, 1)])
 
 
+@pytest.mark.parametrize("bad", [None, 5])
+def test_non_iterable_initial_edges_rejected(bad):
+    with pytest.raises(InvalidParams):
+        Graph(4, 9, initial_edges=bad)
+    g = Graph(4, 9, initial_edges=[(3, 0, 5)])
+    with pytest.raises(InvalidParams):
+        g.load_initial(bad)
+    assert (g.edge_tails, g.edge_heads, g.edge_weights) == ([3], [0], [5])
+    assert g._adj == [[], [], [], [(0, 5)]]
+    g.load_initial([(0, 1, 3)])
+    assert g.edge_count == 2 and not g.insertion_log
+
+
+def test_generator_failing_after_valid_edges_installs_nothing():
+    def edges():
+        yield (0, 1, 3)
+        yield (1, 2, 3)
+        yield (2, 3)
+
+    g = Graph(4, 9)
+    with pytest.raises(InvalidParams):
+        g.load_initial(edges())
+    assert g.edge_count == 0 and g._adj == [[]] * 4
+    assert g.weight_of(0, 1) is None
+
+
+def test_initial_list_past_the_budget_installs_nothing():
+    g = Graph(4, 9, budget=2)
+    with pytest.raises(BudgetExceeded):
+        g.load_initial([(0, 1, 3), (1, 2, 3), (2, 3, 3)])
+    assert g.edge_count == 0 and g._adj == [[]] * 4
+    g.load_initial([(0, 1, 3), (1, 2, 3)])
+    assert g.edge_count == 2
+
+
 edge_lists = st.lists(
     st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(1, 9)),
     max_size=20)

@@ -3,6 +3,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import inf, log2
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,7 +11,7 @@ from incsssp import (Config, EstimateTable, Graph, IncrementalSSSP,
                      InvalidConfig, InvalidParams, bounded_dijkstra,
                      brute_force_distances, dijkstra, exact_distances_fast,
                      phase_error_audit, phase_error_bound, verify)
-from incsssp.oracle import audit_edge_invariant
+from incsssp.oracle import VerifyReport, audit_edge_invariant
 from incsssp.workloads import random_stream
 from tests.conftest import plant, random_graph, streams
 
@@ -89,6 +90,32 @@ def test_verify_rejects_a_truth_list_of_the_wrong_length(cut):
     truth = dijkstra(eng.graph, 0)
     with pytest.raises(InvalidParams):
         verify(eng, cut(truth.d), eng.guarantee_epsilon)
+
+
+def planted_engine():
+    """0→1→2→3 (3, 3, 1); answers planted below, above and at inf."""
+    eng = IncrementalSSSP(Config(n=4, m_budget=10, max_weight=10))
+    eng.preprocess([(0, 1, 3), (1, 2, 3), (2, 3, 1)])
+    eng.min_value[1:] = [2, 9, inf]
+    return eng
+
+
+@pytest.mark.parametrize("truth", [
+    [0, 3, 6.5, inf], [0, 3, 6.0, inf], np.array([0, 3, 6.5, inf]),
+    np.array([0, 3, 6, 7]), [0, 3, Fraction(6), inf]],
+    ids=["float", "integral_float", "numpy_float", "numpy_int", "fraction"])
+def test_verify_rejects_truths_that_are_not_ints(truth):
+    with pytest.raises(InvalidParams):
+        verify(planted_engine(), truth, Fraction(1, 4))
+
+
+def test_verify_report_on_int_truths():
+    report = verify(planted_engine(), [0, 3, 6, 7], Fraction(1, 4), 5)
+    assert report == VerifyReport(
+        5, lower_violations=[(1, 2, 3)],
+        upper_violations=[(2, 9, 6, Fraction(3, 2)), (3, inf, 7, inf)],
+        invariant_breaches=[], max_ratio=Fraction(3, 2),
+        max_additive_error=3)
 
 
 def test_verify_is_pure():
@@ -170,6 +197,16 @@ def test_phase_error_bound_edges():
     assert -inf < bound < inf and inf > bound and not inf <= bound
     assert float(phase_error_bound(3, Fraction(1))) == pytest.approx(
         6 * log2(3) + 3)
+
+
+@pytest.mark.parametrize("B, eps_delta", [
+    (2, Fraction(-1)), (2, 0), (0, 1), (-3, 1), (1.5, 1), (2, 0.5),
+    (2, "1/2"), (None, 1)])
+def test_phase_error_bound_rejects_bad_parameters(B, eps_delta):
+    """A negative εδ gave a wrong answer, zero ones ZeroDivisionError and
+    a float phase length AttributeError."""
+    with pytest.raises(InvalidParams):
+        phase_error_bound(B, eps_delta)
 
 
 @settings(max_examples=300, deadline=None)

@@ -84,6 +84,22 @@ def test_counter_trigger_forces_phase():
     assert not r.needs_fixing()
 
 
+def test_hidden_pass_can_fire_a_second_fixing_phase():
+    """The hidden pass runs after the potential snapshot, so it can lower
+    the potential past the threshold again: ``insert`` then runs another
+    fixing phase at once, logged at the same insertion count."""
+    n, m = 16, 60
+    stream = random_stream(n, m, 64, seed=17)
+    eng = IncrementalSSSP(Config(n=n, m_budget=m, max_weight=64, seed=17,
+                                 mode="rand", raw_epsilon=True,
+                                 iter_mult=Fraction(1, 100)))
+    for (_, u, v, w) in stream.insertions:
+        eng.insert(u, v, w)
+        assert not any(r.needs_fixing() for r in eng.ranges)
+    assert any(len(set(r.fixing_log)) < len(r.fixing_log)
+               for r in eng.ranges)
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_potential_equals_full_scan(seed):
     g = Graph(14, 5)

@@ -36,6 +36,19 @@ def test_too_dense():
         random_stream(3, 7, 5, seed=0)
 
 
+@pytest.mark.parametrize("n, m, w", [
+    (3, 2, 0), (0, 0, 1), (3, -1, 2), (3.0, 2, 2), (3, 2.0, 2), (3, 2, 2.5),
+    (3, 2, None)])
+def test_random_stream_rejects_bad_parameters(n, m, w):
+    """A zero weight bound raised ValueError from ``randint``."""
+    with pytest.raises(InvalidParams):
+        random_stream(n, m, w, seed=0)
+
+
+def test_random_stream_of_one_vertex_and_no_edges():
+    assert random_stream(1, 0, 1, seed=0).events == []
+
+
 # -- quadratic_error_stream ------------------------------------------------------------
 
 

@@ -13,8 +13,11 @@ with and without ``--verify``, ``--json`` and ``--metrics``: 288 runs.
 
 One line per run names its seed and arguments and gives a sha256 of its
 stdout, stderr, exit code and metrics CSV (``None`` without
-``--metrics``).  Two checkouts that print the same lines gave
-byte-identical command-line output on every run.
+``--metrics``).  Then one line per run of :data:`ERROR_RUNS`, fixed
+runs that fail with exit code 1, 3 or 64, named ``error=<name>`` and
+digested the same way.  Two checkouts that print the same lines gave
+byte-identical command-line output, error messages and exit codes on
+every run.
 """
 
 import argparse
@@ -22,9 +25,11 @@ import contextlib
 import hashlib
 import io
 import itertools
+import os
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 ROOT = Path(__file__).resolve().parents[1]
 SEEDS = range(6)
@@ -32,6 +37,16 @@ INITIAL = 100   # edges of each stream loaded by preprocess
 MODES = ("det", "rand", "nosync")
 EPS = ((), ("--eps", "3/4", "--raw-epsilon"))
 FLAGS = ("--verify", "--json", "--metrics")
+VALID = "n=4 W=5 budget=4\na 0 1 1\nq 1\n"
+# (name, stream text, arguments) of runs that fail
+ERROR_RUNS = (
+    ("over_budget", "n=4 W=5 budget=2\ni 0 1 1\ni 1 2 1\ni 2 3 1\n", ()),
+    ("bad_header", "n=4 W=5 budget=x\n", ()),
+    ("vertex_out_of_range", "n=4 W=5 budget=4\na 0 4 1\n", ()),
+    ("duplicate_edge", "n=4 W=5 budget=4\na 0 1 1\na 0 1 2\n", ()),
+    ("cb_mult_0", VALID, ("--cb-mult", "0")),
+    ("unknown_flag", VALID, ("--no-such-flag",)),
+)
 
 
 def matrix_stream(seed: int):
@@ -45,18 +60,27 @@ def matrix_stream(seed: int):
     return stream
 
 
-def run_digest(argv: list[str], metrics: Path) -> str:
-    """sha256 of one in-process CLI run's stdout, stderr, exit code and
-    metrics CSV; ``argv`` writes the CSV to ``metrics`` if it asks for
-    one."""
+def run_outputs(argv: list[str], metrics: Path) -> tuple:
+    """``(stdout, stderr, exit code, metrics CSV)`` of one in-process CLI
+    run; ``argv`` writes the CSV to ``metrics`` if it asks for one.  The
+    usage text is wrapped at 80 columns, whatever the terminal."""
     from incsssp.cli import main
     metrics.unlink(missing_ok=True)
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            mock.patch.dict(os.environ, COLUMNS="80"):
+        try:
+            code = main(argv)
+        except SystemExit as exc:   # argparse's usage errors
+            code = exc.code
     csv = metrics.read_bytes() if metrics.exists() else None
-    return hashlib.sha256(repr(
-        (out.getvalue(), err.getvalue(), code, csv)).encode()).hexdigest()
+    return out.getvalue(), err.getvalue(), code, csv
+
+
+def run_digest(argv: list[str], metrics: Path) -> str:
+    """sha256 of one run's :func:`run_outputs`."""
+    return hashlib.sha256(
+        repr(run_outputs(argv, metrics)).encode()).hexdigest()
 
 
 def digest_lines(seeds=SEEDS):
@@ -76,6 +100,16 @@ def digest_lines(seeds=SEEDS):
                 yield f"seed={seed} {' '.join(args)} {digest}"
 
 
+def error_lines():
+    """One ``error=<name> <arguments> <sha256>`` line per failing run."""
+    with tempfile.TemporaryDirectory() as tmp:
+        stream_path, metrics = Path(tmp, "stream.txt"), Path(tmp, "m.csv")
+        for name, text, args in ERROR_RUNS:
+            stream_path.write_text(text)
+            digest = run_digest([str(stream_path), *args], metrics)
+            yield " ".join([f"error={name}", *args, digest])
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src",
@@ -84,7 +118,7 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(args.src.resolve()))
     import incsssp
     print("# incsssp from", Path(incsssp.__file__).parent, file=sys.stderr)
-    for line in digest_lines():
+    for line in itertools.chain(digest_lines(), error_lines()):
         print(line, flush=True)
     return 0
 
