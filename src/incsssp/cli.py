@@ -261,7 +261,7 @@ def main(argv=None) -> int:
         else:
             with open(args.stream) as f:
                 text = f.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
@@ -280,7 +280,11 @@ def main(argv=None) -> int:
         return 1
 
     if args.metrics:
-        write_metrics(rows, args.metrics)
+        try:
+            write_metrics(rows, args.metrics)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
     if args.json:
         print(json.dumps(summary, sort_keys=True))
     else:

@@ -1,15 +1,18 @@
 """Top-level incremental SSSP object.
 
-Derives all parameters from (n, m_budget, W, ε), owns the exact short tree
-plus one lazy range per power of two, fans every insertion out to them, and
-answers queries in O(1) from a per-vertex minimum table.  ``min_value[v]``
-is the smallest estimate of v in any structure's visible table, and
-``_min_owner[v]`` the index in ``_structures`` (the short tree is 0) of a
-structure holding it.  Every visible table holds the two lists and its own
-index, and writes them in place with each decrease it writes, inside the
-propagation loops too (``lazy.DistanceTable``): a decrease costs no call,
-and the tables hold no reference back to the engine.  Approximate shortest
-paths are reported by walking parent pointers inside the owner.
+Construction plans, then builds.  ``_plan`` derives every parameter from
+(n, m_budget, W, ε) in one loop over the scales τ = 2^e, both modes alike,
+and sets ``plan``: one ``(spawn key, τ, εδ, cap)`` per range to build; the
+constructor then builds the exact short tree and one lazy range per entry.
+The engine fans every insertion out to them and answers queries in O(1)
+from a per-vertex minimum table.  ``min_value[v]`` is the smallest estimate
+of v in any structure's visible table, and ``_min_owner[v]`` the index in
+``_structures`` (the short tree is 0) of a structure holding it.  Every
+visible table holds the two lists and its own index, and writes them in
+place with each decrease it writes, inside the propagation loops too
+(``lazy.DistanceTable``): a decrease costs no call, and the tables hold no
+reference back to the engine.  Approximate shortest paths are reported by
+walking parent pointers inside the owner.
 
 A range whose bucket width εδ is below 1 is not built: the short tree
 covers it.  Estimates and weights are integers, so with εδ < 1 every strict
@@ -140,6 +143,8 @@ class Config:
             raise InvalidConfig("iteration multiplier must be positive")
         if not (0 <= self.seed < 2 ** 64):
             raise InvalidConfig("seed must fit in 64 bits")
+        if not isinstance(self.raw_epsilon, bool):
+            raise InvalidConfig("raw_epsilon must be a bool")
 
 
 class IncrementalSSSP:
@@ -163,10 +168,9 @@ class IncrementalSSSP:
 
         self._broken: str | None = None   # why a failed update left it
 
-        if config.mode in ("det", "nosync"):
-            self._setup_deterministic()
-        else:
-            self._setup_randomized()
+        short_cap = self._plan()
+        self.short = ShortDistanceTree(self.graph, self.source, short_cap)
+        self.ranges = [self._build(*entry) for entry in self.plan]
         self._structures = (self.short, *self.ranges)
         # each structure's visible table lowers the minimum in place as it
         # writes; the graph is still empty, so no estimate has decreased yet
@@ -185,64 +189,57 @@ class IncrementalSSSP:
 
     # -- construction -----------------------------------------------------
 
-    def _range_taus(self, floor_exp: int) -> list[int]:
-        top = floor_log2(self.config.n * self.config.max_weight)
-        return [1 << i for i in range(floor_exp, top + 1)]
-
-    def _setup_deterministic(self) -> None:
+    def _plan(self) -> int:
+        """Set ``eps_internal``, ``guarantee_epsilon``, the deterministic
+        phase length ``B`` (not in ``rand``) and ``plan``: one ``(spawn
+        key, τ, εδ, cap)`` per range to build, the key being τ's index among
+        all τ.  Returns the short tree's cap: 2·M, or the largest cap of a
+        folded range when that is larger."""
         cfg = self.config
-        m = cfg.m_budget
-        sq = ceil_sqrt(m)
-        c_b = cfg.c_b if cfg.c_b is not None else DEFAULT_C_B
-        B = max(1, isqrt(m) // c_b)   # ⌊√m / c_B⌋
-        lg_B = ceil_log2(B)
-        # keep the per-phase error bound B·εδ·(2·lg B + 1) below ε·τ
-        blow_up = Fraction(B * (2 * lg_B + 1), sq)
-        if cfg.raw_epsilon or blow_up <= 1:
-            self.eps_internal = self.eps
+        m, eps = cfg.m_budget, self.eps
+        if cfg.mode == "rand":
+            self.eps_internal = eps if cfg.raw_epsilon else \
+                eps / (100 * self.lg_n)
+            self.guarantee_epsilon = 100 * self.eps_internal * self.lg_n
+            M, root = ceil_cbrt(m), 3
+            def granularity_and_cap(tau):
+                return RandomizedRange.granularity_and_cap(
+                    tau, self.eps_internal, m, self.lg_n)
         else:
-            self.eps_internal = self.eps / blow_up
-
-        floor_exp = (ceil_log2(m) + 1) // 2   # smallest e with 2^e ≥ √m
-        short_cap = 2 * sq
-        self.ranges = []
-        sync = cfg.mode == "det"
-        for tau in self._range_taus(floor_exp):
-            eps_delta = self.eps_internal * Fraction(tau, sq)
-            cap = ceil_frac((1 + self.eps_internal) * 2 * tau)
+            c_b = cfg.c_b if cfg.c_b is not None else DEFAULT_C_B
+            self.B = max(1, isqrt(m) // c_b)   # ⌊√m / c_B⌋
+            M, root = ceil_sqrt(m), 2
+            # keep the per-phase error bound B·εδ·(2·lg B + 1) below ε·τ
+            blow_up = Fraction(self.B * (2 * ceil_log2(self.B) + 1), M)
+            self.eps_internal = eps if cfg.raw_epsilon or blow_up <= 1 else \
+                eps / blow_up
+            self.guarantee_epsilon = eps
+            def granularity_and_cap(tau):
+                return (self.eps_internal * Fraction(tau, M),
+                        ceil_frac((1 + self.eps_internal) * 2 * tau))
+        first = (ceil_log2(m) + root - 1) // root   # smallest e: 2^e ≥ M
+        top = floor_log2(cfg.n * cfg.max_weight)
+        short_cap = 2 * M
+        self.plan = []
+        for key, e in enumerate(range(first, top + 1)):
+            eps_delta, cap = granularity_and_cap(1 << e)
             if eps_delta < 1:   # an exact tree: the short tree covers it
                 short_cap = max(short_cap, cap)
-                continue
-            self.ranges.append(DeterministicRange(
-                self.graph, self.source, tau, eps_delta, B, cap, sync=sync))
-        self.short = ShortDistanceTree(self.graph, self.source, short_cap)
-        self.guarantee_epsilon = self.eps
+            else:
+                self.plan.append((key, 1 << e, eps_delta, cap))
+        return short_cap
 
-    def _setup_randomized(self) -> None:
+    def _build(self, key: int, tau: int, eps_delta: Fraction, cap: int):
+        """The range of one ``plan`` entry, built on the empty graph."""
         cfg = self.config
-        m = cfg.m_budget
-        if cfg.raw_epsilon:
-            self.eps_internal = self.eps
-        else:
-            self.eps_internal = self.eps / (100 * self.lg_n)
-        self.guarantee_epsilon = 100 * self.eps_internal * self.lg_n
-
-        floor_exp = (ceil_log2(m) + 2) // 3   # smallest e with 2^e ≥ m^{1/3}
-        short_cap = 2 * ceil_cbrt(m)
-        self.ranges = []
-        for i, tau in enumerate(self._range_taus(floor_exp)):
-            eps_delta, cap = RandomizedRange.granularity_and_cap(
-                tau, self.eps_internal, m, self.lg_n)
-            if eps_delta < 1:   # an exact tree: the short tree covers it
-                short_cap = max(short_cap, cap)
-                continue
-            # spawn key i, the index among all τ, whichever ranges are kept
+        if cfg.mode == "rand":
             rng = np.random.Generator(np.random.PCG64(
-                np.random.SeedSequence(cfg.seed, spawn_key=(i,))))
-            self.ranges.append(RandomizedRange(
-                self.graph, self.source, tau, self.eps_internal, m, self.lg_n,
-                rng, iter_mult=Fraction(cfg.iter_mult)))
-        self.short = ShortDistanceTree(self.graph, self.source, short_cap)
+                np.random.SeedSequence(cfg.seed, spawn_key=(key,))))
+            return RandomizedRange(
+                self.graph, self.source, tau, self.eps_internal, cfg.m_budget,
+                self.lg_n, rng, iter_mult=Fraction(cfg.iter_mult))
+        return DeterministicRange(self.graph, self.source, tau, eps_delta,
+                                  self.B, cap, sync=cfg.mode == "det")
 
     # -- updates ------------------------------------------------------------
 

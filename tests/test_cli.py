@@ -1,4 +1,5 @@
 import gc
+import io
 import json
 import re
 import subprocess
@@ -207,6 +208,30 @@ def test_cli_cb_mult_zero_exit_one(stream_file, capsys):
     assert main([str(stream_file), "--cb-mult", "0"]) == 1
     assert capsys.readouterr().err == \
         "error: c_b override must be >= 1\n"
+
+
+NOT_UTF8 = b"n=4 W=10 budget=6\na 0 1 3\nq 1 \xff\n"
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_cli_stream_not_utf8_exit_one(tmp_path, monkeypatch, capsys, source):
+    p = tmp_path / "stream.txt"
+    p.write_bytes(NOT_UTF8)
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(
+        io.BytesIO(NOT_UTF8), encoding="utf-8"))
+    assert main([str(p) if source == "file" else "-"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "can't decode byte 0xff" in err
+
+
+@pytest.mark.parametrize("where", ["missing_dir", "directory"])
+def test_cli_unwritable_metrics_exit_one(stream_file, tmp_path, capsys,
+                                         where):
+    path = tmp_path / "missing" / "m.csv" if where == "missing_dir" \
+        else tmp_path
+    assert main([str(stream_file), "--metrics", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err
 
 
 def test_cli_closes_its_stream_file(tmp_path, capsys):

@@ -1,7 +1,7 @@
 import gc
 import weakref
 from fractions import Fraction
-from math import inf
+from math import inf, isqrt
 
 import numpy as np
 import pytest
@@ -14,6 +14,7 @@ from incsssp import (AlreadyPreprocessed, BudgetExceeded, Config,
                      RandomizedRange, ShortDistanceTree, Unreachable,
                      UNREACHABLE, VertexOutOfRange, bounded_dijkstra,
                      dijkstra, verify)
+from incsssp.engine import DEFAULT_C_B
 from incsssp.intmath import (ceil_cbrt, ceil_frac, ceil_log2, ceil_sqrt,
                              floor_cbrt)
 from incsssp.workloads import random_stream
@@ -82,16 +83,36 @@ def candidate_ranges(eng) -> list[tuple[int, Fraction, int]]:
             for tau in taus]
 
 
-def expected_structures(eng) -> tuple[list[int], int]:
-    """The τ of every range the engine should build, and the short tree's
-    cap: a range with εδ < 1 is an exact tree below its cap, so it is not
-    built and the short tree's cap, 2·M by default, covers it."""
+def expected_structures(eng) -> tuple[list[tuple], int]:
+    """The plan the engine should make, one (spawn key, τ, εδ, cap) per
+    range it builds, the key being τ's index among all τ, and the short
+    tree's cap: a range with εδ < 1 is an exact tree below its cap, so it is
+    not built and the short tree's cap, 2·M by default, covers it."""
     candidates = candidate_ranges(eng)
     default_cap = 2 * (ceil_cbrt if eng.config.mode == "rand" else ceil_sqrt)(
         eng.config.m_budget)
-    return ([tau for tau, eps_delta, _ in candidates if eps_delta >= 1],
+    return ([(key, tau, eps_delta, cap)
+             for key, (tau, eps_delta, cap) in enumerate(candidates)
+             if eps_delta >= 1],
             max([default_cap] + [cap for _, eps_delta, cap in candidates
                                  if eps_delta < 1]))
+
+
+def assert_built_as_planned(eng) -> None:
+    """Each built range matches its plan entry, in order: τ, bucket width
+    and cap; the phase length ⌊√m / c_B⌋ of a deterministic range; the
+    generator of a randomized one, fresh from the entry's spawn key."""
+    cfg = eng.config
+    assert len(eng.ranges) == len(eng.plan)
+    for r, (key, tau, eps_delta, cap) in zip(eng.ranges, eng.plan):
+        assert (r.tau, r.table.gran, r.cap) == (tau, eps_delta, cap)
+        if cfg.mode == "rand":
+            fresh = np.random.PCG64(np.random.SeedSequence(
+                cfg.seed, spawn_key=(key,)))
+            assert r.rng.bit_generator.state == fresh.state
+        else:
+            c_b = DEFAULT_C_B if cfg.c_b is None else cfg.c_b
+            assert r.B == max(1, isqrt(cfg.m_budget) // c_b)
 
 
 def test_deterministic_parameter_derivation():
@@ -99,50 +120,64 @@ def test_deterministic_parameter_derivation():
     # ε/blow-up = 1/10, so εδ = τ/80 < 1 for every τ in 8…64
     assert [tau for tau, _, _ in candidate_ranges(eng)] == [8, 16, 32, 64]
     assert expected_structures(eng) == ([], 141)    # ⌈(1 + 1/10)·128⌉
-    assert [r.tau for r in eng.ranges] == []
+    assert eng.plan == []
     assert eng.short.cap == 141
-    # the raw ε = 1/4 gives εδ = τ/32: τ = 8, 16 fold, 32 and 64 are built
+    # the raw ε = 1/4 gives εδ = τ/32: τ = 8, 16 fold, 32 and 64 are
+    # planned with caps ⌈(5/4)·2τ⌉, and the short tree's is ⌈(5/4)·32⌉
     eng = make(n=16, m=64, w=4, raw_epsilon=True)
-    assert expected_structures(eng) == ([32, 64], 40)   # ⌈(5/4)·32⌉
-    assert [r.tau for r in eng.ranges] == [32, 64]
+    plan = [(2, 32, 1, 80), (3, 64, 2, 160)]
+    assert expected_structures(eng) == (plan, 40)
+    assert eng.plan == plan
     assert eng.short.cap == 40
 
 
 def test_randomized_parameter_derivation():
     eng = make(n=16, m=64, w=4, mode="rand")
     assert [tau for tau, _, _ in candidate_ranges(eng)] == [4, 8, 16, 32, 64]
-    assert eng.ranges == []
+    assert expected_structures(eng) == ([], 161)
+    assert eng.plan == []
     assert eng.short.cap == 161    # the τ = 64 cap ⌈(2 + 1/2)·64⌉ + 1
-    # the raw ε = 1/4 gives εδ = τ/16: τ = 4, 8 fold
+    # the raw ε = 1/4 gives εδ = τ/16: τ = 4, 8 fold, and the others keep
+    # their spawn keys 2, 3, 4 and caps (2 + 200)·τ + 1
     eng = make(n=16, m=64, w=4, mode="rand", raw_epsilon=True)
-    assert expected_structures(eng) == ([16, 32, 64], 1617)
-    assert [r.tau for r in eng.ranges] == [16, 32, 64]
+    plan = [(2, 16, 1, 3233), (3, 32, 2, 6465), (4, 64, 4, 12929)]
+    assert expected_structures(eng) == (plan, 1617)
+    assert eng.plan == plan
     assert eng.short.cap == 1617   # the τ = 8 cap (2 + 200)·8 + 1
 
 
+# every configuration the engine plans from, for the property tests below
+planned_configs = dict(
+    n=st.integers(1, 200), m=st.integers(1, 3000), w=st.integers(1, 80),
+    eps=st.sampled_from([Fraction(1, 10), Fraction(1, 4), Fraction(3, 4),
+                         Fraction(99, 100)]),
+    mode=st.sampled_from(["det", "nosync", "rand"]),
+    raw_epsilon=st.booleans(), seed=st.integers(0, 3),
+    c_b=st.sampled_from([None, 1, 3]))
+
+
 @settings(max_examples=80, deadline=None)
-@given(n=st.integers(1, 200), m=st.integers(1, 3000), w=st.integers(1, 80),
-       eps=st.sampled_from([Fraction(1, 10), Fraction(1, 4), Fraction(3, 4),
-                            Fraction(99, 100)]),
-       mode=st.sampled_from(["det", "nosync", "rand"]),
-       raw_epsilon=st.booleans(), seed=st.integers(0, 3))
+@given(**planned_configs)
 def test_built_ranges_follow_the_fold_rule(n, m, w, eps, mode, raw_epsilon,
-                                           seed):
-    """Every built range has εδ ≥ 1, every range with εδ ≥ 1 is built, and
-    the short tree's cap is the largest cap of the others (or 2·M); a kept
-    randomized range draws from the spawn key of its index among all τ."""
+                                           seed, c_b):
+    """The plan holds every range with εδ ≥ 1 and no other, with the τ, εδ,
+    cap and spawn key (its index among all τ) the paper's parameters give,
+    and the short tree's cap is the largest cap of the others (or 2·M)."""
     eng = make(n=n, m=m, w=w, eps=eps, mode=mode, raw_epsilon=raw_epsilon,
-               seed=seed)
-    taus, short_cap = expected_structures(eng)
-    assert [r.tau for r in eng.ranges] == taus
-    assert all(r.table.gran >= 1 for r in eng.ranges)
+               seed=seed, c_b=c_b)
+    plan, short_cap = expected_structures(eng)
+    assert eng.plan == plan
     assert eng.short.cap == short_cap
-    if mode == "rand":
-        index = {tau: i for i, (tau, _, _) in enumerate(candidate_ranges(eng))}
-        for r in eng.ranges:
-            fresh = np.random.PCG64(np.random.SeedSequence(
-                seed, spawn_key=(index[r.tau],)))
-            assert r.rng.bit_generator.state == fresh.state
+
+
+@settings(max_examples=80, deadline=None)
+@given(**planned_configs)
+def test_ranges_are_built_as_planned(n, m, w, eps, mode, raw_epsilon, seed,
+                                     c_b):
+    eng = make(n=n, m=m, w=w, eps=eps, mode=mode, raw_epsilon=raw_epsilon,
+               seed=seed, c_b=c_b)
+    assert_built_as_planned(eng)
+    assert all(r.table.gran >= 1 for r in eng.ranges)
 
 
 sub_unit = st.fractions(min_value=Fraction(1, 1000),
@@ -187,7 +222,7 @@ def test_audit_table_labels(mode):
     # the CLI's breach messages and the bench tracer's ".hidden" test read
     # these; the raw ε keeps some ranges
     eng = make(n=16, m=64, w=4, mode=mode, raw_epsilon=True)
-    taus, _ = expected_structures(eng)
+    taus = [tau for _, tau, _, _ in expected_structures(eng)[0]]
     assert taus
     if mode == "rand":
         expected = [f"rand[{t}].{k}" for t in taus
@@ -286,6 +321,15 @@ def test_huge_budget_builds_and_answers():
     eng.preprocess([(0, 1, 1)])
     eng.insert(1, 2, 1)
     assert [eng.query(v) for v in range(4)] == [0, 1, 2, UNREACHABLE]
+
+
+@pytest.mark.parametrize("mode", ["det", "rand"])
+@pytest.mark.parametrize("value", ["no", 1, None])
+def test_raw_epsilon_must_be_a_bool(mode, value):
+    # a truthy string would skip the rescaling: 8 raw-ε rand ranges and a
+    # guarantee ε of 175, or 7 det ranges where the rescaled ε plans none
+    with pytest.raises(InvalidConfig, match="raw_epsilon"):
+        make(n=128, m=1000, w=64, mode=mode, raw_epsilon=value)
 
 
 def test_rand_window_index_past_int64_rejected():

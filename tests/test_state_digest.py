@@ -99,3 +99,20 @@ def test_c1w14_ranges_own_answers():
             for _, u, v, w in stream.insertions:
                 eng.insert(u, v, w)
             assert any(eng._min_owner) == owns   # the short tree is 0
+
+
+def test_plan_digest_follows_the_parameters():
+    """The plan digest is stable, moves with c_B (through the rescaled ε,
+    which plans the τ = 128 range at c_B = 2 and none at c_B = 1), and
+    ignores the seed in det mode, which draws nothing."""
+    stream = random_stream(24, 80, 6, seed=7)
+
+    def plan(**kw):
+        def make(stream):
+            return IncrementalSSSP(Config(
+                n=stream.n, m_budget=stream.budget,
+                max_weight=stream.max_weight, mode="det", **kw))
+        return replay_digest(make, [stream])["plan"]
+    assert plan() == plan()
+    assert plan(c_b=1) != plan(c_b=2) == plan()
+    assert plan(seed=1) == plan(seed=2)

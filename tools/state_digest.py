@@ -18,7 +18,7 @@ range whose εδ is below 1 (the short tree covers it), so the bench
 tree alone; the raw ε of C7 keeps the ranges with εδ ≥ 1, where a fixing
 phase's hidden pass can lower estimates.
 
-It prints three kinds of digest per workload and engine, each a sha256:
+It prints four kinds of digest per workload and engine, each a sha256:
 
 - ``state``: after ``preprocess``, after every 16th insertion and at the
   end of each stream, every table's estimates, parents, work, decreases
@@ -30,12 +30,17 @@ It prints three kinds of digest per workload and engine, each a sha256:
   every insertion, which is every answer ``query`` gave;
 - one per structure label (``short[cap]``, ``det[τ]``, ``rand[τ]``): that
   structure's part of the ``state`` snapshots.  The short tree's label
-  carries its cap, which decides its state.
+  carries its cap, which decides its state;
+- ``plan``, printed last: the short tree's cap and ``engine.plan`` (the
+  spawn key, τ, εδ and cap of every range) of every engine the replay
+  builds.
 
 Two checkouts whose ``state`` digests match left every structure
 bit-identical along the way; where they build different structures, equal
 ``answers`` digests show the same answers, and a label printed by both
-shows that structure unchanged.  Timing never enters a digest.
+shows that structure unchanged.  Equal ``plan`` digests show the same
+parameters, whatever the other digests say.  Timing never enters a
+digest.
 """
 
 import argparse
@@ -84,10 +89,12 @@ def snapshot(engine) -> bytes:
 
 
 def replay_digest(make_engine, streams) -> dict[str, str]:
-    """The ``state`` and ``answers`` digests and one per structure label
-    (see the module docstring) of one replay of each stream in turn;
-    ``make_engine(stream)`` builds a fresh engine for a stream."""
-    state, answers = hashlib.sha256(), hashlib.sha256()
+    """The ``state`` and ``answers`` digests, one per structure label and
+    the ``plan`` digest (see the module docstring) of one replay of each
+    stream in turn; ``make_engine(stream)`` builds a fresh engine for a
+    stream."""
+    state, answers, plan = hashlib.sha256(), hashlib.sha256(), \
+        hashlib.sha256()
     structures = {}
 
     def checkpoint(engine):
@@ -97,6 +104,7 @@ def replay_digest(make_engine, streams) -> dict[str, str]:
 
     for stream in streams:
         engine = make_engine(stream)
+        plan.update(repr((engine.short.cap, engine.plan)).encode())
         engine.preprocess(stream.initial_edges)
         checkpoint(engine)
         answers.update(repr(engine.min_value).encode())
@@ -107,7 +115,8 @@ def replay_digest(make_engine, streams) -> dict[str, str]:
                 checkpoint(engine)
         checkpoint(engine)
     return {"state": state.hexdigest(), "answers": answers.hexdigest(),
-            **{name: h.hexdigest() for name, h in structures.items()}}
+            **{name: h.hexdigest() for name, h in structures.items()},
+            "plan": plan.hexdigest()}
 
 
 def c1_run(i: int, W: int = 64):
