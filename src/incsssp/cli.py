@@ -255,14 +255,20 @@ def main(argv=None) -> int:
                         help="emit a JSON summary on stdout")
     args = parser.parse_args(argv)
 
+    # bytes, decoded as UTF-8 here alone: the locale decides nothing
+    stream_name = "<stdin>" if args.stream == "-" else args.stream
     try:
         if args.stream == "-":
-            text = sys.stdin.read()
+            data = sys.stdin.buffer.read()
         else:
-            with open(args.stream) as f:
-                text = f.read()
-    except (OSError, UnicodeDecodeError) as exc:
+            with open(args.stream, "rb") as f:
+                data = f.read()
+        text = data.decode("utf-8")
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except UnicodeDecodeError as exc:
+        print(f"error: {stream_name}: {exc}", file=sys.stderr)
         return 1
     try:
         stream = parse_stream(text)

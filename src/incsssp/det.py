@@ -9,6 +9,10 @@ logged in their window, and such an idle step returns right after its
 relaxation test: within a phase each step logs only at its own index, in
 increasing order, so the log's latest key tells whether the window holds
 any touch, and a propagation from an empty batch would count nothing.
+:func:`insert_step` is the one step kernel of every lazy range table, the
+two tables of a randomized range included: it writes the relaxation's
+decrease and logs the head inline, tests for idleness, and calls a table
+method only to read a non-idle window and propagate it.
 A distance-bounded rebuild restores exact estimates between phases.  All
 ranges of one engine share a phase boundary, so the engine keeps one
 bounded Dijkstra tree to the largest cap and every range assigns the
@@ -46,36 +50,68 @@ from .graph import check_source
 from .lazy import CAP, EstimateTable
 
 
+# what a step that propagates nothing returns: one shared empty set, so an
+# idle step allocates nothing
+IDLE = frozenset()
+
+
 def insert_step(table: EstimateTable, u: int, v: int, w: int, b: int,
-                sync: bool = True) -> set[int]:
-    """One insertion-processing step at in-phase index b.
+                sync: bool = True) -> set[int] | frozenset[int]:
+    """One insertion-processing step at in-phase index b: the step kernel
+    of every lazy range table.
 
-    Bucket-tests the new edge, gathers the synchronized batch (the union
-    of the touch lists of steps ((k−1)·2^j, b]), propagates, and logs
-    everything the propagation touched at step b.  Without ``sync`` the
-    batch is the head alone, if its relaxation fired, and nothing is
-    logged, since only the batch reads the log.
+    Bucket-tests the new edge and writes the decrease, as
+    ``EstimateTable.partial_dijkstra`` writes one: estimate, limit, parent,
+    decrease count, minimum table, and ``on_decrease`` when set.  With
+    ``sync`` it logs the head at step b if it relaxed, gathers the
+    synchronized batch (the union of the touch lists of steps
+    ((k−1)·2^j, b]), propagates, and logs everything the propagation
+    touched at step b.  Without ``sync`` the batch is the head alone, if
+    its relaxation fired, and nothing is logged, since only the batch
+    reads the log.  The only table methods it calls are
+    ``touched_in_window`` and ``partial_dijkstra``.
 
-    An idle step, one whose window holds no logged step, returns the empty
-    set right after the relaxation test, without reading the window or
-    propagating.  Two facts make this exact: within a phase every step
-    logs only at its own b, which grows, so the log's last key is its
-    latest step; and ``partial_dijkstra`` of an empty batch counts no
-    work.  Estimates, parents, limits, log and counters are those of a
-    step that read and propagated the empty batch.
+    An idle step, one whose window holds no logged step, returns
+    :data:`IDLE` right after the relaxation test, without reading the
+    window or propagating.  Two facts make this exact: within a phase every
+    step logs only at its own b, which grows, so the log's last key is its
+    latest step; and ``partial_dijkstra`` of an empty batch counts no work.
+    Estimates, parents, limits, log and counters are those of a step that
+    read and propagated the empty batch.  A step that relaxed is never
+    idle, and an odd one that did not is: for odd b the window is step b
+    alone.
     """
-    relaxed = table.try_relax(u, v, w)
-    if not sync:
-        return table.partial_dijkstra((v,)) if relaxed else set()
+    table.work += 1
+    dhat = table.dhat
+    du = dhat[u]
+    relaxed = du != CAP and du + w <= table.lim[v]
     if relaxed:
-        table.mark_touched((v,), b)
+        cand = du + w
+        notify = table.on_decrease
+        if notify is not None:
+            notify(v, dhat[v], cand)
+        dhat[v] = cand
+        num, den = table.gran_num, table.gran_den
+        # relax_limit of a finite value, inlined as in partial_dijkstra
+        table.lim[v] = (-(-cand * den // num) - 1) * num // den
+        table.parent[v] = u
+        table.decreases += 1
+        min_value = table.min_value
+        if cand < min_value[v]:
+            min_value[v] = cand
+            table.min_owner[v] = table.owner_index
+    if not sync:
+        return table.partial_dijkstra((v,)) if relaxed else IDLE
+    log = table._touch_log
     # b = k·2^j with k odd, so (k−1)·2^j is b with its lowest set bit cleared
     lo = b & (b - 1)
-    log = table._touch_log
-    if not log or next(reversed(log)) <= lo:
-        return set()
+    if relaxed:
+        log[b] = [v]   # the first entry of step b
+    elif b & 1 or not log or next(reversed(log)) <= lo:
+        return IDLE
     touched = table.partial_dijkstra(table.touched_in_window(lo, b))
-    table.mark_touched(touched, b)
+    if touched:
+        log.setdefault(b, []).extend(touched)
     return touched
 
 
@@ -202,11 +238,12 @@ class DeterministicRange:
         self.table = EstimateTable(graph, source, cap, eps_delta)
         self.rebuild(bounded_dijkstra(graph, source, cap))
 
-    def insert(self, u: int, v: int, w: int) -> set[int]:
-        if self.b >= self.B:
+    def insert(self, u: int, v: int, w: int) -> set[int] | frozenset[int]:
+        b = self.b + 1
+        if b > self.B:
             raise PhaseFull(f"phase of length {self.B} already full")
-        self.b += 1
-        return insert_step(self.table, u, v, w, self.b, self.sync)
+        self.b = b
+        return insert_step(self.table, u, v, w, b, self.sync)
 
     def phase_full(self) -> bool:
         return self.b >= self.B

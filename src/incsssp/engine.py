@@ -28,17 +28,20 @@ buckets give no slack; the ε rescaling moves that point much higher, so on
 graphs of a few thousand vertices every default-ε ``rand`` range is folded.
 
 The short tree and every range, deterministic or randomized, give one
-protocol (``table``, ``cap``, ``estimate``, ``insert``, ``phase_full``,
-``rebuild(tree)``, ``counters``; ranges also ``audit_tables``), so the
-engine never asks which kind a structure is.  ``tree`` is ``(dist, parent,
-visit)``, and a rebuild visits every vertex whose entry may differ from the
-tree of the structure's previous rebuild, where a new structure's previous
-tree is the source-only tree its tables hold.  Each structure is built from
+protocol (``table``, ``cap``, ``estimate``, ``insert``, ``rebuild(tree)``,
+``counters``; ranges also ``audit_tables``), so the engine never asks
+which kind a structure is.  ``tree`` is ``(dist, parent, visit)``, and a
+rebuild visits every vertex whose entry may differ from the tree of the
+structure's previous rebuild, where a new structure's previous tree is the
+source-only tree its tables hold.  Each structure is built from
 ``det.bounded_dijkstra`` on the still empty graph, which reaches only the
 source.  Exact re-initialization reads one bounded Dijkstra tree to the
 largest cap, shared by every structure it serves: at ``preprocess`` all of
-them, before an insertion every structure whose phase is full (only
-deterministic ranges fill, together).  The engine keeps that tree and
+them, and at a phase boundary every range.  Only deterministic ranges have
+phase boundaries: they share B and b, so they fill together, and the
+engine asks the first one's ``phase_full`` once per insertion (the short
+tree and randomized ranges never fill; a randomized range runs its fixing
+phases inside its own ``insert``).  The engine keeps that tree and
 advances it in place by a decrease-only Dijkstra from the edges inserted
 since the previous boundary (the empty graph's tree at ``preprocess``):
 distances only fall, so only a vertex that a new edge or a lowered vertex
@@ -85,8 +88,8 @@ MODES = ("det", "rand", "nosync")
 # Deterministic phases last B = ⌊√m / c_B⌋ insertions.  The paper's
 # c_B = Θ(log n) is an asymptotic constant: 6·⌈lg n⌉ gives B = 1 below
 # m ≈ 17,000 at n = 2048, a rebuild before every insertion.  Of c_B in
-# {1, 2, 3, 4, 6, 8, 6·⌈lg n⌉}, 2 measured fastest on chains, by 3.5× over
-# c_B = 1, which is 1.35–1.7× faster on random graphs (README, "Phase
+# {1, 2, 3, 4, 6, 8, 6·⌈lg n⌉}, 2 measured fastest on chains, by 3.4× over
+# c_B = 1, which is 1.3–1.4× faster on random graphs (README, "Phase
 # length").  The guarantee holds for any c_B: ε is rescaled by
 # B(2⌈lg B⌉+1)/⌈√m⌉.
 DEFAULT_C_B = 2
@@ -180,6 +183,10 @@ class IncrementalSSSP:
         self._min_owner[self.source] = 0
         for i, s in enumerate(self._structures):
             s.table.share_minimum(self.min_value, self._min_owner, i)
+        # deterministic ranges fill together, so the first one's phase
+        # marks every boundary; no other structure has one
+        self._phase = self.ranges[0] if self.ranges and \
+            config.mode != "rand" else None
         self._tree_cap = max(s.cap for s in self._structures)
         # the empty graph's tree, which every structure was just built
         # from; each boundary advances it in place by the edges from _since
@@ -286,8 +293,9 @@ class IncrementalSSSP:
         """Insert one edge and bring every structure up to date.
 
         The graph validates before mutating, so a rejected insertion leaves
-        every structure untouched.  A structure whose phase is full is
-        rebuilt first, from one bounded Dijkstra shared by all of them.
+        every structure untouched.  At a phase boundary every range is
+        rebuilt first, after the short tree's insertion, from one bounded
+        Dijkstra shared by all of them.
         If a structure raises once the edge is in the graph, the engine is
         broken: the exception propagates, and every later call of
         ``insert``, ``preprocess``, ``query`` or ``report_path`` raises
@@ -298,14 +306,14 @@ class IncrementalSSSP:
         self.graph.insert_edge(u, v, w)
         self.insertions_used += 1
         try:
-            tree = None
-            for s in self._structures:
-                if s.phase_full():
-                    # deterministic ranges share B and b, so they fill
-                    # together and the largest cap is needed anyway
-                    tree = tree or self._next_tree()
-                    s.rebuild(tree)
-                s.insert(u, v, w)
+            self.short.insert(u, v, w)
+            phase = self._phase
+            if phase is not None and phase.phase_full():
+                tree = self._next_tree()
+                for r in self.ranges:
+                    r.rebuild(tree)
+            for r in self.ranges:
+                r.insert(u, v, w)
         except BaseException as exc:
             self._poison(f"insert({u}, {v}, {w})", exc)
             raise

@@ -11,10 +11,11 @@ test never suffers floating-point misclassification.
 Every write of a decrease also lowers a minimum table in place: the
 engine's ``min_value`` and ``_min_owner`` lists, which each visible table
 holds with its structure's index; a table standing alone is its own
-minimum.  The hot loops (``EstimateTable.partial_dijkstra``,
-``ShortDistanceTree._propagate``) write estimate, parent, limit and
-minimum inline, as ``_set`` does, and count work and decreases in locals.
-The one per-decrease call left is the optional ``on_decrease`` hook, which
+minimum.  The hot loops (``EstimateTable.partial_dijkstra``, the step
+kernel ``det.insert_step``, ``ShortDistanceTree._propagate``) write
+estimate, parent, limit and minimum inline, as ``_set`` does, and the
+propagation loops count work and decreases in locals.  The one
+per-decrease call left is the optional ``on_decrease`` hook, which
 only the hidden table of a randomized range sets: it records the vertices
 that table lowered since the last fixing phase and keeps its potential and
 window slots (``incsssp.rand``).
@@ -33,8 +34,8 @@ lower bucket than d̂(v) and stays below the cap:
 For an integer candidate c and k = ⌈d̂(v)·den/num⌉, ⌈c·den/num⌉ ≤ k − 1
 iff c ≤ (k − 1)·num/den iff c ≤ ⌊(k − 1)·num/den⌋, and that bound lies
 below d̂(v) < cap.  Every write of an estimate (``_set``, ``assign_exact``,
-``partial_dijkstra``) refreshes ``lim``, so the invariant holds between
-any two calls.
+``partial_dijkstra``, ``det.insert_step``) refreshes ``lim``, so the
+invariant holds between any two calls.
 """
 
 import heapq
@@ -181,23 +182,6 @@ class EstimateTable(DistanceTable):
         for v in lowered:   # relax_limit, inlined as in _set
             lim[v] = (-(-dist[v] * den // num) - 1) * num // den
         return lowered
-
-    def try_relax(self, u: int, v: int, w: int) -> bool:
-        """Relax edge (u, v) iff the candidate crosses an εδ bucket boundary."""
-        self.work += 1
-        du = self.dhat[u]
-        if du == inf:
-            return False
-        cand = du + w
-        if cand <= self.lim[v]:
-            self._set(v, cand, u)
-            return True
-        return False
-
-    def mark_touched(self, vertices, b: int) -> None:
-        """Log ``vertices`` as touched at step b."""
-        if vertices:
-            self._touch_log.setdefault(b, []).extend(vertices)
 
     def touched_in_window(self, lo: int, hi: int) -> set[int]:
         """Vertices touched at some step in (lo, hi].

@@ -155,10 +155,6 @@ class RandomizedRange:
         while self.needs_fixing():
             self.run_fixing_phase()
 
-    def phase_full(self) -> bool:
-        """Never: fixing phases run inside :meth:`insert`."""
-        return False
-
     def needs_fixing(self) -> bool:
         return self.b >= self.B or (self.phi_snapshot - self.phi) >= self.threshold
 

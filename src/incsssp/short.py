@@ -84,10 +84,6 @@ class ShortDistanceTree:
         t.work += work
         t.decreases += decreases
 
-    def phase_full(self) -> bool:
-        """Never: every insertion is propagated exactly."""
-        return False
-
     def estimate(self, v: int):
         return self.table.dhat[v]
 

@@ -7,7 +7,10 @@ relaxation limits (``test_estimates.py``): each relaxation recomputes both
 bucket indices ⌈d·den/num⌉; a propagation keeps a current-key map and an
 in-queue set, and counts work per edge.  :class:`ReferenceShortTree` is
 the short tree's insertion writing every decrease through ``_set``
-(``test_short.py``).
+(``test_short.py``).  :func:`try_relax` and :func:`mark_touched` are the
+relaxation and log write an ``EstimateTable`` step made through calls
+before ``det.insert_step`` fused them into one kernel; the unfused
+reference step of ``test_det.py`` and test-only surgery use them.
 """
 
 import heapq
@@ -17,6 +20,26 @@ from math import inf
 from incsssp.intmath import ceil_div
 
 CAP = inf
+
+
+def try_relax(table, u: int, v: int, w: int) -> bool:
+    """Relax edge (u, v) of an ``EstimateTable`` iff the candidate crosses
+    an εδ bucket boundary, writing the decrease through ``_set``."""
+    table.work += 1
+    du = table.dhat[u]
+    if du == inf:
+        return False
+    cand = du + w
+    if cand <= table.lim[v]:
+        table._set(v, cand, u)
+        return True
+    return False
+
+
+def mark_touched(table, vertices, b: int) -> None:
+    """Log ``vertices`` as touched at step b of an ``EstimateTable``."""
+    if vertices:
+        table._touch_log.setdefault(b, []).extend(vertices)
 
 
 class ReferenceTable:

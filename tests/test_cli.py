@@ -222,6 +222,37 @@ def test_cli_stream_not_utf8_exit_one(tmp_path, monkeypatch, capsys, source):
     assert main([str(p) if source == "file" else "-"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "can't decode byte 0xff" in err
+    assert (str(p) if source == "file" else "<stdin>") in err
+
+
+@pytest.mark.parametrize("locale_env", [{"PYTHONUTF8": "1"},
+                                        {"LC_ALL": "C"}])
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_cli_stdin_and_file_agree_whatever_the_locale(tmp_path, locale_env,
+                                                      source):
+    """The same bytes give the same exit code and output from a file and on
+    stdin, in UTF-8 mode and under the C locale (which Python runs in UTF-8
+    mode unless told otherwise): a stream that is not UTF-8 exits 1 with a
+    message naming its source, and a UTF-8 comment is read as text."""
+    env = {k: v for k, v in cli_env().items()
+           if k not in ("PYTHONUTF8", "LC_ALL", "LC_CTYPE", "LANG")}
+    env.update(locale_env)
+    valid = "n=4 W=10 budget=6\n# é\na 0 1 3\nq 1\n".encode("utf-8")
+    for data, code in ((NOT_UTF8, 1), (valid, 0)):
+        p = tmp_path / "stream.txt"
+        p.write_bytes(data)
+        out = subprocess.run(
+            [sys.executable, "-m", "incsssp",
+             str(p) if source == "file" else "-"],
+            input=data, capture_output=True, env=env)
+        err = out.stderr.decode("utf-8", "replace")
+        assert out.returncode == code, err
+        if code:
+            name = str(p) if source == "file" else "<stdin>"
+            assert err.startswith(f"error: {name}: ")
+            assert "can't decode byte 0xff" in err and out.stdout == b""
+        else:
+            assert out.stdout == b"q 1 = 3\n" and err == ""
 
 
 @pytest.mark.parametrize("where", ["missing_dir", "directory"])

@@ -1,5 +1,6 @@
 import random
-from collections import defaultdict
+from collections import Counter, defaultdict
+from contextlib import contextmanager
 from fractions import Fraction
 from math import inf
 from unittest import mock
@@ -12,9 +13,10 @@ from incsssp import (Config, DeterministicRange, Graph, IncrementalSSSP,
                      PhaseFull, RandomizedRange, bounded_dijkstra,
                      dijkstra)
 from incsssp.det import advance_tree, insert_step
-from incsssp.intmath import ceil_log2
+from incsssp.intmath import ceil_div, ceil_log2
 from incsssp.lazy import EstimateTable
 from tests.conftest import capped_tree, random_graph, slack, streams
+from tests.reference_lazy import mark_touched, try_relax
 
 
 def grow_range(n, m, w_max, seed, gran=Fraction(2), B=8, cap=10 ** 6,
@@ -127,54 +129,63 @@ def test_no_profit_insertion_returns_empty():
     assert r.table.dhat == before
 
 
-def test_entry_count_bound_per_decrease():
-    # one bucket-crossing decrease puts a vertex into at most ⌈lg B⌉ + 1
-    # batches before the next rebuild
-    B = 16
-    g = Graph(20, 6)
-    r = DeterministicRange(g, 0, 1, Fraction(2), phase_length=B, cap=10 ** 6)
-    rng = random.Random(4)
+# -- the synchronized batch, checked against the paper ------------------------
 
-    memberships = {v: 0 for v in range(20)}
-    touches = {v: 0 for v in range(20)}
-    window = r.table.touched_in_window
-    mark = r.table.mark_touched
+def paper_window_start(b: int) -> int:
+    """(k−1)·2^j for b = k·2^j with j maximal: the window of step b is
+    (start, b]."""
+    j = max(j for j in range(b.bit_length()) if b % (1 << j) == 0)
+    return ((b >> j) - 1) << j
 
-    def counting_window(lo, hi):
-        got = window(lo, hi)
-        for v in got:
-            memberships[v] += 1
-        return got
 
-    def counting_mark(vertices, b):
-        for v in vertices:
-            touches[v] += 1
-        mark(vertices, b)
+def relaxes(table, u, v, w) -> bool:
+    """Whether the new edge (u, v, w) crosses a bucket boundary of
+    ``table``, by the two-``ceil_div`` test rather than the table's
+    limits."""
+    du, dv = table.dhat[u], table.dhat[v]
+    if du == inf or du + w >= table.cap:
+        return False
+    num, den = table.gran_num, table.gran_den
+    return dv == inf or ceil_div(dv * den, num) > ceil_div((du + w) * den,
+                                                           num)
 
-    r.table.touched_in_window = counting_window
-    r.table.mark_touched = counting_mark
 
-    seen = set()
-    inserted = 0
-    limit = ceil_log2(B) + 1
-    while inserted < 60:
-        u = rng.randrange(20)
-        v = rng.randrange(19)
-        if v >= u:
-            v += 1
-        if (u, v) in seen:
-            continue
-        seen.add((u, v))
-        if r.phase_full():
-            r.rebuild(bounded_dijkstra(r.graph, 0, r.cap))
-            memberships = {v: 0 for v in range(20)}
-            touches = {v: 0 for v in range(20)}
-        w = rng.randint(1, 6)
-        g.insert_edge(u, v, w)
-        r.insert(u, v, w)
-        inserted += 1
-        for x in range(20):
-            assert memberships[x] <= limit * touches[x]
+class ReadLog(dict):
+    """A touch log that records the step of every entry read through
+    ``get`` or ``[]``, the reads a window gathers."""
+
+    def __init__(self, reads: list):
+        super().__init__()
+        self.reads = reads
+
+    def get(self, step, default=None):
+        self.reads.append(step)
+        return super().get(step, default)
+
+    def __getitem__(self, step):
+        self.reads.append(step)
+        return super().__getitem__(step)
+
+
+class TableWatch:
+    """What :func:`watch_steps` saw of one range table: per step, whether
+    its batch reached back past the step's own head (``reaches_back``) or
+    the step found its window empty and skipped it (``skipped``), the
+    batch of the latest step (empty if it read none), and every window
+    read or propagation made outside both a step and a fixing phase
+    (``stray``), which no caller should make."""
+
+    def __init__(self, owner, fixing: list):
+        self.owner = owner
+        self.fixing = fixing
+        self.touched = defaultdict(set)   # step -> vertices logged at it
+        self.reads: list = []
+        self.batches: list = []
+        self.in_step = False
+        self.reaches_back: list[bool] = []
+        self.skipped: list[int] = []
+        self.batch: set = set()
+        self.stray: list = []
 
 
 def flag_fixing(owner, fixing: list) -> None:
@@ -193,71 +204,142 @@ def flag_fixing(owner, fixing: list) -> None:
     owner.run_fixing_phase = flagged_run
 
 
-def check_batches(owner, table) -> tuple[list[bool], list[int]]:
-    """Check every batch ``table`` gathers against the paper's definition:
-    at step b = k·2^j of a phase, the vertices touched at steps
-    ((k−1)·2^j, b] since the phase began.  A step whose window, by this
-    check's own record of the touches, holds a vertex must read exactly
-    that window; a step whose window is empty must not read it.  Returns,
-    per read batch, whether it holds a vertex not touched at step b
-    itself, and the steps verified to skip an empty window.  A
-    ``RandomizedRange`` fixing phase also reads the log of its whole
-    phase, steps (0, b], for the sync: that read must return every touch
-    of the phase, and is no batch."""
-    touched = defaultdict(set)   # step -> vertices touched at it this phase
-    reaches_back = []
-    skipped = []
-    step = {}   # "b" and "empty" of the step in progress
-    relax = table.try_relax
-    mark = table.mark_touched
+@contextmanager
+def watch_steps(owners):
+    """Check every step of the range tables of ``owners`` against the
+    paper, through the calls the step kernel makes: the module-level
+    ``insert_step`` (patched for both range kinds), ``partial_dijkstra``,
+    whose argument is the batch, and the touch log, replaced by a
+    :class:`ReadLog`.  Yields ``{table: TableWatch}``.
+
+    Before a synchronized step b = k·2^j, the window is the set of
+    vertices this check saw logged at steps ((k−1)·2^j, b) of the phase,
+    plus the new edge's head if the two-``ceil_div`` test says it relaxes.
+    A step with a non-empty window must propagate exactly that batch,
+    once; a step with an empty window must read no log entry and not
+    propagate.  Without sync the window is the head alone, if it relaxes.
+    After the step, the log at b must hold the relaxed head and what the
+    step returned.  A randomized fixing phase's read of its whole phase,
+    steps (0, b], must return every touch of the phase; its reads and its
+    hidden pass are no step's.  A window read or propagation outside both
+    a step and a fixing phase is recorded in ``stray``."""
+    watches = {}
+    for owner in owners:
+        fixing = []
+        flag_fixing(owner, fixing)
+        for _, table in owner.audit_tables():
+            watches[table] = watch = TableWatch(owner, fixing)
+            wrap_table(table, watch)
+
+    def watched(table, u, v, w, b, sync=True):
+        watch = watches.get(table)
+        if watch is None:
+            return insert_step(table, u, v, w, b, sync)
+        assert b == watch.owner.b
+        head = {v} if relaxes(table, u, v, w) else set()
+        window = set(head)
+        if sync:
+            for t in range(paper_window_start(b) + 1, b):
+                window |= watch.touched[t]
+        watch.reads.clear()
+        watch.batches.clear()
+        watch.in_step = True
+        try:
+            out = insert_step(table, u, v, w, b, sync)
+        finally:
+            watch.in_step = False
+        if window:
+            assert watch.batches == [window], f"step {b}"
+            watch.reaches_back.append(bool(window - head))
+        else:
+            assert watch.batches == [] and watch.reads == [], f"step {b}"
+            assert out == set()
+            watch.skipped.append(b)
+        watch.batch = window
+        logged = set(dict.get(table._touch_log, b, ()))
+        assert logged == ((head | out) if sync else set())
+        watch.touched[b] = logged
+        return out
+
+    with mock.patch("incsssp.det.insert_step", watched), \
+            mock.patch("incsssp.rand.insert_step", watched):
+        yield watches
+
+
+def wrap_table(table, watch: TableWatch) -> None:
+    """Hook the calls of ``table`` that :func:`watch_steps` checks."""
+    table._touch_log = ReadLog(watch.reads)
+    propagate = table.partial_dijkstra
     window = table.touched_in_window
     reset = table.reset_phase
-    fixing = []   # non-empty while the owner runs a fixing phase
 
-    def paper_window(b):
-        # b = k·2^j with j maximal; the window starts at (k−1)·2^j
-        j = max(j for j in range(b.bit_length()) if b % (1 << j) == 0)
-        lo = ((b >> j) - 1) << j
-        return lo, set().union(*(touched[t] for t in range(lo + 1, b + 1)))
-
-    def recording_relax(u, v, w):
-        # every step starts with its relaxation test, which may log the
-        # head at step b before the window is decided
-        relaxed = relax(u, v, w)
-        b = owner.b
-        empty = not relaxed and not paper_window(b)[1]
-        step.update(b=b, empty=empty)
-        if empty:
-            skipped.append(b)
-        return relaxed
-
-    def recording_mark(vertices, b):
-        touched[b].update(vertices)
-        mark(vertices, b)
+    def recorded_propagate(batch):
+        if watch.in_step:
+            watch.batches.append(set(batch))
+        elif not watch.fixing:
+            watch.stray.append(("partial_dijkstra", set(batch)))
+        return propagate(batch)
 
     def checked_window(lo, hi):
         got = window(lo, hi)
-        want = set().union(*(touched[t] for t in range(lo + 1, hi + 1)))
-        if fixing:
-            assert (lo, hi) == (0, owner.b) and got == want
-            return got
-        assert hi == owner.b == step["b"] and not step["empty"]
-        assert (lo, want) == paper_window(hi)
-        assert got == want
-        reaches_back.append(bool(got - touched[hi]))
+        if watch.fixing:
+            assert (lo, hi) == (0, watch.owner.b)
+            assert got == set().union(*watch.touched.values())
+        elif not watch.in_step:
+            watch.stray.append(("touched_in_window", lo, hi))
         return got
 
-    flag_fixing(owner, fixing)
-
-    def recording_reset():
-        touched.clear()
+    def recorded_reset():
+        watch.touched.clear()
         reset()
 
-    table.try_relax = recording_relax
-    table.mark_touched = recording_mark
+    table.partial_dijkstra = recorded_propagate
     table.touched_in_window = checked_window
-    table.reset_phase = recording_reset
-    return reaches_back, skipped
+    table.reset_phase = recorded_reset
+
+
+def test_entry_count_bound_per_decrease():
+    # one bucket-crossing decrease puts a vertex into at most ⌈lg B⌉ + 1
+    # batches before the next rebuild; the batches are the paper's windows.
+    # The source is the first edge's tail, so that steps relax from the
+    # start (vertex 0 is the tail of none of these edges)
+    B = 16
+    rng = random.Random(4)
+    edges = []
+    seen = set()
+    while len(edges) < 60:
+        u = rng.randrange(20)
+        v = rng.randrange(19)
+        if v >= u:
+            v += 1
+        if (u, v) in seen:
+            continue
+        seen.add((u, v))
+        edges.append((u, v, rng.randint(1, 6)))
+    source = edges[0][0]
+    g = Graph(20, 6)
+    r = DeterministicRange(g, source, 1, Fraction(2), phase_length=B,
+                           cap=10 ** 6)
+
+    memberships = Counter()
+    limit = ceil_log2(B) + 1
+    with watch_steps([r]) as watches:
+        watch = watches[r.table]
+        for u, v, w in edges:
+            if r.phase_full():
+                r.rebuild(bounded_dijkstra(r.graph, source, r.cap))
+                memberships.clear()
+            g.insert_edge(u, v, w)
+            r.insert(u, v, w)
+            memberships.update(watch.batch)
+            # every touch of the phase, read from the log itself
+            touches = Counter(x for vs in dict.values(r.table._touch_log)
+                              for x in vs)
+            for x in range(20):
+                assert memberships[x] <= limit * touches[x]
+    assert r.rebuilds > 2 and r.table.decreases > 20
+    assert any(watch.reaches_back)
+    assert watch.stray == []
 
 
 def test_batch_is_union_of_window_touch_lists():
@@ -270,50 +352,53 @@ def test_batch_is_union_of_window_touch_lists():
     rand_r = RandomizedRange(
         g, 0, 32, Fraction(1, 4), 64, ceil_log2(n),
         np.random.Generator(np.random.PCG64(5)), iter_mult=Fraction(1, 100))
-    checks = [check_batches(det_r, det_r.table),
-              check_batches(rand_r, rand_r.table),
-              check_batches(rand_r, rand_r._hidden)]
     rng = random.Random(11)
     seen = set()
-    while len(seen) < 120:
-        u = rng.randrange(n)
-        v = rng.randrange(n - 1)
-        if v >= u:
-            v += 1
-        if (u, v) in seen:
-            continue
-        seen.add((u, v))
-        w = rng.randint(1, 16)
-        if det_r.phase_full():
-            det_r.rebuild(bounded_dijkstra(det_r.graph, 0, det_r.cap))
-        g.insert_edge(u, v, w)
-        det_r.insert(u, v, w)
-        rand_r.insert(u, v, w)
+    with watch_steps([det_r, rand_r]) as watches:
+        while len(seen) < 120:
+            u = rng.randrange(n)
+            v = rng.randrange(n - 1)
+            if v >= u:
+                v += 1
+            if (u, v) in seen:
+                continue
+            seen.add((u, v))
+            w = rng.randint(1, 16)
+            if det_r.phase_full():
+                det_r.rebuild(bounded_dijkstra(det_r.graph, 0, det_r.cap))
+            g.insert_edge(u, v, w)
+            det_r.insert(u, v, w)
+            rand_r.insert(u, v, w)
     assert det_r.rebuilds > 1 and rand_r.fixing_phases > 1
-    for reaches_back, skipped in checks:
+    assert len(watches) == 3
+    for watch in watches.values():
         # every step either read its window or skipped an empty one
-        assert len(reaches_back) + len(skipped) == 120
-        assert any(reaches_back)
+        assert len(watch.reaches_back) + len(watch.skipped) == 120
+        assert any(watch.reaches_back)
+        assert watch.stray == []
 
 
 def reference_step(table, u, v, w, b, sync=True):
-    """``det.insert_step`` without the idle return: every step reads its
-    window (lo, b] and propagates from it, however empty."""
-    relaxed = table.try_relax(u, v, w)
+    """``det.insert_step`` unfused and without the idle return: the
+    relaxation and log writes are calls, and every step reads its window
+    (lo, b] and propagates from it, however empty."""
+    relaxed = try_relax(table, u, v, w)
     if not sync:
         return table.partial_dijkstra((v,) if relaxed else ())
     if relaxed:
-        table.mark_touched((v,), b)
+        mark_touched(table, (v,), b)
     touched = table.partial_dijkstra(table.touched_in_window(b & (b - 1), b))
-    table.mark_touched(touched, b)
+    mark_touched(table, touched, b)
     return touched
 
 
 def table_state(table):
-    """Everything a step may write, the touch log in insertion order."""
+    """Everything a step may write, the touch log in insertion order and
+    the minimum table the step lowers in place."""
     return (table.dhat[:], table.parent[:], table.lim[:],
             [(b, vs[:]) for b, vs in table._touch_log.items()],
-            table.work, table.decreases)
+            table.work, table.decreases, table.min_value[:],
+            None if table.min_owner is None else table.min_owner[:])
 
 
 def step_trace(config, stream, step):
@@ -343,10 +428,11 @@ def step_trace(config, stream, step):
                              ("rand", None)]),
        seed=st.integers(0, 3))
 def test_idle_return_matches_reading_every_window(stream, kind, seed):
-    """The idle return changes nothing: after every step of every range
-    table (both tables of a raw-ε ``RandomizedRange``), estimates,
-    parents, limits, touch log, work, decreases and the returned set equal
-    those of a step that reads its window and propagates even when the
+    """The fused kernel and its idle return change nothing: after every
+    step of every range table (both tables of a raw-ε
+    ``RandomizedRange``), estimates, parents, limits, touch log, work,
+    decreases, the engine's minimum table and the returned set equal those
+    of an unfused step that reads its window and propagates even when the
     window is empty."""
     mode, c_b = kind
     config = Config(n=stream.n, m_budget=stream.budget,
@@ -364,41 +450,40 @@ def test_idle_return_matches_reading_every_window(stream, kind, seed):
 @pytest.mark.parametrize("mode, c_b", [("det", None), ("det", 1),
                                        ("nosync", None), ("rand", None)])
 def test_idle_steps_read_no_window_and_propagate_nothing(mode, c_b):
-    """No edge leaves the source, so its reach stays {source}, no step
-    relaxes anything, and no range table reads a window or propagates
-    during a step (a fixing phase's reads and pass are no step's)."""
+    """No edge leaves the source at first, so its reach stays {source},
+    no step relaxes anything, and no range table reads a log entry or
+    propagates during a step (a fixing phase's reads and pass are no
+    step's).  Edges out of the source then make steps busy, and each step
+    reads exactly the paper's window, or nothing when that is empty."""
     n = 64
     rng = random.Random(3)
     edges = {}
     while len(edges) < 200:
         u, v = rng.sample(range(1, n), 2)
         edges[u, v] = rng.randint(1, 64)
-    eng = IncrementalSSSP(Config(n=n, m_budget=len(edges), max_weight=64,
-                                 mode=mode, c_b=c_b, raw_epsilon=True,
+    busy = [(0, v, rng.randint(1, 64)) for v in rng.sample(range(1, n), 40)]
+    eng = IncrementalSSSP(Config(n=n, m_budget=len(edges) + len(busy),
+                                 max_weight=64, mode=mode, c_b=c_b,
+                                 raw_epsilon=True,
                                  iter_mult=Fraction(1, 100)))
     assert eng.ranges
-    calls = []
-    fixing = []
-
-    def guarded(method):
-        def call(*args):
-            if not fixing:
-                calls.append(method.__name__)
-            return method(*args)
-        return call
-
-    for r in eng.ranges:
-        flag_fixing(r, fixing)
-        for _, table in r.audit_tables():
-            table.touched_in_window = guarded(table.touched_in_window)
-            table.partial_dijkstra = guarded(table.partial_dijkstra)
-    for (u, v), w in edges.items():
-        eng.insert(u, v, w)
-    # every range crossed phase boundaries (a rebuild also counts the
-    # construction) or ran fixing phases, and stayed idle throughout
-    assert all(r.fixing_phases if mode == "rand" else r.rebuilds > 2
-               for r in eng.ranges)
-    assert calls == []
+    with watch_steps(eng.ranges) as watches:
+        for (u, v), w in edges.items():
+            eng.insert(u, v, w)
+        # every range crossed phase boundaries (a rebuild also counts the
+        # construction) or ran fixing phases, and stayed idle throughout
+        assert all(r.fixing_phases if mode == "rand" else r.rebuilds > 2
+                   for r in eng.ranges)
+        assert all(len(watch.skipped) == len(edges) and
+                   not watch.reaches_back and watch.stray == []
+                   for watch in watches.values())
+        for u, v, w in busy:
+            eng.insert(u, v, w)
+    reads = [watch.reaches_back for watch in watches.values()]
+    assert all(len(r) > 0 for r in reads)
+    assert all(watch.stray == [] for watch in watches.values())
+    # a synchronized batch reaches back past its step's head
+    assert mode == "nosync" or any(any(r) for r in reads)
 
 
 def test_baseline_mode_propagates_only_from_inserted_head():
@@ -430,7 +515,7 @@ def test_baseline_mode_logs_no_touch(seed):
         w = rng.randint(1, 9)
         g.insert_edge(u, v, w)
         r.insert(u, v, w)
-        ref.partial_dijkstra({v} if ref.try_relax(u, v, w) else set())
+        ref.partial_dijkstra({v} if try_relax(ref, u, v, w) else set())
         assert r.table._touch_log == {}
         assert (r.table.dhat, r.table.parent, r.table.work - rebuild_work,
                 r.table.decreases) == (ref.dhat, ref.parent, ref.work,

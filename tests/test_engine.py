@@ -210,7 +210,8 @@ def test_range_with_sub_unit_granularity_is_the_exact_tree(
         tables = [r.table]
     for _, u, v, w in stream.insertions:
         g.insert_edge(u, v, w)
-        if r.phase_full():
+        # a randomized range runs its fixing phases inside insert
+        if kind != "rand" and r.phase_full():
             r.rebuild(bounded_dijkstra(r.graph, 0, r.cap))
         r.insert(u, v, w)
         exact = capped_tree(g, 0, r.cap)[0]

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from incsssp import CAP, EstimateTable, Graph, dijkstra
+from incsssp.det import insert_step
 from incsssp.intmath import ceil_div
 from incsssp.lazy import relax_limit
 from tests.conftest import NotAPath, plant, random_graph, slack
@@ -105,7 +106,9 @@ def relaxation_cases(draw):
 def test_limit_loop_matches_two_ceil_div_reference(case):
     """The one-comparison relaxation and propagation give the same
     estimates, parents, touched sets, work, decreases and decrease
-    notifications as the reference that computes both bucket indices."""
+    notifications as the reference that computes both bucket indices.  A
+    relaxation is the step kernel's, without sync: the new edge's test,
+    then a propagation from its head if it fired."""
     g, gran, cap, planted, ops = case
     logs = ([], [])
     new = EstimateTable(g, 0, cap, gran,
@@ -120,7 +123,10 @@ def test_limit_loop_matches_two_ceil_div_reference(case):
         if kind == "relax":
             if not edges:
                 continue
-            got, want = new.try_relax(*edges[arg]), ref.try_relax(*edges[arg])
+            u, v, w = edges[arg]
+            got = insert_step(new, u, v, w, 1, sync=False)
+            want = ref.partial_dijkstra({v} if ref.try_relax(u, v, w)
+                                        else set())
         else:
             got, want = new.partial_dijkstra(arg), ref.partial_dijkstra(arg)
         assert got == want
@@ -132,7 +138,9 @@ def test_limit_loop_matches_two_ceil_div_reference(case):
                            for d in new.dhat]
 
 
-# -- try_relax ---------------------------------------------------------------
+# -- the step kernel's relaxation test ---------------------------------------
+# A fired relaxation logs the head at the step; the head has no out-edge,
+# so the propagation of its odd step's batch touches nothing.
 
 
 def test_try_relax_crossing_fires():
@@ -140,7 +148,8 @@ def test_try_relax_crossing_fires():
     g.insert_edge(0, 1, 3)
     t = make_table(g, gran=Fraction(2))
     plant(t, {1: 10})
-    assert t.try_relax(0, 1, 3) is True
+    assert insert_step(t, 0, 1, 3, 1) == set()
+    assert t._touch_log == {1: [1]}
     assert t.dhat[1] == 3
     assert t.parent[1] == 0
 
@@ -150,7 +159,8 @@ def test_try_relax_equal_bucket_is_no_relaxation():
     g.insert_edge(0, 1, 3)
     t = make_table(g, gran=Fraction(2))
     plant(t, {1: 4})
-    assert t.try_relax(0, 1, 3) is False
+    assert insert_step(t, 0, 1, 3, 1) == set()
+    assert t._touch_log == {}
     assert t.dhat[1] == 4
 
 
@@ -159,7 +169,8 @@ def test_try_relax_out_of_cap_uses_candidate():
     g.insert_edge(0, 1, 1)
     t = make_table(g, gran=Fraction(2))
     assert t.dhat[1] == CAP
-    assert t.try_relax(0, 1, 1) is True
+    assert insert_step(t, 0, 1, 1, 1) == set()
+    assert t._touch_log == {1: [1]}
     assert t.dhat[1] == 1
 
 
@@ -167,7 +178,8 @@ def test_try_relax_never_stores_at_or_above_cap():
     g = Graph(3, 100)
     g.insert_edge(0, 1, 60)
     t = make_table(g, cap=50, gran=Fraction(2))
-    assert t.try_relax(0, 1, 60) is False
+    assert insert_step(t, 0, 1, 60, 1) == set()
+    assert t._touch_log == {}
     assert t.dhat[1] == CAP
 
 
@@ -177,7 +189,7 @@ def test_decrease_notifications():
     seen = []
     t = EstimateTable(g, 0, 10 ** 9, Fraction(1),
                       on_decrease=lambda v, old, new: seen.append((v, old, new)))
-    t.try_relax(0, 1, 3)
+    insert_step(t, 0, 1, 3, 1)
     assert seen == [(1, inf, 3)]
 
 
@@ -258,7 +270,7 @@ def test_lower_bound_safety():
         if not edges or t.dhat[u] == inf:
             continue
         v, w = rng.choice(edges)
-        t.try_relax(u, v, w)
+        insert_step(t, u, v, w, 1, sync=False)
         t.partial_dijkstra({u})
     for v in range(14):
         assert t.dhat[v] >= truth.d[v]
@@ -282,7 +294,7 @@ def test_monotonicity_and_parent_soundness(seed):
             edges = g._adj[u]
             if edges:
                 v, w = rng.choice(edges)
-                t.try_relax(u, v, w)
+                insert_step(t, u, v, w, 1, sync=False)
         else:
             t.partial_dijkstra({u})
         snapshots.append(list(t.dhat))

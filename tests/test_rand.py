@@ -10,6 +10,7 @@ from incsssp import (Config, Graph, IncrementalSSSP, RandomizedRange,
                      dijkstra, random_stream, verify)
 from incsssp.intmath import ceil_cbrt, ceil_frac, ceil_log2
 from tests.conftest import random_graph, streams
+from tests.reference_lazy import mark_touched
 
 
 def make_range(graph, tau=8, eps=Fraction(1, 4), m_budget=64, seed=1,
@@ -130,7 +131,7 @@ def visible_decrease(r, v, value, parent):
     in the touch log at a step of the phase, as ``insert_step`` would."""
     r.table._set(v, value, parent)
     r.b += 1
-    r.table.mark_touched((v,), r.b)
+    mark_touched(r.table, (v,), r.b)
 
 
 def test_sync_takes_pointwise_minimum_and_drops_phi():

@@ -5,6 +5,7 @@ import pytest
 
 from incsssp import Config, IncrementalSSSP, random_stream
 from tests.conftest import plant
+from tests.reference_lazy import mark_touched
 from tools.state_digest import (C1_STREAMS, c1_run, c7_run, corpus_runs,
                                  replay_digest, snapshot)
 
@@ -35,7 +36,7 @@ def test_digest_is_stable_and_sees_one_estimate(mode):
     plant(table, {v: table.dhat[v] + 1})
     assert snapshot(eng) != before
     planted = snapshot(eng)
-    table.mark_touched((v,), 10 ** 9)   # a touch log entry alone
+    mark_touched(table, (v,), 10 ** 9)   # a touch log entry alone
     assert snapshot(eng) != planted
     touched = snapshot(eng)
     owner = eng._min_owner
