@@ -10,9 +10,14 @@ relaxation test: within a phase each step logs only at its own index, in
 increasing order, so the log's latest key tells whether the window holds
 any touch, and a propagation from an empty batch would count nothing.
 :func:`insert_step` is the one step kernel of every lazy range table, the
-two tables of a randomized range included: it writes the relaxation's
-decrease and logs the head inline, tests for idleness, and calls a table
-method only to read a non-idle window and propagate it.
+two tables of a randomized range included.  It steps a sequence of tables
+at the same b in one loop: for each it writes the relaxation's decrease
+and logs the head inline, tests for idleness, and calls a table method
+only to read a non-idle window and propagate it.  The paper steps every
+range at the same b, so the deterministic ranges of one engine share one
+:class:`Phase`, which owns b, B and the sync flag and makes one kernel
+call per insertion for all of their tables; a range built on its own is a
+phase of one table.
 A distance-bounded rebuild restores exact estimates between phases.  All
 ranges of one engine share a phase boundary, so the engine keeps one
 bounded Dijkstra tree to the largest cap and every range assigns the
@@ -55,10 +60,15 @@ from .lazy import CAP, EstimateTable
 IDLE = frozenset()
 
 
-def insert_step(table: EstimateTable, u: int, v: int, w: int, b: int,
+def insert_step(tables, u: int, v: int, w: int, b: int,
                 sync: bool = True) -> set[int] | frozenset[int]:
-    """One insertion-processing step at in-phase index b: the step kernel
-    of every lazy range table.
+    """One insertion-processing step at in-phase index b of every table in
+    ``tables``, in order: the step kernel of every lazy range table.
+
+    ``tables`` are the tables stepped together at the same b: every range
+    of a :class:`Phase`, or the visible and hidden tables of a randomized
+    range.  The window's start and the parity of b are found once; each
+    table then runs the body below in a single loop.
 
     Bucket-tests the new edge and writes the decrease, as
     ``EstimateTable.partial_dijkstra`` writes one: estimate, limit, parent,
@@ -69,10 +79,12 @@ def insert_step(table: EstimateTable, u: int, v: int, w: int, b: int,
     touched at step b.  Without ``sync`` the batch is the head alone, if
     its relaxation fired, and nothing is logged, since only the batch
     reads the log.  The only table methods it calls are
-    ``touched_in_window`` and ``partial_dijkstra``.
+    ``touched_in_window`` and ``partial_dijkstra``.  Returns what the last
+    table's propagation touched, or :data:`IDLE`: for a phase of one
+    table, that table's.
 
-    An idle step, one whose window holds no logged step, returns
-    :data:`IDLE` right after the relaxation test, without reading the
+    An idle step, one whose window holds no logged step, moves on to the
+    next table right after the relaxation test, without reading the
     window or propagating.  Two facts make this exact: within a phase every
     step logs only at its own b, which grows, so the log's last key is its
     latest step; and ``partial_dijkstra`` of an empty batch counts no work.
@@ -81,38 +93,89 @@ def insert_step(table: EstimateTable, u: int, v: int, w: int, b: int,
     idle, and an odd one that did not is: for odd b the window is step b
     alone.
     """
-    table.work += 1
-    dhat = table.dhat
-    du = dhat[u]
-    relaxed = du != CAP and du + w <= table.lim[v]
-    if relaxed:
-        cand = du + w
-        notify = table.on_decrease
-        if notify is not None:
-            notify(v, dhat[v], cand)
-        dhat[v] = cand
-        num, den = table.gran_num, table.gran_den
-        # relax_limit of a finite value, inlined as in partial_dijkstra
-        table.lim[v] = (-(-cand * den // num) - 1) * num // den
-        table.parent[v] = u
-        table.decreases += 1
-        min_value = table.min_value
-        if cand < min_value[v]:
-            min_value[v] = cand
-            table.min_owner[v] = table.owner_index
-    if not sync:
-        return table.partial_dijkstra((v,)) if relaxed else IDLE
-    log = table._touch_log
     # b = k·2^j with k odd, so (k−1)·2^j is b with its lowest set bit cleared
     lo = b & (b - 1)
-    if relaxed:
-        log[b] = [v]   # the first entry of step b
-    elif b & 1 or not log or next(reversed(log)) <= lo:
-        return IDLE
-    touched = table.partial_dijkstra(table.touched_in_window(lo, b))
-    if touched:
-        log.setdefault(b, []).extend(touched)
+    # without sync, or for odd b, whose window is step b alone, a step that
+    # relaxed nothing is idle
+    idle_unless_relaxed = not sync or b & 1
+    touched = IDLE
+    for table in tables:
+        table.work += 1
+        dhat = table.dhat
+        du = dhat[u]
+        if du == CAP or du + w > table.lim[v]:
+            if idle_unless_relaxed:
+                touched = IDLE
+                continue
+            log = table._touch_log
+            if not log or next(reversed(log)) <= lo:
+                touched = IDLE
+                continue
+        else:
+            cand = du + w
+            notify = table.on_decrease
+            if notify is not None:
+                notify(v, dhat[v], cand)
+            dhat[v] = cand
+            num, den = table.gran_num, table.gran_den
+            # relax_limit of a finite value, inlined as in partial_dijkstra
+            table.lim[v] = (-(-cand * den // num) - 1) * num // den
+            table.parent[v] = u
+            table.decreases += 1
+            min_value = table.min_value
+            if cand < min_value[v]:
+                min_value[v] = cand
+                table.min_owner[v] = table.owner_index
+            if not sync:
+                touched = table.partial_dijkstra((v,))
+                continue
+            log = table._touch_log
+            log[b] = [v]   # the first entry of step b
+        touched = table.partial_dijkstra(table.touched_in_window(lo, b))
+        if touched:
+            log.setdefault(b, []).extend(touched)
     return touched
+
+
+class Phase:
+    """The step index of deterministic ranges that step together.
+
+    Phases last ``B`` insertions; ``b`` counts the steps of the current
+    one.  Every table in ``tables`` is stepped at the same b by one
+    :func:`insert_step` call per insertion, so ranges sharing a phase
+    fill together and the owner asks one :meth:`phase_full` per insertion.
+    An insertion into a full phase raises :class:`PhaseFull` before any
+    table changes.  A range's :meth:`DeterministicRange.rebuild` starts
+    the next phase; its owner rebuilds every range of the phase at once.
+    """
+
+    def __init__(self, length: int, sync: bool):
+        self.B = length
+        self.sync = sync
+        self.b = 0
+        self.tables: list[EstimateTable] = []
+
+    @staticmethod
+    def join(ranges) -> "Phase":
+        """The first range's phase, which from now on also steps the
+        tables of the other ranges, in order; returns it.  The ranges must
+        have been built with the same phase length and sync, and none may
+        have stepped yet."""
+        phase = ranges[0].phase
+        for r in ranges[1:]:
+            r.phase = phase
+            phase.tables.append(r.table)
+        return phase
+
+    def insert(self, u: int, v: int, w: int) -> set[int] | frozenset[int]:
+        b = self.b + 1
+        if b > self.B:
+            raise PhaseFull(f"phase of length {self.B} already full")
+        self.b = b
+        return insert_step(self.tables, u, v, w, b, self.sync)
+
+    def phase_full(self) -> bool:
+        return self.b >= self.B
 
 
 def bounded_dijkstra(graph, source: int,
@@ -217,9 +280,12 @@ class DeterministicRange:
     """Deterministic structure for one distance range [τ, 2τ).
 
     Estimates are kept up to ``cap`` and reported as unreachable beyond it.
-    The owner must call :meth:`rebuild` once the phase is full; an insertion
-    into a full phase raises :class:`PhaseFull`.  An owner holding several
-    ranges passes each one the same tree.
+    A range starts in a :class:`Phase` of its own, of one table; an owner
+    holding several ranges makes them share one with :meth:`Phase.join`,
+    steps that phase and rebuilds every range of it at once, from the same
+    tree.  ``insert``, ``phase_full``, ``b`` and ``B`` are the phase's: the
+    owner must call :meth:`rebuild` once the phase is full, and an
+    insertion into a full phase raises :class:`PhaseFull`.
     """
 
     def __init__(self, graph, source: int, tau: int, eps_delta: Fraction,
@@ -230,23 +296,27 @@ class DeterministicRange:
         self.source = source
         self.tau = tau
         self.eps_delta = eps_delta
-        self.B = phase_length
         self.cap = cap
-        self.sync = sync
-        self.b = 0
         self.rebuilds = 0
         self.table = EstimateTable(graph, source, cap, eps_delta)
+        self.phase = Phase(phase_length, sync)
+        self.phase.tables.append(self.table)
         self.rebuild(bounded_dijkstra(graph, source, cap))
 
+    @property
+    def B(self) -> int:
+        return self.phase.B
+
+    @property
+    def b(self) -> int:
+        return self.phase.b
+
     def insert(self, u: int, v: int, w: int) -> set[int] | frozenset[int]:
-        b = self.b + 1
-        if b > self.B:
-            raise PhaseFull(f"phase of length {self.B} already full")
-        self.b = b
-        return insert_step(self.table, u, v, w, b, self.sync)
+        """Step the range's phase: every range sharing it."""
+        return self.phase.insert(u, v, w)
 
     def phase_full(self) -> bool:
-        return self.b >= self.B
+        return self.phase.phase_full()
 
     def rebuild(self, tree: tuple[list, list, list]) -> None:
         """Restore exact estimates (clamped at cap) and reset the phase.
@@ -263,7 +333,7 @@ class DeterministicRange:
         """
         self.table.work += self.graph.edge_count + self.graph.n
         self.table.assign_exact(*tree)
-        self.b = 0
+        self.phase.b = 0
         self.table.reset_phase()
         self.rebuilds += 1
 

@@ -38,15 +38,19 @@ source-only tree its tables hold.  Each structure is built from
 source.  Exact re-initialization reads one bounded Dijkstra tree to the
 largest cap, shared by every structure it serves: at ``preprocess`` all of
 them, and at a phase boundary every range.  Only deterministic ranges have
-phase boundaries: they share B and b, so they fill together, and the
-engine asks the first one's ``phase_full`` once per insertion (the short
-tree and randomized ranges never fill; a randomized range runs its fixing
-phases inside its own ``insert``).  The engine keeps that tree and
-advances it in place by a decrease-only Dijkstra from the edges inserted
-since the previous boundary (the empty graph's tree at ``preprocess``):
-distances only fall, so only a vertex that a new edge or a lowered vertex
-reaches can change.  Each structure visits only the vertices whose distance
-or parent changed, which that run names as it goes.
+phase boundaries: they share one ``det.Phase``, which owns B and b, so
+they fill together; the engine asks the phase's ``phase_full`` once per
+insertion (the short tree and randomized ranges never fill; a randomized
+range runs its fixing phases inside its own ``insert``).  After the short
+tree's ``insert``, each insertion makes one ``insert`` call per stepper:
+the phase, whose one ``det.insert_step`` call steps every deterministic
+range's table, or each randomized range, whose one call steps both of its
+tables.  The engine keeps the shared tree and advances it in place by a
+decrease-only Dijkstra from the edges inserted since the previous
+boundary (the empty graph's tree at ``preprocess``): distances only fall,
+so only a vertex that a new edge or a lowered vertex reaches can change.
+Each structure visits only the vertices whose distance or parent changed,
+which that run names as it goes.
 
 An update validates in the graph before changing it.  If a structure then
 raises, the structures may hold part of the update, so the engine marks
@@ -88,8 +92,8 @@ MODES = ("det", "rand", "nosync")
 # Deterministic phases last B = ⌊√m / c_B⌋ insertions.  The paper's
 # c_B = Θ(log n) is an asymptotic constant: 6·⌈lg n⌉ gives B = 1 below
 # m ≈ 17,000 at n = 2048, a rebuild before every insertion.  Of c_B in
-# {1, 2, 3, 4, 6, 8, 6·⌈lg n⌉}, 2 measured fastest on chains, by 3.4× over
-# c_B = 1, which is 1.3–1.4× faster on random graphs (README, "Phase
+# {1, 2, 3, 4, 6, 8, 6·⌈lg n⌉}, 2 measured fastest on chains, by 3.8× over
+# c_B = 1, which is 1.1–1.2× faster on random graphs (README, "Phase
 # length").  The guarantee holds for any c_B: ε is rescaled by
 # B(2⌈lg B⌉+1)/⌈√m⌉.
 DEFAULT_C_B = 2
@@ -183,10 +187,15 @@ class IncrementalSSSP:
         self._min_owner[self.source] = 0
         for i, s in enumerate(self._structures):
             s.table.share_minimum(self.min_value, self._min_owner, i)
-        # deterministic ranges fill together, so the first one's phase
-        # marks every boundary; no other structure has one
-        self._phase = self.ranges[0] if self.ranges and \
-            config.mode != "rand" else None
+        # the deterministic ranges share one phase, stepped by one call per
+        # insertion; a randomized range steps its own tables, and no other
+        # structure has a phase boundary
+        if config.mode == "rand" or not self.ranges:
+            self._phase = None
+            self._steppers = tuple(self.ranges)
+        else:
+            self._phase = det.Phase.join(self.ranges)
+            self._steppers = (self._phase,)
         self._tree_cap = max(s.cap for s in self._structures)
         # the empty graph's tree, which every structure was just built
         # from; each boundary advances it in place by the edges from _since
@@ -295,7 +304,7 @@ class IncrementalSSSP:
         The graph validates before mutating, so a rejected insertion leaves
         every structure untouched.  At a phase boundary every range is
         rebuilt first, after the short tree's insertion, from one bounded
-        Dijkstra shared by all of them.
+        Dijkstra shared by all of them; then each stepper steps.
         If a structure raises once the edge is in the graph, the engine is
         broken: the exception propagates, and every later call of
         ``insert``, ``preprocess``, ``query`` or ``report_path`` raises
@@ -312,8 +321,8 @@ class IncrementalSSSP:
                 tree = self._next_tree()
                 for r in self.ranges:
                     r.rebuild(tree)
-            for r in self.ranges:
-                r.insert(u, v, w)
+            for stepper in self._steppers:
+                stepper.insert(u, v, w)
         except BaseException as exc:
             self._poison(f"insert({u}, {v}, {w})", exc)
             raise

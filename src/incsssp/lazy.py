@@ -12,9 +12,10 @@ Every write of a decrease also lowers a minimum table in place: the
 engine's ``min_value`` and ``_min_owner`` lists, which each visible table
 holds with its structure's index; a table standing alone is its own
 minimum.  The hot loops (``EstimateTable.partial_dijkstra``, the step
-kernel ``det.insert_step``, ``ShortDistanceTree._propagate``) write
-estimate, parent, limit and minimum inline, as ``_set`` does, and the
-propagation loops count work and decreases in locals.  The one
+kernel ``det.insert_step``, which steps a sequence of tables in one call,
+and ``ShortDistanceTree._propagate``) write estimate, parent, limit and
+minimum inline, as ``_set`` does, and the propagation loops count work
+and decreases in locals.  The one
 per-decrease call left is the optional ``on_decrease`` hook, which
 only the hidden table of a randomized range sets: it records the vertices
 that table lowered since the last fixing phase and keeps its potential and

@@ -3,13 +3,15 @@
 Two estimate tables are maintained for each range: a visible one that
 answers every query, and a hidden one whose state (and the random choices
 driving it) is never exposed.  Insertions update both through the same
-synchronized-propagation step.  Whenever a phase fills up or the hidden
-potential Σ d̂ drops far enough, a global fixing phase runs: the tables are
-synchronized to their pointwise minimum, the potential snapshot is taken,
-random distance windows are sampled, and one propagation pass over the
-sampled vertices runs on the hidden table only.  Keeping the sampled
-windows hidden is what lets query answers reveal nothing an adaptive
-adversary can use before the next synchronization.
+synchronized-propagation step: one ``det.insert_step`` call steps the
+visible table, then the hidden one, at the range's own b.  Whenever a
+phase fills up or the hidden potential Σ d̂ drops far enough, a global
+fixing phase runs: the tables are synchronized to their pointwise
+minimum, the potential snapshot is taken, random distance windows are
+sampled, and one propagation pass over the sampled vertices runs on the
+hidden table only.  Keeping the sampled windows hidden is what lets query
+answers reveal nothing an adaptive adversary can use before the next
+synchronization.
 
 The sync visits only what either table lowered since the last fixing
 phase: the hidden listener's ``changed``, and the visible table's touch log
@@ -107,6 +109,7 @@ class RandomizedRange:
         self._listener = _HiddenListener(self, graph.n, source)
         self._hidden = EstimateTable(graph, source, self.cap, eps_delta,
                                      on_decrease=self._listener)
+        self._tables = (self.table, self._hidden)   # stepped in this order
         self.rebuild(bounded_dijkstra(graph, source, self.cap))
 
     @staticmethod
@@ -148,8 +151,7 @@ class RandomizedRange:
     def insert(self, u: int, v: int, w: int) -> None:
         self.b += 1
         self.insertions_seen += 1
-        insert_step(self.table, u, v, w, self.b, sync=True)
-        insert_step(self._hidden, u, v, w, self.b, sync=True)
+        insert_step(self._tables, u, v, w, self.b)
         # a loop: the hidden pass runs after the potential snapshot, so it
         # can lower the potential past the threshold once more
         while self.needs_fixing():

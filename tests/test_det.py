@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from incsssp import (Config, DeterministicRange, Graph, IncrementalSSSP,
                      PhaseFull, RandomizedRange, bounded_dijkstra,
-                     dijkstra)
+                     dijkstra, random_stream)
 from incsssp.det import advance_tree, insert_step
 from incsssp.intmath import ceil_div, ceil_log2
 from incsssp.lazy import EstimateTable
@@ -171,9 +171,10 @@ class TableWatch:
     """What :func:`watch_steps` saw of one range table: per step, whether
     its batch reached back past the step's own head (``reaches_back``) or
     the step found its window empty and skipped it (``skipped``), the
-    batch of the latest step (empty if it read none), and every window
-    read or propagation made outside both a step and a fixing phase
-    (``stray``), which no caller should make."""
+    batch of the latest step (empty if it read none) and what its
+    propagation touched (``out``, empty if it propagated nothing), and
+    every window read or propagation made outside both a step and a fixing
+    phase (``stray``), which no caller should make."""
 
     def __init__(self, owner, fixing: list):
         self.owner = owner
@@ -181,6 +182,7 @@ class TableWatch:
         self.touched = defaultdict(set)   # step -> vertices logged at it
         self.reads: list = []
         self.batches: list = []
+        self.out: set = set()
         self.in_step = False
         self.reaches_back: list[bool] = []
         self.skipped: list[int] = []
@@ -212,17 +214,21 @@ def watch_steps(owners):
     whose argument is the batch, and the touch log, replaced by a
     :class:`ReadLog`.  Yields ``{table: TableWatch}``.
 
-    Before a synchronized step b = k·2^j, the window is the set of
-    vertices this check saw logged at steps ((k−1)·2^j, b) of the phase,
-    plus the new edge's head if the two-``ceil_div`` test says it relaxes.
-    A step with a non-empty window must propagate exactly that batch,
-    once; a step with an empty window must read no log entry and not
-    propagate.  Without sync the window is the head alone, if it relaxes.
-    After the step, the log at b must hold the relaxed head and what the
-    step returned.  A randomized fixing phase's read of its whole phase,
-    steps (0, b], must return every touch of the phase; its reads and its
-    hidden pass are no step's.  A window read or propagation outside both
-    a step and a fixing phase is recorded in ``stray``."""
+    One kernel call steps a sequence of tables at the same b; each watched
+    table of it is checked on its own.  Before a synchronized step
+    b = k·2^j, the window is the set of vertices this check saw logged at
+    steps ((k−1)·2^j, b) of the phase, plus the new edge's head if the
+    two-``ceil_div`` test says it relaxes.  A step with a non-empty window
+    must propagate exactly that batch, once; a step with an empty window
+    must read no log entry and not propagate.  Without sync the window is
+    the head alone, if it relaxes.  After the step, the log at b must hold
+    the relaxed head and what the step's propagation touched, and the
+    kernel must return what the last table's propagation touched (the
+    empty set if it propagated nothing).  A randomized fixing phase's read
+    of its whole phase, steps (0, b], must return every touch of the
+    phase; its reads and its hidden pass are no step's.  A window read or
+    propagation outside both a step and a fixing phase is recorded in
+    ``stray``."""
     watches = {}
     for owner in owners:
         fixing = []
@@ -231,34 +237,42 @@ def watch_steps(owners):
             watches[table] = watch = TableWatch(owner, fixing)
             wrap_table(table, watch)
 
-    def watched(table, u, v, w, b, sync=True):
-        watch = watches.get(table)
-        if watch is None:
-            return insert_step(table, u, v, w, b, sync)
-        assert b == watch.owner.b
-        head = {v} if relaxes(table, u, v, w) else set()
-        window = set(head)
-        if sync:
-            for t in range(paper_window_start(b) + 1, b):
-                window |= watch.touched[t]
-        watch.reads.clear()
-        watch.batches.clear()
-        watch.in_step = True
+    def watched(tables, u, v, w, b, sync=True):
+        windows = {}
+        for table in tables:
+            watch = watches.get(table)
+            if watch is None:
+                continue
+            assert b == watch.owner.b
+            head = {v} if relaxes(table, u, v, w) else set()
+            window = set(head)
+            if sync:
+                for t in range(paper_window_start(b) + 1, b):
+                    window |= watch.touched[t]
+            windows[table] = head, window
+            watch.reads.clear()
+            watch.batches.clear()
+            watch.out = set()
+            watch.in_step = True
         try:
-            out = insert_step(table, u, v, w, b, sync)
+            out = insert_step(tables, u, v, w, b, sync)
         finally:
-            watch.in_step = False
-        if window:
-            assert watch.batches == [window], f"step {b}"
-            watch.reaches_back.append(bool(window - head))
-        else:
-            assert watch.batches == [] and watch.reads == [], f"step {b}"
-            assert out == set()
-            watch.skipped.append(b)
-        watch.batch = window
-        logged = set(dict.get(table._touch_log, b, ()))
-        assert logged == ((head | out) if sync else set())
-        watch.touched[b] = logged
+            for table in windows:
+                watches[table].in_step = False
+        for table, (head, window) in windows.items():
+            watch = watches[table]
+            if window:
+                assert watch.batches == [window], f"step {b}"
+                watch.reaches_back.append(bool(window - head))
+            else:
+                assert watch.batches == [] and watch.reads == [], f"step {b}"
+                watch.skipped.append(b)
+            watch.batch = window
+            logged = set(dict.get(table._touch_log, b, ()))
+            assert logged == ((head | watch.out) if sync else set())
+            watch.touched[b] = logged
+        if tables[-1] in windows:
+            assert out == watches[tables[-1]].out
         return out
 
     with mock.patch("incsssp.det.insert_step", watched), \
@@ -278,7 +292,10 @@ def wrap_table(table, watch: TableWatch) -> None:
             watch.batches.append(set(batch))
         elif not watch.fixing:
             watch.stray.append(("partial_dijkstra", set(batch)))
-        return propagate(batch)
+        out = propagate(batch)
+        if watch.in_step:
+            watch.out = set(out)
+        return out
 
     def checked_window(lo, hi):
         got = window(lo, hi)
@@ -378,17 +395,21 @@ def test_batch_is_union_of_window_touch_lists():
         assert watch.stray == []
 
 
-def reference_step(table, u, v, w, b, sync=True):
-    """``det.insert_step`` unfused and without the idle return: the
-    relaxation and log writes are calls, and every step reads its window
-    (lo, b] and propagates from it, however empty."""
-    relaxed = try_relax(table, u, v, w)
-    if not sync:
-        return table.partial_dijkstra((v,) if relaxed else ())
-    if relaxed:
-        mark_touched(table, (v,), b)
-    touched = table.partial_dijkstra(table.touched_in_window(b & (b - 1), b))
-    mark_touched(table, touched, b)
+def reference_step(tables, u, v, w, b, sync=True):
+    """``det.insert_step`` unfused and without the idle return, one table
+    after another: the relaxation and log writes are calls, and every
+    step reads its window (lo, b] and propagates from it, however empty.
+    Returns what the last table's propagation touched."""
+    for table in tables:
+        relaxed = try_relax(table, u, v, w)
+        if not sync:
+            touched = table.partial_dijkstra((v,) if relaxed else ())
+            continue
+        if relaxed:
+            mark_touched(table, (v,), b)
+        touched = table.partial_dijkstra(
+            table.touched_in_window(b & (b - 1), b))
+        mark_touched(table, touched, b)
     return touched
 
 
@@ -403,18 +424,31 @@ def table_state(table):
 
 def step_trace(config, stream, step):
     """Replay ``stream`` on an engine whose ranges run ``step`` in place of
-    ``insert_step``; returns the set each step returned with its table's
-    state right after it, then every range table's final state."""
+    ``insert_step``; returns, per call, the number of tables it stepped,
+    the set it returned, and per table the set that table's propagation
+    touched (empty if it propagated nothing) with the table's state right
+    after the call; then every range table's final state."""
     trace = []
+    touched = {}
+    propagate = EstimateTable.partial_dijkstra
 
-    def traced(table, u, v, w, b, sync=True):
-        out = step(table, u, v, w, b, sync)
-        trace.append((out, table_state(table)))
+    def recorded_propagate(table, batch):
+        out = touched[table] = propagate(table, batch)
+        return out
+
+    def traced(tables, u, v, w, b, sync=True):
+        touched.clear()
+        out = step(tables, u, v, w, b, sync)
+        trace.append((len(tables), out,
+                      [(touched.get(t, set()), table_state(t))
+                       for t in tables]))
         return out
 
     eng = IncrementalSSSP(config)
     with mock.patch("incsssp.det.insert_step", traced), \
-            mock.patch("incsssp.rand.insert_step", traced):
+            mock.patch("incsssp.rand.insert_step", traced), \
+            mock.patch.object(EstimateTable, "partial_dijkstra",
+                              recorded_propagate):
         eng.preprocess(stream.initial_edges)
         for _, u, v, w in stream.insertions:
             eng.insert(u, v, w)
@@ -429,11 +463,12 @@ def step_trace(config, stream, step):
        seed=st.integers(0, 3))
 def test_idle_return_matches_reading_every_window(stream, kind, seed):
     """The fused kernel and its idle return change nothing: after every
-    step of every range table (both tables of a raw-ε
-    ``RandomizedRange``), estimates, parents, limits, touch log, work,
-    decreases, the engine's minimum table and the returned set equal those
-    of an unfused step that reads its window and propagates even when the
-    window is empty."""
+    call, for every range table it stepped (every table of the engine's
+    phase, or both tables of a raw-ε ``RandomizedRange``), estimates,
+    parents, limits, touch log, work, decreases, the engine's minimum
+    table and the set the table's step touched equal those of unfused
+    steps, one table after another, that read their window and propagate
+    even when the window is empty; so does the returned set."""
     mode, c_b = kind
     config = Config(n=stream.n, m_budget=stream.budget,
                     max_weight=stream.max_weight, mode=mode, c_b=c_b,
@@ -484,6 +519,108 @@ def test_idle_steps_read_no_window_and_propagate_nothing(mode, c_b):
     assert all(watch.stray == [] for watch in watches.values())
     # a synchronized batch reaches back past its step's head
     assert mode == "nosync" or any(any(r) for r in reads)
+
+
+# -- one step call per insertion ---------------------------------------------
+
+def phase_engine(mode, c_b, seed=5):
+    """An engine of at least two deterministic ranges, and the raw-ε
+    random stream it replays."""
+    stream = random_stream(64, 400, 64, seed=seed)
+    eng = IncrementalSSSP(Config(n=stream.n, m_budget=stream.budget,
+                                 max_weight=stream.max_weight, mode=mode,
+                                 c_b=c_b, raw_epsilon=True))
+    assert len(eng.ranges) >= 2
+    return eng, stream
+
+
+def spy_calls(calls: list):
+    """An ``insert_step`` that records each call's tables, edge, b and
+    sync, then steps."""
+    def spy(tables, u, v, w, b, sync=True):
+        calls.append((list(tables), (u, v, w), b, sync))
+        return insert_step(tables, u, v, w, b, sync)
+    return spy
+
+
+@pytest.mark.parametrize("mode, c_b", [("det", None), ("det", 1),
+                                       ("nosync", None)])
+def test_one_step_call_steps_every_range_per_insertion(mode, c_b):
+    """The deterministic ranges of an engine share one phase: every
+    insertion makes exactly one ``insert_step`` call, which holds every
+    range's table, in range order, at the b that every range then
+    reads, across phase boundaries."""
+    eng, stream = phase_engine(mode, c_b)
+    calls = []
+    with mock.patch("incsssp.det.insert_step", spy_calls(calls)):
+        for _, u, v, w in stream.insertions:
+            eng.insert(u, v, w)
+            [(tables, edge, b, sync)] = calls
+            calls.clear()
+            assert tables == [r.table for r in eng.ranges]
+            assert edge == (u, v, w) and sync == (mode == "det")
+            assert all(r.b == b for r in eng.ranges)
+    assert all(r.rebuilds > 2 for r in eng.ranges)
+
+
+def test_randomized_range_steps_both_tables_in_one_call():
+    """A randomized range steps its visible table, then its hidden one,
+    in one ``insert_step`` call per insertion, at its own b."""
+    n = 24
+    g = Graph(n, 16)
+    r = RandomizedRange(
+        g, 0, 32, Fraction(1, 4), 64, ceil_log2(n),
+        np.random.Generator(np.random.PCG64(5)), iter_mult=Fraction(1, 100))
+    calls = []
+    spy = spy_calls(calls)
+
+    def step(tables, u, v, w, b, sync=True):
+        assert b == r.b
+        return spy(tables, u, v, w, b, sync)
+
+    rng = random.Random(11)
+    with mock.patch("incsssp.rand.insert_step", step):
+        while g.edge_count < 120:
+            u, v = rng.sample(range(n), 2)
+            if g.weight_of(u, v) is not None:
+                continue
+            w = rng.randint(1, 16)
+            g.insert_edge(u, v, w)
+            r.insert(u, v, w)
+            [(tables, edge, _, sync)] = calls
+            calls.clear()
+            assert tables == [r.table, r._hidden]
+            assert edge == (u, v, w) and sync
+    assert r.fixing_phases > 1 and r.table.decreases > 0
+
+
+@pytest.mark.parametrize("mode", ["det", "nosync"])
+def test_insert_into_a_full_phase_changes_nothing(mode):
+    """An insertion into a full shared phase raises ``PhaseFull``, through
+    the phase or any of its ranges, before any table, touch log, counter
+    or the phase's b changes, and before any step call."""
+    eng, stream = phase_engine(mode, 10 ** 6)   # B = 1
+    phase = eng._phase
+    for _, u, v, w in stream.insertions[:100]:
+        eng.insert(u, v, w)
+    assert phase.phase_full() and phase.b == phase.B == 1
+    # a new edge out of the source that every table would relax
+    u, w = eng.source, 1
+    v = next(v for v in range(eng.graph.n)
+             if eng.graph.weight_of(u, v) is None and v != u and
+             all(relaxes(t, u, v, w) for t in phase.tables))
+    eng.graph.insert_edge(u, v, w)
+    before = [table_state(t) for t in phase.tables]
+    counters = [r.counters() for r in eng.ranges]
+    calls = []
+    with mock.patch("incsssp.det.insert_step", spy_calls(calls)):
+        for stepper in (phase, *eng.ranges):
+            with pytest.raises(PhaseFull):
+                stepper.insert(u, v, w)
+    assert calls == []
+    assert [table_state(t) for t in phase.tables] == before
+    assert [r.counters() for r in eng.ranges] == counters
+    assert phase.b == 1
 
 
 def test_baseline_mode_propagates_only_from_inserted_head():
@@ -587,7 +724,7 @@ def reference_exact(graph, source, table):
 def reference_rebuild(r):
     """One range rebuilt from a Dijkstra of its own, capped at its own cap."""
     reference_exact(r.graph, r.source, r.table)
-    r.b = 0
+    r.phase.b = 0
     r.table.reset_phase()
     r.rebuilds += 1
 
@@ -602,10 +739,14 @@ def reference_preprocess(eng, edges):
 def reference_insert(eng, u, v, w):
     eng.graph.insert_edge(u, v, w)
     eng.short.insert(u, v, w)
-    for r in eng.ranges:
-        if r.phase_full():
+    if not eng.ranges:
+        return
+    # the ranges share one phase: they fill together, and one insert
+    # steps them all
+    if eng.ranges[0].phase_full():
+        for r in eng.ranges:
             reference_rebuild(r)
-        r.insert(u, v, w)
+    eng.ranges[0].insert(u, v, w)
 
 
 def assert_same_state(eng, ref):

@@ -613,14 +613,16 @@ def fail(*args):
 def test_structure_failure_poisons_the_engine(mode):
     """A structure raising after the graph took the edge leaves the engine
     inconsistent, so every later update, query and path report raises
-    ``EngineBroken``; an edge the graph rejects leaves it usable."""
+    ``EngineBroken``; an edge the graph rejects leaves it usable.  The
+    failure is injected into the last range table's propagation, which
+    the step of every mode runs: the new edge's head relaxes there."""
     eng = make(m=65, w=32, eps=Fraction(3, 4), mode=mode, raw_epsilon=True)
     eng.preprocess([(0, 1, 2)])
     with pytest.raises(DuplicateEdge):
         eng.insert(0, 1, 5)
     eng.insert(1, 2, 30)
     assert eng.query(2) == 32
-    eng.ranges[-1].insert = fail
+    eng.audit_tables()[-1][1].partial_dijkstra = fail
     with pytest.raises(RuntimeError, match="structure failed"):
         eng.insert(2, 3, 1)
     assert eng.graph.weight_of(2, 3) == 1

@@ -124,7 +124,7 @@ def test_limit_loop_matches_two_ceil_div_reference(case):
             if not edges:
                 continue
             u, v, w = edges[arg]
-            got = insert_step(new, u, v, w, 1, sync=False)
+            got = insert_step([new], u, v, w, 1, sync=False)
             want = ref.partial_dijkstra({v} if ref.try_relax(u, v, w)
                                         else set())
         else:
@@ -148,7 +148,7 @@ def test_try_relax_crossing_fires():
     g.insert_edge(0, 1, 3)
     t = make_table(g, gran=Fraction(2))
     plant(t, {1: 10})
-    assert insert_step(t, 0, 1, 3, 1) == set()
+    assert insert_step([t], 0, 1, 3, 1) == set()
     assert t._touch_log == {1: [1]}
     assert t.dhat[1] == 3
     assert t.parent[1] == 0
@@ -159,7 +159,7 @@ def test_try_relax_equal_bucket_is_no_relaxation():
     g.insert_edge(0, 1, 3)
     t = make_table(g, gran=Fraction(2))
     plant(t, {1: 4})
-    assert insert_step(t, 0, 1, 3, 1) == set()
+    assert insert_step([t], 0, 1, 3, 1) == set()
     assert t._touch_log == {}
     assert t.dhat[1] == 4
 
@@ -169,7 +169,7 @@ def test_try_relax_out_of_cap_uses_candidate():
     g.insert_edge(0, 1, 1)
     t = make_table(g, gran=Fraction(2))
     assert t.dhat[1] == CAP
-    assert insert_step(t, 0, 1, 1, 1) == set()
+    assert insert_step([t], 0, 1, 1, 1) == set()
     assert t._touch_log == {1: [1]}
     assert t.dhat[1] == 1
 
@@ -178,7 +178,7 @@ def test_try_relax_never_stores_at_or_above_cap():
     g = Graph(3, 100)
     g.insert_edge(0, 1, 60)
     t = make_table(g, cap=50, gran=Fraction(2))
-    assert insert_step(t, 0, 1, 60, 1) == set()
+    assert insert_step([t], 0, 1, 60, 1) == set()
     assert t._touch_log == {}
     assert t.dhat[1] == CAP
 
@@ -189,7 +189,7 @@ def test_decrease_notifications():
     seen = []
     t = EstimateTable(g, 0, 10 ** 9, Fraction(1),
                       on_decrease=lambda v, old, new: seen.append((v, old, new)))
-    insert_step(t, 0, 1, 3, 1)
+    insert_step([t], 0, 1, 3, 1)
     assert seen == [(1, inf, 3)]
 
 
@@ -270,7 +270,7 @@ def test_lower_bound_safety():
         if not edges or t.dhat[u] == inf:
             continue
         v, w = rng.choice(edges)
-        insert_step(t, u, v, w, 1, sync=False)
+        insert_step([t], u, v, w, 1, sync=False)
         t.partial_dijkstra({u})
     for v in range(14):
         assert t.dhat[v] >= truth.d[v]
@@ -294,7 +294,7 @@ def test_monotonicity_and_parent_soundness(seed):
             edges = g._adj[u]
             if edges:
                 v, w = rng.choice(edges)
-                insert_step(t, u, v, w, 1, sync=False)
+                insert_step([t], u, v, w, 1, sync=False)
         else:
             t.partial_dijkstra({u})
         snapshots.append(list(t.dhat))
