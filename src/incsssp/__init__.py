@@ -13,7 +13,7 @@ from .errors import (AlreadyPreprocessed, BudgetExceeded, DuplicateEdge,
                      VertexOutOfRange, WeightOutOfRange)
 from .graph import Graph
 from .lazy import CAP, EstimateTable
-from .det import DeterministicRange, bounded_dijkstra
+from .det import DeterministicRange, Phase, bounded_dijkstra
 from .rand import RandomizedRange
 from .short import ShortDistanceTree
 from .oracle import (ExactDistances, VerifyReport, brute_force_distances,
@@ -29,7 +29,7 @@ __all__ = [
     "IncSSSPError", "InvalidConfig", "InvalidParams", "ParseError", "PhaseFull",
     "TooDense", "Unreachable", "VertexOutOfRange", "WeightOutOfRange",
     "Graph", "CAP", "EstimateTable",
-    "DeterministicRange", "bounded_dijkstra",
+    "DeterministicRange", "Phase", "bounded_dijkstra",
     "RandomizedRange", "ShortDistanceTree",
     "ExactDistances", "VerifyReport", "brute_force_distances", "dijkstra",
     "exact_distances_fast", "phase_error_audit", "phase_error_bound", "verify",

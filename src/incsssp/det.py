@@ -9,15 +9,16 @@ logged in their window, and such an idle step returns right after its
 relaxation test: within a phase each step logs only at its own index, in
 increasing order, so the log's latest key tells whether the window holds
 any touch, and a propagation from an empty batch would count nothing.
-:func:`insert_step` is the one step kernel of every lazy range table, the
-two tables of a randomized range included.  It steps a sequence of tables
-at the same b in one loop: for each it writes the relaxation's decrease
-and logs the head inline, tests for idleness, and calls a table method
-only to read a non-idle window and propagate it.  The paper steps every
-range at the same b, so the deterministic ranges of one engine share one
-:class:`Phase`, which owns b, B and the sync flag and makes one kernel
-call per insertion for all of their tables; a range built on its own is a
-phase of one table.
+:func:`insert_step` is the one step kernel of every lazy range table.  It
+steps a sequence of tables at the same b in one loop: for each it writes
+the relaxation's decrease and logs the head inline, tests for idleness,
+and calls a table method only to read a non-idle window and propagate it.
+A :class:`Phase` is the one holder of b and B: it steps its tables with
+one kernel call per insertion, answers whether it is full, and
+:meth:`Phase.reset` starts the next phase, clearing every table's touch
+log.  The paper steps every range at the same b, so the deterministic
+ranges of one engine join one phase, built by the engine; a randomized
+range steps its visible and hidden tables through a phase of its own.
 A distance-bounded rebuild restores exact estimates between phases.  All
 ranges of one engine share a phase boundary, so the engine keeps one
 bounded Dijkstra tree to the largest cap and every range assigns the
@@ -55,13 +56,8 @@ from .graph import check_source
 from .lazy import CAP, EstimateTable
 
 
-# what a step that propagates nothing returns: one shared empty set, so an
-# idle step allocates nothing
-IDLE = frozenset()
-
-
 def insert_step(tables, u: int, v: int, w: int, b: int,
-                sync: bool = True) -> set[int] | frozenset[int]:
+                sync: bool = True) -> None:
     """One insertion-processing step at in-phase index b of every table in
     ``tables``, in order: the step kernel of every lazy range table.
 
@@ -79,9 +75,7 @@ def insert_step(tables, u: int, v: int, w: int, b: int,
     touched at step b.  Without ``sync`` the batch is the head alone, if
     its relaxation fired, and nothing is logged, since only the batch
     reads the log.  The only table methods it calls are
-    ``touched_in_window`` and ``partial_dijkstra``.  Returns what the last
-    table's propagation touched, or :data:`IDLE`: for a phase of one
-    table, that table's.
+    ``touched_in_window`` and ``partial_dijkstra``.
 
     An idle step, one whose window holds no logged step, moves on to the
     next table right after the relaxation test, without reading the
@@ -98,18 +92,15 @@ def insert_step(tables, u: int, v: int, w: int, b: int,
     # without sync, or for odd b, whose window is step b alone, a step that
     # relaxed nothing is idle
     idle_unless_relaxed = not sync or b & 1
-    touched = IDLE
     for table in tables:
         table.work += 1
         dhat = table.dhat
         du = dhat[u]
         if du == CAP or du + w > table.lim[v]:
             if idle_unless_relaxed:
-                touched = IDLE
                 continue
             log = table._touch_log
             if not log or next(reversed(log)) <= lo:
-                touched = IDLE
                 continue
         else:
             cand = du + w
@@ -127,55 +118,51 @@ def insert_step(tables, u: int, v: int, w: int, b: int,
                 min_value[v] = cand
                 table.min_owner[v] = table.owner_index
             if not sync:
-                touched = table.partial_dijkstra((v,))
+                table.partial_dijkstra((v,))
                 continue
             log = table._touch_log
             log[b] = [v]   # the first entry of step b
         touched = table.partial_dijkstra(table.touched_in_window(lo, b))
         if touched:
             log.setdefault(b, []).extend(touched)
-    return touched
 
 
 class Phase:
-    """The step index of deterministic ranges that step together.
+    """The step index of tables that step together: the one holder of b
+    and B.
 
     Phases last ``B`` insertions; ``b`` counts the steps of the current
     one.  Every table in ``tables`` is stepped at the same b by one
-    :func:`insert_step` call per insertion, so ranges sharing a phase
-    fill together and the owner asks one :meth:`phase_full` per insertion.
+    :func:`insert_step` call per insertion, so the tables of a phase fill
+    together and their owner asks one :meth:`phase_full` per insertion.
     An insertion into a full phase raises :class:`PhaseFull` before any
-    table changes.  A range's :meth:`DeterministicRange.rebuild` starts
-    the next phase; its owner rebuilds every range of the phase at once.
+    table changes.  :meth:`reset` starts the next phase.
     """
 
-    def __init__(self, length: int, sync: bool):
+    def __init__(self, length: int, sync: bool = True):
+        if not (isinstance(length, int) and length >= 1):
+            raise InvalidConfig("phase length must be an int >= 1")
         self.B = length
         self.sync = sync
         self.b = 0
         self.tables: list[EstimateTable] = []
 
-    @staticmethod
-    def join(ranges) -> "Phase":
-        """The first range's phase, which from now on also steps the
-        tables of the other ranges, in order; returns it.  The ranges must
-        have been built with the same phase length and sync, and none may
-        have stepped yet."""
-        phase = ranges[0].phase
-        for r in ranges[1:]:
-            r.phase = phase
-            phase.tables.append(r.table)
-        return phase
-
-    def insert(self, u: int, v: int, w: int) -> set[int] | frozenset[int]:
+    def insert(self, u: int, v: int, w: int) -> None:
         b = self.b + 1
         if b > self.B:
             raise PhaseFull(f"phase of length {self.B} already full")
         self.b = b
-        return insert_step(self.tables, u, v, w, b, self.sync)
+        insert_step(self.tables, u, v, w, b, self.sync)
 
     def phase_full(self) -> bool:
         return self.b >= self.B
+
+    def reset(self) -> None:
+        """Start the next phase: b = 0 and every table's touch log empty,
+        since a window never reaches back past the phase's start."""
+        self.b = 0
+        for table in self.tables:
+            table.reset_phase()
 
 
 def bounded_dijkstra(graph, source: int,
@@ -280,18 +267,20 @@ class DeterministicRange:
     """Deterministic structure for one distance range [τ, 2τ).
 
     Estimates are kept up to ``cap`` and reported as unreachable beyond it.
-    A range starts in a :class:`Phase` of its own, of one table; an owner
-    holding several ranges makes them share one with :meth:`Phase.join`,
-    steps that phase and rebuilds every range of it at once, from the same
-    tree.  ``insert``, ``phase_full``, ``b`` and ``B`` are the phase's: the
-    owner must call :meth:`rebuild` once the phase is full, and an
-    insertion into a full phase raises :class:`PhaseFull`.
+    The range joins ``phase``, a :class:`Phase` its owner built, and is
+    stepped with every other table of it: ``insert``, ``phase_full``, ``b``
+    and ``B`` are the phase's.  The owner must rebuild once the phase is
+    full, and an insertion into a full phase raises :class:`PhaseFull`.
+    :meth:`rebuild` resets the whole phase, so an owner of several ranges
+    rebuilds every range of it at once, from the same tree.
     """
 
     def __init__(self, graph, source: int, tau: int, eps_delta: Fraction,
-                 phase_length: int, cap: int, sync: bool = True):
-        if not all(isinstance(x, int) and x >= 1 for x in (tau, phase_length)):
-            raise InvalidConfig("tau and phase length must be ints >= 1")
+                 phase: Phase, cap: int):
+        if not (isinstance(tau, int) and tau >= 1):
+            raise InvalidConfig("tau must be an int >= 1")
+        if not isinstance(phase, Phase):
+            raise InvalidConfig("phase must be a det.Phase")
         self.graph = graph
         self.source = source
         self.tau = tau
@@ -299,8 +288,8 @@ class DeterministicRange:
         self.cap = cap
         self.rebuilds = 0
         self.table = EstimateTable(graph, source, cap, eps_delta)
-        self.phase = Phase(phase_length, sync)
-        self.phase.tables.append(self.table)
+        self.phase = phase
+        phase.tables.append(self.table)
         self.rebuild(bounded_dijkstra(graph, source, cap))
 
     @property
@@ -311,15 +300,16 @@ class DeterministicRange:
     def b(self) -> int:
         return self.phase.b
 
-    def insert(self, u: int, v: int, w: int) -> set[int] | frozenset[int]:
-        """Step the range's phase: every range sharing it."""
-        return self.phase.insert(u, v, w)
+    def insert(self, u: int, v: int, w: int) -> None:
+        """Step the range's phase: every table of it."""
+        self.phase.insert(u, v, w)
 
     def phase_full(self) -> bool:
         return self.phase.phase_full()
 
     def rebuild(self, tree: tuple[list, list, list]) -> None:
-        """Restore exact estimates (clamped at cap) and reset the phase.
+        """Restore exact estimates (clamped at cap) and reset the phase,
+        every table of it.
 
         ``tree`` is ``(dist, parent, visit)``: the distances and parents
         of the bounded Dijkstra tree of the current graph, to at least
@@ -333,8 +323,7 @@ class DeterministicRange:
         """
         self.table.work += self.graph.edge_count + self.graph.n
         self.table.assign_exact(*tree)
-        self.phase.b = 0
-        self.table.reset_phase()
+        self.phase.reset()
         self.rebuilds += 1
 
     def estimate(self, v: int):

@@ -28,29 +28,29 @@ buckets give no slack; the ε rescaling moves that point much higher, so on
 graphs of a few thousand vertices every default-ε ``rand`` range is folded.
 
 The short tree and every range, deterministic or randomized, give one
-protocol (``table``, ``cap``, ``estimate``, ``insert``, ``rebuild(tree)``,
-``counters``; ranges also ``audit_tables``), so the engine never asks
-which kind a structure is.  ``tree`` is ``(dist, parent, visit)``, and a
-rebuild visits every vertex whose entry may differ from the tree of the
-structure's previous rebuild, where a new structure's previous tree is the
-source-only tree its tables hold.  Each structure is built from
-``det.bounded_dijkstra`` on the still empty graph, which reaches only the
-source.  Exact re-initialization reads one bounded Dijkstra tree to the
-largest cap, shared by every structure it serves: at ``preprocess`` all of
-them, and at a phase boundary every range.  Only deterministic ranges have
-phase boundaries: they share one ``det.Phase``, which owns B and b, so
-they fill together; the engine asks the phase's ``phase_full`` once per
-insertion (the short tree and randomized ranges never fill; a randomized
-range runs its fixing phases inside its own ``insert``).  After the short
-tree's ``insert``, each insertion makes one ``insert`` call per stepper:
-the phase, whose one ``det.insert_step`` call steps every deterministic
-range's table, or each randomized range, whose one call steps both of its
-tables.  The engine keeps the shared tree and advances it in place by a
-decrease-only Dijkstra from the edges inserted since the previous
-boundary (the empty graph's tree at ``preprocess``): distances only fall,
-so only a vertex that a new edge or a lowered vertex reaches can change.
-Each structure visits only the vertices whose distance or parent changed,
-which that run names as it goes.
+protocol (``table``, ``cap``, ``rebuild(tree)``, ``counters``; ranges also
+``audit_tables``), so the engine never asks which kind a structure is.
+``tree`` is ``(dist, parent, visit)``, and a rebuild visits every vertex
+whose entry may differ from the tree of the structure's previous rebuild,
+where a new structure's previous tree is the source-only tree its tables
+hold.  Each structure is built from ``det.bounded_dijkstra`` on the still
+empty graph, which reaches only the source.  Exact re-initialization reads
+one bounded Dijkstra tree to the largest cap, shared by every structure it
+serves: at ``preprocess`` all of them, and at a phase boundary every range.
+Only deterministic ranges have phase boundaries: the engine builds one
+``det.Phase``, which owns B and b, and every deterministic range joins it
+when built, so they fill together; the engine asks the phase's
+``phase_full`` once per insertion (the short tree and randomized ranges
+never fill; a randomized range runs its fixing phases inside its own
+``insert``).  After the short tree's ``insert``, each insertion makes one
+``insert`` call per stepper: the phase, whose one ``det.insert_step`` call
+steps every deterministic range's table, or each randomized range, whose
+own phase steps both of its tables.  The engine keeps the shared tree and
+advances it in place by a decrease-only Dijkstra from the edges inserted
+since the previous boundary (the empty graph's tree at ``preprocess``):
+distances only fall, so only a vertex that a new edge or a lowered vertex
+reaches can change.  Each structure visits only the vertices whose
+distance or parent changed, which that run names as it goes.
 
 An update validates in the graph before changing it.  If a structure then
 raises, the structures may hold part of the update, so the engine marks
@@ -187,15 +187,13 @@ class IncrementalSSSP:
         self._min_owner[self.source] = 0
         for i, s in enumerate(self._structures):
             s.table.share_minimum(self.min_value, self._min_owner, i)
-        # the deterministic ranges share one phase, stepped by one call per
+        # the deterministic ranges joined one phase, stepped by one call per
         # insertion; a randomized range steps its own tables, and no other
         # structure has a phase boundary
-        if config.mode == "rand" or not self.ranges:
+        if not self.ranges:   # a phase of no tables has no boundary
             self._phase = None
-            self._steppers = tuple(self.ranges)
-        else:
-            self._phase = det.Phase.join(self.ranges)
-            self._steppers = (self._phase,)
+        self._steppers = tuple(self.ranges) if self._phase is None else \
+            (self._phase,)
         self._tree_cap = max(s.cap for s in self._structures)
         # the empty graph's tree, which every structure was just built
         # from; each boundary advances it in place by the edges from _since
@@ -206,14 +204,16 @@ class IncrementalSSSP:
     # -- construction -----------------------------------------------------
 
     def _plan(self) -> int:
-        """Set ``eps_internal``, ``guarantee_epsilon``, the deterministic
-        phase length ``B`` (not in ``rand``) and ``plan``: one ``(spawn
-        key, τ, εδ, cap)`` per range to build, the key being τ's index among
-        all τ.  Returns the short tree's cap: 2·M, or the largest cap of a
-        folded range when that is larger."""
+        """Set ``eps_internal``, ``guarantee_epsilon``, ``_phase``, the
+        ``det.Phase`` of length B that the deterministic ranges join (None
+        in ``rand``), and ``plan``: one ``(spawn key, τ, εδ, cap)`` per
+        range to build, the key being τ's index among all τ.  Returns the
+        short tree's cap: 2·M, or the largest cap of a folded range when
+        that is larger."""
         cfg = self.config
         m, eps = cfg.m_budget, self.eps
         if cfg.mode == "rand":
+            self._phase = None
             self.eps_internal = eps if cfg.raw_epsilon else \
                 eps / (100 * self.lg_n)
             self.guarantee_epsilon = 100 * self.eps_internal * self.lg_n
@@ -223,10 +223,11 @@ class IncrementalSSSP:
                     tau, self.eps_internal, m, self.lg_n)
         else:
             c_b = cfg.c_b if cfg.c_b is not None else DEFAULT_C_B
-            self.B = max(1, isqrt(m) // c_b)   # ⌊√m / c_B⌋
+            B = max(1, isqrt(m) // c_b)   # ⌊√m / c_B⌋
+            self._phase = det.Phase(B, sync=cfg.mode == "det")
             M, root = ceil_sqrt(m), 2
             # keep the per-phase error bound B·εδ·(2·lg B + 1) below ε·τ
-            blow_up = Fraction(self.B * (2 * ceil_log2(self.B) + 1), M)
+            blow_up = Fraction(B * (2 * ceil_log2(B) + 1), M)
             self.eps_internal = eps if cfg.raw_epsilon or blow_up <= 1 else \
                 eps / blow_up
             self.guarantee_epsilon = eps
@@ -255,7 +256,7 @@ class IncrementalSSSP:
                 self.graph, self.source, tau, self.eps_internal, cfg.m_budget,
                 self.lg_n, rng, iter_mult=Fraction(cfg.iter_mult))
         return DeterministicRange(self.graph, self.source, tau, eps_delta,
-                                  self.B, cap, sync=cfg.mode == "det")
+                                  self._phase, cap)
 
     # -- updates ------------------------------------------------------------
 

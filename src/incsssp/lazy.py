@@ -207,7 +207,8 @@ class EstimateTable(DistanceTable):
         return out
 
     def reset_phase(self) -> None:
-        """Clear the touch log (called on rebuild / fixing phase)."""
+        """Clear the touch log; ``det.Phase.reset`` calls it for every
+        table of the phase it starts."""
         self._touch_log.clear()
 
     # -- propagation ---------------------------------------------------

@@ -3,15 +3,15 @@
 Two estimate tables are maintained for each range: a visible one that
 answers every query, and a hidden one whose state (and the random choices
 driving it) is never exposed.  Insertions update both through the same
-synchronized-propagation step: one ``det.insert_step`` call steps the
-visible table, then the hidden one, at the range's own b.  Whenever a
-phase fills up or the hidden potential Σ d̂ drops far enough, a global
-fixing phase runs: the tables are synchronized to their pointwise
-minimum, the potential snapshot is taken, random distance windows are
-sampled, and one propagation pass over the sampled vertices runs on the
-hidden table only.  Keeping the sampled windows hidden is what lets query
-answers reveal nothing an adaptive adversary can use before the next
-synchronization.
+synchronized-propagation step: the range's own ``det.Phase`` steps the
+visible table, then the hidden one, with one ``det.insert_step`` call,
+and its ``reset`` starts the next phase.  Whenever a phase fills up or
+the hidden potential Σ d̂ drops far enough, a global fixing phase runs:
+the tables are synchronized to their pointwise minimum, the potential
+snapshot is taken, random distance windows are sampled, and one
+propagation pass over the sampled vertices runs on the hidden table only.
+Keeping the sampled windows hidden is what lets query answers reveal
+nothing an adaptive adversary can use before the next synchronization.
 
 The sync visits only what either table lowered since the last fixing
 phase: the hidden listener's ``changed``, and the visible table's touch log
@@ -25,7 +25,7 @@ from math import inf
 
 import numpy as np
 
-from .det import bounded_dijkstra, insert_step
+from .det import Phase, bounded_dijkstra
 from .errors import InvalidConfig
 from .intmath import ceil_cbrt, ceil_frac, floor_cbrt
 from .lazy import EstimateTable
@@ -90,7 +90,6 @@ class RandomizedRange:
         self.tau = tau
         m_cbrt = ceil_cbrt(m_budget)
         self.m_cbrt = m_cbrt
-        self.B = max(1, floor_cbrt(m_budget))
         eps_delta, self.cap = self.granularity_and_cap(tau, eps, m_budget,
                                                        lg_n)
         # potential drops are integers, so ⌈ε·M·τ/4⌉ decides as ε·M·τ/4 does
@@ -102,14 +101,14 @@ class RandomizedRange:
         self.iterations = max(1, ceil_frac(Fraction(2000 * lg_n) / eps * iter_mult))
         self.rng = rng
         self.fixing_log: list[int] = []   # insertion count at each phase
-        self.b = 0
         self.insertions_seen = 0
 
         self.table = EstimateTable(graph, source, self.cap, eps_delta)
         self._listener = _HiddenListener(self, graph.n, source)
         self._hidden = EstimateTable(graph, source, self.cap, eps_delta,
                                      on_decrease=self._listener)
-        self._tables = (self.table, self._hidden)   # stepped in this order
+        self.phase = Phase(max(1, floor_cbrt(m_budget)))
+        self.phase.tables += (self.table, self._hidden)   # stepped in order
         self.rebuild(bounded_dijkstra(graph, source, self.cap))
 
     @staticmethod
@@ -119,6 +118,14 @@ class RandomizedRange:
         [τ, 2τ); known before the range is built."""
         eps_delta = eps * Fraction(tau, ceil_cbrt(m_budget))
         return eps_delta, ceil_frac((2 + 200 * lg_n * eps) * tau) + 1
+
+    @property
+    def B(self) -> int:
+        return self.phase.B
+
+    @property
+    def b(self) -> int:
+        return self.phase.b
 
     # -- potential tracking ---------------------------------------------
 
@@ -143,28 +150,26 @@ class RandomizedRange:
         self.table.assign_exact(*tree)
         self._hidden.assign_exact(*tree)
         self.phi_snapshot = self.phi
-        self.b = 0
-        self.table.reset_phase()
-        self._hidden.reset_phase()
+        self.phase.reset()
         self._listener.changed.clear()
 
     def insert(self, u: int, v: int, w: int) -> None:
-        self.b += 1
+        self.phase.insert(u, v, w)
         self.insertions_seen += 1
-        insert_step(self._tables, u, v, w, self.b)
         # a loop: the hidden pass runs after the potential snapshot, so it
         # can lower the potential past the threshold once more
         while self.needs_fixing():
             self.run_fixing_phase()
 
     def needs_fixing(self) -> bool:
-        return self.b >= self.B or (self.phi_snapshot - self.phi) >= self.threshold
+        return self.phase.phase_full() or \
+            self.phi_snapshot - self.phi >= self.threshold
 
     def run_fixing_phase(self) -> None:
         ds, hid = self.table, self._hidden
         hid_changed = self._listener.changed
         # synchronize to the pointwise minimum, parents following the winner
-        for v in ds.touched_in_window(0, self.b) | hid_changed:
+        for v in ds.touched_in_window(0, self.phase.b) | hid_changed:
             a, h = ds.dhat[v], hid.dhat[v]
             if a < h:
                 hid._set(v, a, ds.parent[v])
@@ -178,9 +183,7 @@ class RandomizedRange:
                                   size=self.iterations)
         hid.partial_dijkstra(self._window_union(draws).tolist())
 
-        self.b = 0
-        ds.reset_phase()
-        hid.reset_phase()
+        self.phase.reset()
         self.fixing_log.append(self.insertions_seen)
 
     def _window_union(self, draws):

@@ -157,7 +157,7 @@ def quadratic_error_replay(stream: InsertionStream, sync: bool) -> dict:
     per-insertion sink-estimate/truth trajectory and the running audit of
     in-range additive error.
     """
-    from .det import DeterministicRange
+    from .det import DeterministicRange, Phase
     from .oracle import dijkstra, phase_error_audit
 
     meta = stream.meta
@@ -168,8 +168,7 @@ def quadratic_error_replay(stream: InsertionStream, sync: bool) -> dict:
     cap = meta["initial_sink_distance"] + 1
     g = Graph(stream.n, stream.max_weight, budget=stream.budget,
               initial_edges=stream.initial_edges)
-    rng = DeterministicRange(g, 0, tau, gran, phase_length=B, cap=cap,
-                             sync=sync)
+    rng = DeterministicRange(g, 0, tau, gran, Phase(B, sync), cap=cap)
     sink_estimates = []
     sink_truths = []
     audits = []

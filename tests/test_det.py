@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from incsssp import (Config, DeterministicRange, Graph, IncrementalSSSP,
-                     PhaseFull, RandomizedRange, bounded_dijkstra,
+                     Phase, PhaseFull, RandomizedRange, bounded_dijkstra,
                      dijkstra, random_stream)
 from incsssp.det import advance_tree, insert_step
 from incsssp.intmath import ceil_div, ceil_log2
@@ -24,8 +24,7 @@ def grow_range(n, m, w_max, seed, gran=Fraction(2), B=8, cap=10 ** 6,
     """Random insertion run against one stand-alone range; yields each state."""
     rng = random.Random(seed)
     g = Graph(n, w_max)
-    r = DeterministicRange(g, 0, tau=1, eps_delta=gran, phase_length=B,
-                           cap=cap, sync=sync)
+    r = DeterministicRange(g, 0, 1, gran, Phase(B, sync), cap=cap)
     seen = set()
     inserted = 0
     while inserted < m:
@@ -66,7 +65,7 @@ def test_edge_invariant_after_every_insertion(seed):
 
 def test_phase_full_raises():
     g = Graph(4, 5)
-    r = DeterministicRange(g, 0, 1, Fraction(1), phase_length=2, cap=100)
+    r = DeterministicRange(g, 0, 1, Fraction(1), Phase(2), cap=100)
     g.insert_edge(0, 1, 1)
     r.insert(0, 1, 1)
     g.insert_edge(1, 2, 1)
@@ -83,7 +82,7 @@ def test_phase_full_raises():
 def test_rebuild_matches_oracle_clamped(seed):
     g = random_graph(16, 70, 8, seed=seed)
     cap = 20
-    r = DeterministicRange(g, 0, 8, Fraction(1, 2), phase_length=4, cap=cap)
+    r = DeterministicRange(g, 0, 8, Fraction(1, 2), Phase(4), cap=cap)
     truth = dijkstra(g, 0)
     for v in range(16):
         want = truth.d[v] if truth.d[v] < cap else inf
@@ -92,14 +91,14 @@ def test_rebuild_matches_oracle_clamped(seed):
 
 def test_rebuild_on_empty_graph():
     g = Graph(5, 3)
-    r = DeterministicRange(g, 0, 2, Fraction(1), phase_length=2, cap=50)
+    r = DeterministicRange(g, 0, 2, Fraction(1), Phase(2), cap=50)
     assert r.table.dhat[0] == 0
     assert all(r.table.dhat[v] == inf for v in range(1, 5))
 
 
 def test_rebuild_restores_zero_slack():
     g = random_graph(12, 40, 4, seed=9)
-    r = DeterministicRange(g, 0, 4, Fraction(2), phase_length=4, cap=10 ** 6)
+    r = DeterministicRange(g, 0, 4, Fraction(2), Phase(4), cap=10 ** 6)
     truth = dijkstra(g, 0)
     for v in range(12):
         if truth.d[v] == inf or v == 0:
@@ -111,21 +110,22 @@ def test_rebuild_restores_zero_slack():
         assert slack(r.table, path) <= 0
 
 
-def test_no_profit_insertion_returns_empty():
+def test_no_profit_insertion_touches_nothing():
     g = Graph(3, 2000)
     g.insert_edge(0, 1, 4)
-    r = DeterministicRange(g, 0, 2, Fraction(4), phase_length=4, cap=10 ** 6)
+    r = DeterministicRange(g, 0, 2, Fraction(4), Phase(4), cap=10 ** 6)
     # candidate 0+900 exceeds nothing useful: head was unreachable, gets the
     # new value, so pick an edge whose test fails instead: 1 -> 2 never
     # relaxes because dhat[1]=4 and 4+997 stays above any bucket of interest
     g.insert_edge(1, 2, 997)
-    touched_first = r.insert(1, 2, 997)
+    r.insert(1, 2, 997)
     assert r.table.dhat[2] == 4 + 997
-    # second, parallel-free edge offering the same bucket: no change at all
+    # second, parallel-free edge offering the same bucket: no change at all,
+    # and nothing logged at its step
     g.insert_edge(0, 2, 1001)
     before = list(r.table.dhat)
-    touched = r.insert(0, 2, 1001)
-    assert touched == set()
+    r.insert(0, 2, 1001)
+    assert r.b == 2 and 2 not in r.table._touch_log
     assert r.table.dhat == before
 
 
@@ -210,9 +210,9 @@ def flag_fixing(owner, fixing: list) -> None:
 def watch_steps(owners):
     """Check every step of the range tables of ``owners`` against the
     paper, through the calls the step kernel makes: the module-level
-    ``insert_step`` (patched for both range kinds), ``partial_dijkstra``,
-    whose argument is the batch, and the touch log, replaced by a
-    :class:`ReadLog`.  Yields ``{table: TableWatch}``.
+    ``det.insert_step``, which the phase of either range kind calls,
+    ``partial_dijkstra``, whose argument is the batch, and the touch log,
+    replaced by a :class:`ReadLog`.  Yields ``{table: TableWatch}``.
 
     One kernel call steps a sequence of tables at the same b; each watched
     table of it is checked on its own.  Before a synchronized step
@@ -222,13 +222,11 @@ def watch_steps(owners):
     must propagate exactly that batch, once; a step with an empty window
     must read no log entry and not propagate.  Without sync the window is
     the head alone, if it relaxes.  After the step, the log at b must hold
-    the relaxed head and what the step's propagation touched, and the
-    kernel must return what the last table's propagation touched (the
-    empty set if it propagated nothing).  A randomized fixing phase's read
-    of its whole phase, steps (0, b], must return every touch of the
-    phase; its reads and its hidden pass are no step's.  A window read or
-    propagation outside both a step and a fixing phase is recorded in
-    ``stray``."""
+    the relaxed head and what the step's propagation touched.  A
+    randomized fixing phase's read of its whole phase, steps (0, b], must
+    return every touch of the phase; its reads and its hidden pass are no
+    step's.  A window read or propagation outside both a step and a
+    fixing phase is recorded in ``stray``."""
     watches = {}
     for owner in owners:
         fixing = []
@@ -255,7 +253,7 @@ def watch_steps(owners):
             watch.out = set()
             watch.in_step = True
         try:
-            out = insert_step(tables, u, v, w, b, sync)
+            insert_step(tables, u, v, w, b, sync)
         finally:
             for table in windows:
                 watches[table].in_step = False
@@ -271,12 +269,8 @@ def watch_steps(owners):
             logged = set(dict.get(table._touch_log, b, ()))
             assert logged == ((head | watch.out) if sync else set())
             watch.touched[b] = logged
-        if tables[-1] in windows:
-            assert out == watches[tables[-1]].out
-        return out
 
-    with mock.patch("incsssp.det.insert_step", watched), \
-            mock.patch("incsssp.rand.insert_step", watched):
+    with mock.patch("incsssp.det.insert_step", watched):
         yield watches
 
 
@@ -335,8 +329,7 @@ def test_entry_count_bound_per_decrease():
         edges.append((u, v, rng.randint(1, 6)))
     source = edges[0][0]
     g = Graph(20, 6)
-    r = DeterministicRange(g, source, 1, Fraction(2), phase_length=B,
-                           cap=10 ** 6)
+    r = DeterministicRange(g, source, 1, Fraction(2), Phase(B), cap=10 ** 6)
 
     memberships = Counter()
     limit = ceil_log2(B) + 1
@@ -362,8 +355,7 @@ def test_entry_count_bound_per_decrease():
 def test_batch_is_union_of_window_touch_lists():
     n = 24
     g = Graph(n, 16)
-    det_r = DeterministicRange(g, 0, 1, Fraction(2), phase_length=16,
-                               cap=10 ** 6)
+    det_r = DeterministicRange(g, 0, 1, Fraction(2), Phase(16), cap=10 ** 6)
     # τ = 32 puts the rand potential threshold ε·M·τ/4 at 8, so phases
     # often outlast one step and batches reach back
     rand_r = RandomizedRange(
@@ -398,19 +390,17 @@ def test_batch_is_union_of_window_touch_lists():
 def reference_step(tables, u, v, w, b, sync=True):
     """``det.insert_step`` unfused and without the idle return, one table
     after another: the relaxation and log writes are calls, and every
-    step reads its window (lo, b] and propagates from it, however empty.
-    Returns what the last table's propagation touched."""
+    step reads its window (lo, b] and propagates from it, however empty."""
     for table in tables:
         relaxed = try_relax(table, u, v, w)
         if not sync:
-            touched = table.partial_dijkstra((v,) if relaxed else ())
+            table.partial_dijkstra((v,) if relaxed else ())
             continue
         if relaxed:
             mark_touched(table, (v,), b)
         touched = table.partial_dijkstra(
             table.touched_in_window(b & (b - 1), b))
         mark_touched(table, touched, b)
-    return touched
 
 
 def table_state(table):
@@ -424,10 +414,10 @@ def table_state(table):
 
 def step_trace(config, stream, step):
     """Replay ``stream`` on an engine whose ranges run ``step`` in place of
-    ``insert_step``; returns, per call, the number of tables it stepped,
-    the set it returned, and per table the set that table's propagation
-    touched (empty if it propagated nothing) with the table's state right
-    after the call; then every range table's final state."""
+    ``insert_step``; returns, per call, the number of tables it stepped
+    and per table the set that table's propagation touched (empty if it
+    propagated nothing) with the table's state right after the call; then
+    every range table's final state."""
     trace = []
     touched = {}
     propagate = EstimateTable.partial_dijkstra
@@ -438,15 +428,12 @@ def step_trace(config, stream, step):
 
     def traced(tables, u, v, w, b, sync=True):
         touched.clear()
-        out = step(tables, u, v, w, b, sync)
-        trace.append((len(tables), out,
-                      [(touched.get(t, set()), table_state(t))
-                       for t in tables]))
-        return out
+        step(tables, u, v, w, b, sync)
+        trace.append((len(tables), [(touched.get(t, set()), table_state(t))
+                                    for t in tables]))
 
     eng = IncrementalSSSP(config)
     with mock.patch("incsssp.det.insert_step", traced), \
-            mock.patch("incsssp.rand.insert_step", traced), \
             mock.patch.object(EstimateTable, "partial_dijkstra",
                               recorded_propagate):
         eng.preprocess(stream.initial_edges)
@@ -468,7 +455,7 @@ def test_idle_return_matches_reading_every_window(stream, kind, seed):
     parents, limits, touch log, work, decreases, the engine's minimum
     table and the set the table's step touched equal those of unfused
     steps, one table after another, that read their window and propagate
-    even when the window is empty; so does the returned set."""
+    even when the window is empty."""
     mode, c_b = kind
     config = Config(n=stream.n, m_budget=stream.budget,
                     max_weight=stream.max_weight, mode=mode, c_b=c_b,
@@ -539,7 +526,7 @@ def spy_calls(calls: list):
     sync, then steps."""
     def spy(tables, u, v, w, b, sync=True):
         calls.append((list(tables), (u, v, w), b, sync))
-        return insert_step(tables, u, v, w, b, sync)
+        insert_step(tables, u, v, w, b, sync)
     return spy
 
 
@@ -576,10 +563,10 @@ def test_randomized_range_steps_both_tables_in_one_call():
 
     def step(tables, u, v, w, b, sync=True):
         assert b == r.b
-        return spy(tables, u, v, w, b, sync)
+        spy(tables, u, v, w, b, sync)
 
     rng = random.Random(11)
-    with mock.patch("incsssp.rand.insert_step", step):
+    with mock.patch("incsssp.det.insert_step", step):
         while g.edge_count < 120:
             u, v = rng.sample(range(n), 2)
             if g.weight_of(u, v) is not None:
@@ -594,16 +581,38 @@ def test_randomized_range_steps_both_tables_in_one_call():
     assert r.fixing_phases > 1 and r.table.decreases > 0
 
 
-@pytest.mark.parametrize("mode", ["det", "nosync"])
+def rand_state(r):
+    """What a randomized range keeps besides its tables: potential, its
+    snapshot, the hidden listener's record, the phase counts and the draw
+    generator's state."""
+    return (r.phi, r.phi_snapshot, set(r._listener.changed),
+            r._listener.slots.tolist(), r.insertions_seen, r.fixing_log[:],
+            r.rng.bit_generator.state)
+
+
+@pytest.mark.parametrize("mode", ["det", "nosync", "rand"])
 def test_insert_into_a_full_phase_changes_nothing(mode):
-    """An insertion into a full shared phase raises ``PhaseFull``, through
-    the phase or any of its ranges, before any table, touch log, counter
-    or the phase's b changes, and before any step call."""
-    eng, stream = phase_engine(mode, 10 ** 6)   # B = 1
-    phase = eng._phase
-    for _, u, v, w in stream.insertions[:100]:
-        eng.insert(u, v, w)
-    assert phase.phase_full() and phase.b == phase.B == 1
+    """An insertion into a full phase raises ``PhaseFull``, through the
+    phase or any range stepping it, before any table, touch log, counter,
+    potential or the phase's b changes, and before any step call.  An
+    engine's shared phase fills at B = 1; a randomized range runs a fixing
+    phase as soon as its phase fills, so its b is set to B by hand."""
+    if mode == "rand":
+        eng, stream = phase_engine("rand", None)
+        for _, u, v, w in stream.insertions[:100]:
+            eng.insert(u, v, w)
+        r = eng.ranges[-1]
+        phase = r.phase
+        phase.b = phase.B
+        steppers, ranges = (phase, r), [r]
+    else:
+        eng, stream = phase_engine(mode, 10 ** 6)   # B = 1
+        phase = eng._phase
+        for _, u, v, w in stream.insertions[:100]:
+            eng.insert(u, v, w)
+        steppers, ranges = (phase, *eng.ranges), eng.ranges
+    assert phase.phase_full() and phase.b == phase.B
+    full = phase.B
     # a new edge out of the source that every table would relax
     u, w = eng.source, 1
     v = next(v for v in range(eng.graph.n)
@@ -611,28 +620,49 @@ def test_insert_into_a_full_phase_changes_nothing(mode):
              all(relaxes(t, u, v, w) for t in phase.tables))
     eng.graph.insert_edge(u, v, w)
     before = [table_state(t) for t in phase.tables]
-    counters = [r.counters() for r in eng.ranges]
+    counters = [r.counters() for r in ranges]
+    kept = [rand_state(r) for r in ranges if mode == "rand"]
     calls = []
     with mock.patch("incsssp.det.insert_step", spy_calls(calls)):
-        for stepper in (phase, *eng.ranges):
+        for stepper in steppers:
             with pytest.raises(PhaseFull):
                 stepper.insert(u, v, w)
     assert calls == []
     assert [table_state(t) for t in phase.tables] == before
-    assert [r.counters() for r in eng.ranges] == counters
-    assert phase.b == 1
+    assert [r.counters() for r in ranges] == counters
+    assert [rand_state(r) for r in ranges if mode == "rand"] == kept
+    assert phase.b == full
+
+
+def test_rebuilding_one_range_resets_the_whole_phase():
+    """A phase is reset as a whole: rebuilding one range of a shared phase
+    sets b to 0 and empties every table's touch log, so no later window
+    reads a touch of the previous phase."""
+    eng, stream = phase_engine("det", None)
+    phase = eng._phase
+    for _, u, v, w in stream.insertions:
+        eng.insert(u, v, w)
+        if sum(bool(t._touch_log) for t in phase.tables) > 1:
+            break
+    else:
+        pytest.fail("no phase logged touches in two tables")
+    eng.ranges[-1].rebuild(eng._next_tree())
+    assert phase.b == 0
+    assert all(t._touch_log == {} for t in phase.tables)
 
 
 def test_baseline_mode_propagates_only_from_inserted_head():
     g = Graph(4, 10)
     g.insert_edge(1, 2, 1)
     g.insert_edge(2, 3, 1)
-    r = DeterministicRange(g, 0, 1, Fraction(1), phase_length=8, cap=1000,
-                           sync=False)
+    r = DeterministicRange(g, 0, 1, Fraction(1), Phase(8, sync=False),
+                           cap=1000)
     g.insert_edge(0, 1, 1)
-    touched = r.insert(0, 1, 1)
-    assert r.table.dhat[1] == 1
-    assert touched == {2, 3}
+    r.insert(0, 1, 1)
+    # the head's propagation lowered 2 and 3 through it, and logged nothing
+    assert r.table.dhat == [0, 1, 2, 3]
+    assert r.table.parent == [None, 0, 1, 2]
+    assert r.table._touch_log == {}
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -641,8 +671,8 @@ def test_baseline_mode_logs_no_touch(seed):
     the per-edge scheme: relax the new edge, propagate from its head."""
     rng = random.Random(seed)
     g = Graph(16, 9)
-    r = DeterministicRange(g, 0, 1, Fraction(3, 2), phase_length=10 ** 6,
-                           cap=60, sync=False)
+    r = DeterministicRange(g, 0, 1, Fraction(3, 2),
+                           Phase(10 ** 6, sync=False), cap=60)
     ref = EstimateTable(g, 0, 60, Fraction(3, 2))
     rebuild_work = r.table.work   # the constructor's rebuild charge
     for _ in range(80):
@@ -724,8 +754,7 @@ def reference_exact(graph, source, table):
 def reference_rebuild(r):
     """One range rebuilt from a Dijkstra of its own, capped at its own cap."""
     reference_exact(r.graph, r.source, r.table)
-    r.phase.b = 0
-    r.table.reset_phase()
+    r.phase.reset()
     r.rebuilds += 1
 
 

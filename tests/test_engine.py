@@ -10,8 +10,7 @@ from hypothesis import given, settings, strategies as st
 from incsssp import (AlreadyPreprocessed, BudgetExceeded, Config,
                      DeterministicRange, DuplicateEdge, EngineBroken,
                      EstimateTable, Graph, IncrementalSSSP, InvalidConfig,
-                     InvalidParams,
-                     RandomizedRange, ShortDistanceTree, Unreachable,
+                     InvalidParams, Phase, RandomizedRange, ShortDistanceTree, Unreachable,
                      UNREACHABLE, VertexOutOfRange, bounded_dijkstra,
                      dijkstra, verify)
 from incsssp.engine import DEFAULT_C_B
@@ -205,8 +204,8 @@ def test_range_with_sub_unit_granularity_is_the_exact_tree(
         assert r.table.gran == eps_delta
         tables = [r.table, r._hidden]
     else:
-        r = DeterministicRange(g, 0, tau, eps_delta, phase_length, cap,
-                               sync=kind == "det")
+        r = DeterministicRange(g, 0, tau, eps_delta,
+                               Phase(phase_length, sync=kind == "det"), cap)
         tables = [r.table]
     for _, u, v, w in stream.insertions:
         g.insert_edge(u, v, w)
@@ -266,12 +265,10 @@ def rand_range(g, source=0, tau=32, eps=Fraction(1, 4), m_budget=64, **kw):
 
 
 @pytest.mark.parametrize("build", [
-    lambda g: DeterministicRange(g, 0, 1, Fraction(1), phase_length=0,
-                                 cap=100),
+    lambda g: Phase(0),
     lambda g: EstimateTable(g, 0, 100, Fraction(0)),
     lambda g: rand_range(g, eps=Fraction(0)),
-    lambda g: DeterministicRange(g, 4, 1, Fraction(1), phase_length=2,
-                                 cap=100),
+    lambda g: DeterministicRange(g, 4, 1, Fraction(1), Phase(2), cap=100),
     lambda g: EstimateTable(g, -1, 100, Fraction(1)),
     lambda g: ShortDistanceTree(g, -1, 100),
     lambda g: rand_range(g, source=4),
@@ -282,21 +279,19 @@ def rand_range(g, source=0, tau=32, eps=Fraction(1, 4), m_budget=64, **kw):
     lambda g: ShortDistanceTree(g, 1.5, 100),
     lambda g: ShortDistanceTree(g, 0, 0),
     lambda g: EstimateTable(g, 0, -1, Fraction(1)),
-    lambda g: DeterministicRange(g, 0, 0, Fraction(1), phase_length=2,
-                                 cap=100),
-    lambda g: DeterministicRange(g, 0, 1, Fraction(1), phase_length=2,
-                                 cap=0),
-    lambda g: DeterministicRange(g, 0, 1, Fraction(1), phase_length=1.5,
-                                 cap=100),
+    lambda g: DeterministicRange(g, 0, 0, Fraction(1), Phase(2), cap=100),
+    lambda g: DeterministicRange(g, 0, 1, Fraction(1), Phase(2), cap=0),
+    lambda g: Phase(1.5),
     lambda g: RandomizedRange(g, 0, 32, Fraction(1, 4), 64, 0,
                               np.random.Generator(np.random.PCG64(0))),
     lambda g: rand_range(g, tau=1.5),
     lambda g: RandomizedRange(g, 0, 4, Fraction(1, 4), 100, 3, None),
+    lambda g: DeterministicRange(g, 0, 1, Fraction(1), 2, cap=100),
 ], ids=["phase_length", "gran", "rand_eps", "det_source", "table_source",
         "short_source", "rand_source", "rand_m_budget", "rand_iter_mult",
         "float_eps", "float_gran", "float_source", "short_cap", "table_cap",
         "det_tau", "det_cap", "float_phase_length", "rand_lg_n",
-        "float_rand_tau", "rand_rng"])
+        "float_rand_tau", "rand_rng", "det_phase"])
 def test_structures_reject_bad_arguments(build):
     """The exported structures raise the package's typed error on a bad
     argument; a source outside [0, n) or a cap that is not an int >= 1 or

@@ -149,13 +149,12 @@ def test_upper_violation_detected():
 
 
 def test_phase_error_audit_zero_after_rebuild():
-    from incsssp import DeterministicRange
+    from incsssp import DeterministicRange, Phase
     g = random_graph(16, 60, 6, seed=2)
     truth = dijkstra(g, 0)
     finite = sorted(d for d in truth.d if 0 < d < inf)
     tau = max(1, finite[len(finite) // 2]) if finite else 1
-    r = DeterministicRange(g, 0, tau, Fraction(1), phase_length=4,
-                           cap=10 ** 6)
+    r = DeterministicRange(g, 0, tau, Fraction(1), Phase(4), cap=10 ** 6)
     assert phase_error_audit(r, truth.d) == 0
 
 

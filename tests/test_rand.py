@@ -11,6 +11,7 @@ from incsssp import (Config, Graph, IncrementalSSSP, RandomizedRange,
 from incsssp.intmath import ceil_cbrt, ceil_frac, ceil_log2
 from tests.conftest import random_graph, streams
 from tests.reference_lazy import mark_touched
+from tools.state_digest import c7_run
 
 
 def make_range(graph, tau=8, eps=Fraction(1, 4), m_budget=64, seed=1,
@@ -63,7 +64,7 @@ def test_trigger_boundaries():
     r.phi_snapshot = r.phi + r.threshold
     assert r.needs_fixing()
     r.phi_snapshot = r.phi
-    r.b = r.B
+    r.phase.b = r.B
     assert r.needs_fixing()
     # ε·M·τ/4 = (1/3)·4·8/4 = 8/3: a drop of 2 must not fire, 3 must
     r = make_range(Graph(8, 4), eps=Fraction(1, 3), m_budget=64)
@@ -130,7 +131,7 @@ def visible_decrease(r, v, value, parent):
     """Lower d̂(v) in the visible table alone (test-only surgery) and log it
     in the touch log at a step of the phase, as ``insert_step`` would."""
     r.table._set(v, value, parent)
-    r.b += 1
+    r.phase.b += 1
     mark_touched(r.table, (v,), r.b)
 
 
@@ -510,3 +511,39 @@ def test_randomized_ranges_answer_and_verify():
             assert report.clean, report
             seen["owned"] += sum(1 for o in eng._min_owner if o)
     assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("W", [64, 2 ** 14])
+def test_fixing_phase_counts_stay_within_their_bounds(W):
+    """The count of fixing phases the paper's bound rests on, per range
+    over C7 runs 0–7.  A phase fires either on a full phase (b ≥ B just
+    before it runs) or on a potential drop.  A full firing needs B
+    insertions since the previous phase, so there are at most
+    ⌊insertions / B⌋.  The potential only falls, and each drop firing
+    needs a drop of at least the threshold since the previous snapshot,
+    so there are at most ⌊(Φ after preprocess − Φ at the end) /
+    threshold⌋.  Both bounds are loose: the worst ratios over both
+    weights were 0.89 and 0.004, since Φ counts CAP as the cap."""
+    checked = 0
+    for i in range(8):
+        _, config, stream = c7_run(i, W)
+        eng = IncrementalSSSP(config)
+        fired = {}
+        for r in eng.ranges:
+            kinds = fired[r] = {"full": 0, "drop": 0}
+            run = r.run_fixing_phase
+
+            def counted(r=r, run=run, kinds=kinds):
+                kinds["full" if r.phase.phase_full() else "drop"] += 1
+                run()
+            r.run_fixing_phase = counted
+        eng.preprocess(stream.initial_edges)
+        phi = {r: r.phi for r in eng.ranges}
+        for _, u, v, w in stream.insertions:
+            eng.insert(u, v, w)
+        for r, kinds in fired.items():
+            assert kinds["full"] + kinds["drop"] == r.fixing_phases > 0
+            assert kinds["full"] <= len(stream.insertions) // r.B
+            assert kinds["drop"] <= (phi[r] - r.phi) // r.threshold
+            checked += 1
+    assert checked == {64: 64, 2 ** 14: 128}[W]   # ranges built

@@ -153,6 +153,28 @@ def corpus_runs(run, count: int, W: int = 64):
         yield label, lambda _, config=config: IncrementalSSSP(config), [stream]
 
 
+def digest_lines(seed: int, workloads=WORKLOADS, engines=ENGINES):
+    """One ``<workload> <engine> <kind> <sha256>`` line per digest, in the
+    order :func:`main` prints them."""
+    from bench import engines as bench_engines, streams
+    from incsssp import IncrementalSSSP
+    for workload in workloads:
+        if workload == "c1":
+            runs = corpus_runs(c1_run, C1_STREAMS)
+        elif workload == "c1w14":
+            runs = corpus_runs(c1_run, C1_STREAMS, W=2 ** 14)
+        elif workload == "c7":
+            runs = corpus_runs(c7_run, C7_STREAMS)
+        else:
+            built = streams.build(workload, seed)
+            runs = [(name, lambda s, name=name: IncrementalSSSP(
+                        bench_engines.config(name, s, seed)), built)
+                    for name in engines]
+        for name, make, built in runs:
+            for kind, digest in replay_digest(make, built).items():
+                yield f"{workload} {name} {kind} {digest}"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=1)
@@ -165,25 +187,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     for path in (ROOT, args.src.resolve()):
         sys.path.insert(0, str(path))
-    from bench import engines, streams
     import incsssp
     print("# incsssp from", Path(incsssp.__file__).parent, file=sys.stderr)
-
-    for workload in args.workloads:
-        if workload == "c1":
-            runs = corpus_runs(c1_run, C1_STREAMS)
-        elif workload == "c1w14":
-            runs = corpus_runs(c1_run, C1_STREAMS, W=2 ** 14)
-        elif workload == "c7":
-            runs = corpus_runs(c7_run, C7_STREAMS)
-        else:
-            built = streams.build(workload, args.seed)
-            runs = [(name, lambda s, name=name: incsssp.IncrementalSSSP(
-                        engines.config(name, s, args.seed)), built)
-                    for name in args.engines]
-        for name, make, built in runs:
-            for kind, digest in replay_digest(make, built).items():
-                print(workload, name, kind, digest, flush=True)
+    for line in digest_lines(args.seed, args.workloads, args.engines):
+        print(line, flush=True)
     return 0
 
 
